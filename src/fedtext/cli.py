@@ -128,23 +128,17 @@ def _cmd_bench(args) -> int:
 
 def _cmd_gen_synth(args) -> int:
     cfg = load_config(args.config)
-    d = cfg.data
+    if not cfg.data.synthetic:
+        raise ConfigError("gen-synth needs [data] synthetic = true")
+    if cfg.task == "re":
+        serialize, suffix = corpuslib.serialize_relations, "tsv"
+    else:
+        serialize, suffix = corpuslib.serialize_conll, "conll"
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if cfg.task == "re":
-        n = d.sentences[0] if len(d.sentences) == 1 else sum(d.sentences)
-        instances = corpuslib.generate_synthetic_relations(d.lexicon_size, n, d.data_seed)
-        path = out_dir / "relations.tsv"
-        path.write_text(corpuslib.serialize_relations(instances), encoding="utf-8")
-        print(f"wrote {path}")
-        return 0
-    counts = d.sentences if len(d.sentences) == d.sources else d.sentences * d.sources
-    profile = corpuslib.make_profile(
-        d.types, d.lexicon_size, counts, d.sources, d.heterogeneity, d.cue_rate
-    )
-    for name, sentences in corpuslib.generate_synthetic(profile, d.data_seed):
-        path = out_dir / f"{name}.conll"
-        path.write_text(corpuslib.serialize_conll(sentences), encoding="utf-8")
+    for name, items in experiments.build_sources(cfg):
+        path = out_dir / f"{name}.{suffix}"
+        path.write_text(serialize(items), encoding="utf-8")
         print(f"wrote {path}")
     return 0
 
@@ -154,6 +148,8 @@ def _cmd_score_llm(args) -> int:
     if not args.emit_prompts and not args.responses:
         raise ConfigError("score-llm needs --emit-prompts or --responses")
     if args.emit_prompts:
+        if args.shot == "one" and cfg.task == "re":
+            raise ConfigError("score-llm --shot one has no exemplar for task = re; use --shot zero")
         exemplar = (
             llm_bridge.default_ner_exemplar(args.tag) if args.shot == "one" else None
         )

@@ -204,11 +204,6 @@ def re_report(gold: Sequence[str], pred: Sequence[str]) -> EvalReport:
     return EvalReport(strict=scores, lenient=dict(scores), strict_macro_f1=macro, lenient_macro_f1=macro)
 
 
-def eval_re(gold: Sequence[str], pred: Sequence[str]) -> float:
-    """Macro-F1 over relation classes present in the gold labels."""
-    return re_report(gold, pred).strict_macro_f1
-
-
 def aggregate_repeats(values: Sequence[float]) -> tuple[float, float]:
     """Mean and sample (n-1) standard deviation over repeated runs."""
     if len(values) < 2:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
+from . import __version__, evaluation, federation, llm_bridge, tasks
 from . import corpus as corpuslib
-from . import evaluation, federation, llm_bridge, tasks
 from .config import (
     DEFAULT_MU_GRID,
     ConfigError,
@@ -25,10 +25,8 @@ from .config import (
     RunManifest,
     config_hash,
 )
-from .evaluation import EvalReport, aggregate_repeats, format_cell
+from .evaluation import EvalReport, TypeScore, aggregate_repeats, format_cell
 from .federation import FederationConfig, RunResult
-
-PACKAGE_VERSION = "0.1.0"
 
 
 # ---------------------------------------------------------------------------
@@ -49,37 +47,31 @@ def _split_source(items: Sequence, seed: int) -> corpuslib.CorpusSplit:
     return corpuslib.split_80_10_10(corpuslib.dedup(items), seed)
 
 
-def build_data(cfg: ExperimentConfig) -> DataBundle:
+def build_sources(cfg: ExperimentConfig) -> list[tuple[str, list]]:
+    """The config's named corpora: one per file, or the synthetic generator's."""
     d = cfg.data
+    if not d.synthetic:
+        parse = corpuslib.parse_relations if cfg.task == "re" else corpuslib.parse_conll
+        return [(Path(p).name, parse(Path(p).read_text(encoding="utf-8"))) for p in d.files]
     if cfg.task == "re":
-        if d.synthetic:
-            n = d.sentences[0] if len(d.sentences) == 1 else sum(d.sentences)
-            sources = [("synthetic", corpuslib.generate_synthetic_relations(d.lexicon_size, n, d.data_seed))]
-        else:
-            sources = [
-                (Path(p).name, corpuslib.parse_relations(Path(p).read_text(encoding="utf-8")))
-                for p in d.files
-            ]
-    elif d.synthetic:
-        counts = d.sentences if len(d.sentences) == d.sources else d.sentences * d.sources
-        profile = corpuslib.make_profile(
-            types=d.types,
-            lexicon_size=d.lexicon_size,
-            sentences=counts,
-            sources=d.sources,
-            heterogeneity=d.heterogeneity,
-            cue_rate=d.cue_rate,
-        )
-        sources = corpuslib.generate_synthetic(profile, d.data_seed)
-    else:
-        sources = [
-            (Path(p).name, corpuslib.parse_conll(Path(p).read_text(encoding="utf-8")))
-            for p in d.files
-        ]
+        instances = corpuslib.generate_synthetic_relations(d.lexicon_size, sum(d.sentences), d.data_seed)
+        return [("relations", instances)]
+    counts = d.sentences if len(d.sentences) == d.sources else d.sentences * d.sources
+    profile = corpuslib.make_profile(
+        types=d.types,
+        lexicon_size=d.lexicon_size,
+        sentences=counts,
+        sources=d.sources,
+        heterogeneity=d.heterogeneity,
+        cue_rate=d.cue_rate,
+    )
+    return corpuslib.generate_synthetic(profile, d.data_seed)
 
+
+def build_data(cfg: ExperimentConfig) -> DataBundle:
     names, trains, dev, test = [], [], [], []
-    for i, (name, items) in enumerate(sources):
-        split = _split_source(items, d.data_seed + i)
+    for i, (name, items) in enumerate(build_sources(cfg)):
+        split = _split_source(items, cfg.data.data_seed + i)
         names.append(name)
         trains.append(split.train)
         dev.extend(split.dev)
@@ -147,24 +139,23 @@ def run_scheme(cfg: ExperimentConfig, bundle: DataBundle, seed: int) -> SchemeOu
 
     if cfg.scheme == "centralized":
         fed = make_fed_config(cfg, task, seed, clients=1, mu=0.0)
-        result = federation.run_centralized(task, fed, task.prepare(bundle.train), dev)
-        report = task.evaluate(result.best_weights, test)
-        return SchemeOutcome(task, report, _headline(cfg, report), [result])
-
-    if cfg.scheme == "single":
+        results = [federation.run_centralized(task, fed, task.prepare(bundle.train), dev)]
+    elif cfg.scheme == "single":
         parts = partition_train(cfg, bundle, task, cfg.federation.clients)
         fed = make_fed_config(cfg, task, seed, clients=1, mu=0.0)
         results = federation.run_single_client(task, fed, parts, dev)
-        reports = [task.evaluate(r.best_weights, test) for r in results]
-        mean_report = _mean_reports(cfg, reports)
-        return SchemeOutcome(task, mean_report[0], mean_report[1], results, client_reports=reports)
+    else:
+        mu = cfg.federation.mu if cfg.scheme == "fedprox" else 0.0
+        parts = partition_train(cfg, bundle, task, cfg.federation.clients)
+        fed = make_fed_config(cfg, task, seed, clients=len(parts), mu=mu)
+        results = [federation.run_federated(task, fed, parts, dev)]
 
-    mu = cfg.federation.mu if cfg.scheme == "fedprox" else 0.0
-    parts = partition_train(cfg, bundle, task, cfg.federation.clients)
-    fed = make_fed_config(cfg, task, seed, clients=len(parts), mu=mu)
-    result = federation.run_federated(task, fed, parts, dev)
-    report = task.evaluate(result.best_weights, test)
-    return SchemeOutcome(task, report, _headline(cfg, report), [result])
+    reports = [task.evaluate(r.best_weights, test) for r in results]
+    if cfg.scheme == "single":
+        report, client_reports = _mean_reports(reports), reports
+    else:
+        report, client_reports = reports[0], None
+    return SchemeOutcome(task, report, _headline(cfg, report), results, client_reports)
 
 
 def _headline(cfg: ExperimentConfig, report: EvalReport) -> dict[str, float]:
@@ -173,22 +164,23 @@ def _headline(cfg: ExperimentConfig, report: EvalReport) -> dict[str, float]:
     return {"macro_f1": report.strict_macro_f1}
 
 
-def _mean_reports(cfg: ExperimentConfig, reports: list[EvalReport]) -> tuple[EvalReport, dict[str, float]]:
-    """Average the per-client macro numbers; per-type detail keeps client 0's
-    report as a representative (full per-client reports are written anyway)."""
-    strict = statistics.fmean(r.strict_macro_f1 for r in reports)
-    lenient = statistics.fmean(r.lenient_macro_f1 for r in reports)
-    rep = EvalReport(
-        strict=reports[0].strict,
-        lenient=reports[0].lenient,
-        strict_macro_f1=strict,
-        lenient_macro_f1=lenient,
+def _mean_reports(reports: list[EvalReport]) -> EvalReport:
+    """Per-type P/R/F1 and macro-F1 averaged over the clients' reports; a type
+    missing from a client's report counts as 0 for that client."""
+
+    def mean_types(tables: list[dict[str, TypeScore]]) -> dict[str, TypeScore]:
+        zero = TypeScore(0.0, 0.0, 0.0)
+        return {
+            label: TypeScore(*map(statistics.fmean, zip(*(t.get(label, zero) for t in tables))))
+            for label in sorted(set().union(*tables))
+        }
+
+    return EvalReport(
+        strict=mean_types([r.strict for r in reports]),
+        lenient=mean_types([r.lenient for r in reports]),
+        strict_macro_f1=statistics.fmean(r.strict_macro_f1 for r in reports),
+        lenient_macro_f1=statistics.fmean(r.lenient_macro_f1 for r in reports),
     )
-    if cfg.task == "ner":
-        headline = {"lenient_f1": lenient, "strict_f1": strict}
-    else:
-        headline = {"macro_f1": strict}
-    return rep, headline
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +243,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
     manifest = RunManifest(
         config_hash=config_hash(cfg),
         seeds=seeds,
-        package_version=PACKAGE_VERSION,
+        package_version=__version__,
         scheme=cfg.scheme,
         task=cfg.task,
         repeat_files=repeat_files,
@@ -265,6 +257,29 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
 # ---------------------------------------------------------------------------
 # sweeps
 
+def _repeat_cells(cfg: ExperimentConfig, task: tasks.Task, parts, dev, test, mu: float) -> str:
+    """One federated run per repeat seed, scored on test; returns the CSV
+    cells repeats, lenient mean, lenient std, strict mean, strict std."""
+    lenient: list[float] = []
+    strict: list[float] = []
+    for i in range(cfg.repeats):
+        fed = make_fed_config(cfg, task, cfg.base_seed + i, clients=len(parts), mu=mu)
+        result = federation.run_federated(task, fed, parts, dev)
+        report = task.evaluate(result.best_weights, test)
+        lenient.append(report.lenient_macro_f1)
+        strict.append(report.strict_macro_f1)
+    lm, ls = _mean_std(lenient)
+    sm, ss = _mean_std(strict)
+    return f"{len(lenient)},{lm:.6f},{ls:.6f},{sm:.6f},{ss:.6f}"
+
+
+def _write_csv(out_path: str | Path, rows: list[str]) -> Path:
+    out = Path(out_path)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return out
+
+
 def sweep_clients(cfg: ExperimentConfig, client_counts: Sequence[int], out_path: str | Path) -> Path:
     """Scale sweep at fixed total data; one CSV row per requested K."""
     for k in client_counts:
@@ -275,34 +290,16 @@ def sweep_clients(cfg: ExperimentConfig, client_counts: Sequence[int], out_path:
     train = task.prepare(bundle.train)
     dev = task.prepare(bundle.dev)
     test = task.prepare(bundle.test)
+    mu = cfg.federation.mu if cfg.scheme == "fedprox" else 0.0
     rows = ["clients,repeats,lenient_mean,lenient_std,strict_mean,strict_std,error"]
     for k in client_counts:
-        lenient: list[float] = []
-        strict: list[float] = []
-        error = ""
         try:
-            parts = corpuslib.partition_iid(train, k, cfg.data.data_seed)
+            parts = corpuslib.partition_iid(train, k, cfg.data.data_seed).clients
         except ValueError as exc:
-            error = str(exc)
-        else:
-            for i in range(cfg.repeats):
-                seed = cfg.base_seed + i
-                mu = cfg.federation.mu if cfg.scheme == "fedprox" else 0.0
-                fed = make_fed_config(cfg, task, seed, clients=k, mu=mu)
-                result = federation.run_federated(task, fed, parts.clients, dev)
-                report = task.evaluate(result.best_weights, test)
-                lenient.append(report.lenient_macro_f1)
-                strict.append(report.strict_macro_f1)
-        if error:
-            rows.append(f"{k},0,,,,,{json.dumps(error)}")
+            rows.append(f"{k},0,,,,,{json.dumps(str(exc))}")
             continue
-        lm, ls = _mean_std(lenient)
-        sm, ss = _mean_std(strict)
-        rows.append(f"{k},{len(lenient)},{lm:.6f},{ls:.6f},{sm:.6f},{ss:.6f},")
-    out = Path(out_path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text("\n".join(rows) + "\n", encoding="utf-8")
-    return out
+        rows.append(f"{k},{_repeat_cells(cfg, task, parts, dev, test, mu)},")
+    return _write_csv(out_path, rows)
 
 
 def sweep_mu(cfg: ExperimentConfig, mus: Sequence[float] | None, out_path: str | Path) -> Path:
@@ -326,23 +323,9 @@ def sweep_mu(cfg: ExperimentConfig, mus: Sequence[float] | None, out_path: str |
     test = task.prepare(bundle.test)
     rows = ["mu,label,repeats,lenient_mean,lenient_std,strict_mean,strict_std"]
     for mu in deduped:
-        lenient: list[float] = []
-        strict: list[float] = []
-        for i in range(cfg.repeats):
-            seed = cfg.base_seed + i
-            fed = make_fed_config(cfg, task, seed, clients=len(parts), mu=mu)
-            result = federation.run_federated(task, fed, parts, dev)
-            report = task.evaluate(result.best_weights, test)
-            lenient.append(report.lenient_macro_f1)
-            strict.append(report.strict_macro_f1)
         label = "fedavg-equivalent" if mu == 0 else "fedprox"
-        lm, ls = _mean_std(lenient)
-        sm, ss = _mean_std(strict)
-        rows.append(f"{mu},{label},{len(lenient)},{lm:.6f},{ls:.6f},{sm:.6f},{ss:.6f}")
-    out = Path(out_path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text("\n".join(rows) + "\n", encoding="utf-8")
-    return out
+        rows.append(f"{mu},{label},{_repeat_cells(cfg, task, parts, dev, test, mu)}")
+    return _write_csv(out_path, rows)
 
 
 def _mean_std(values: Sequence[float]) -> tuple[float, float]:

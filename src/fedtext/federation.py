@@ -4,15 +4,14 @@ One round: every client copies the server weights, runs R epochs of
 mini-batch updates on its own shard (optionally with the proximal penalty
 anchored at the round-start weights), and the server takes the data-weighted
 average of the results.  Client work depends only on (server weights, shard,
-per-round seed), so execution order and scheduling never change the result;
+per-round seed), so the order clients run in never changes the result;
 the baselines reuse the same loop with a single client, which makes the
 K=1 / centralized equivalence hold bit for bit.
 """
 from __future__ import annotations
 
+import hashlib
 import math
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -69,7 +68,6 @@ def client_rng(seed: int, client_id: int, round_idx: int) -> np.random.Generator
 class ClientState:
     id: int
     data: list
-    weights: ParamVector
     opt: OptimizerState
     schedule: Schedule
 
@@ -79,25 +77,17 @@ class ClientState:
 
 
 @dataclass
-class ServerState:
-    weights: ParamVector
-    round_idx: int = 0
-
-
-@dataclass
 class RunResult:
     best_weights: ParamVector
     final_weights: ParamVector
-    best_round: int  # 0-based index into the histories
-    round_losses: list[list[float]]  # per client, one entry per round
+    best_round: int  # 0-based index into round_log
     epoch_losses: list[list[float]]  # per client, one entry per local epoch
-    dev_history: list[dict[str, float]]
-    weight_history: list[ParamVector]
     round_log: list[dict]
-    wall_time: float
 
-    def loss_curve(self, client: int = 0) -> list[float]:
-        return self.epoch_losses[client]
+
+def weights_sha256(w: ParamVector) -> str:
+    """Digest of the exact float64 bytes; equal digests mean bit-equal weights."""
+    return hashlib.sha256(w.values.tobytes()).hexdigest()
 
 
 def aggregate(weighted: Sequence[tuple[ParamVector, int]]) -> ParamVector:
@@ -135,8 +125,9 @@ def local_update(
     global_weights: ParamVector,
     cfg: FederationConfig,
     round_idx: int,
-) -> list[float]:
-    """Train the client in place for one round; returns per-epoch mean losses.
+) -> tuple[ParamVector, list[float]]:
+    """Train the client for one round; returns its new weights and per-epoch
+    mean losses.  The optimizer state carries over to the next round.
 
     The proximal anchor is the round-start server weights; the recorded loss
     includes the penalty, so at mu = 0 it is the plain training loss.
@@ -157,19 +148,23 @@ def local_update(
             opt, weights = apply_step(opt, weights, lg.grad, lr)
             batch_losses.append(lg.loss)
         epoch_losses.append(float(np.mean(batch_losses)))
-    client.weights = weights
     client.opt = opt
-    return epoch_losses
+    return weights, epoch_losses
 
 
-def _run_rounds(
+def run_federated(
     task: Task,
     cfg: FederationConfig,
     partitions: Sequence[Sequence],
     dev: Sequence,
     execution_order: Sequence[int] | None = None,
-    max_workers: int = 1,
 ) -> RunResult:
+    """T rounds of FedAvg (mu = 0) or FedProx (mu > 0) with full participation.
+
+    Clients train one after another in ``execution_order`` (default: by id);
+    aggregation always runs in client-id order.  The best round is the
+    earliest one with the highest dev selection metric.
+    """
     if cfg.clients != len(partitions):
         raise ValueError(
             f"config says {cfg.clients} clients but {len(partitions)} partitions given"
@@ -183,79 +178,46 @@ def _run_rounds(
     if sorted(order) != list(range(cfg.clients)):
         raise ValueError("execution_order must be a permutation of the client ids")
 
-    start = time.perf_counter()
-    server = ServerState(weights=task.init_params(cfg.seed))
+    server = task.init_params(cfg.seed)
     clients = [
         ClientState(
             id=i,
             data=list(part),
-            weights=server.weights.copy(),
-            opt=init_optimizer(cfg.optimizer, server.weights),
+            opt=init_optimizer(cfg.optimizer, server),
             schedule=_client_schedule(cfg, len(part)),
         )
         for i, part in enumerate(partitions)
     ]
-
+    metric = task.selection_metric
     epoch_losses: list[list[float]] = [[] for _ in clients]
-    round_losses: list[list[float]] = [[] for _ in clients]
-    dev_history: list[dict[str, float]] = []
-    weight_history: list[ParamVector] = []
     round_log: list[dict] = []
+    best_round, best_weights = -1, server
 
     for t in range(cfg.rounds):
-        def run_one(cid: int) -> list[float]:
-            return local_update(task, clients[cid], server.weights, cfg, t)
-
-        if max_workers > 1:
-            with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                futures = {cid: pool.submit(run_one, cid) for cid in order}
-                losses_by_id = {cid: fut.result() for cid, fut in futures.items()}
-        else:
-            losses_by_id = {cid: run_one(cid) for cid in order}
-
-        for c in clients:
-            per_epoch = losses_by_id[c.id]
+        updates = {cid: local_update(task, clients[cid], server, cfg, t) for cid in order}
+        weights, losses = zip(*(updates[c.id] for c in clients))  # client-id order
+        for c, per_epoch in zip(clients, losses):
             epoch_losses[c.id].extend(per_epoch)
-            round_losses[c.id].append(float(np.mean(per_epoch)))
-
-        server.weights = aggregate([(c.weights, c.n) for c in clients])
-        server.round_idx = t + 1
-        scores = task.dev_scores(server.weights, dev)
-        dev_history.append(scores)
-        weight_history.append(server.weights)
+        server = aggregate([(w, c.n) for w, c in zip(weights, clients)])
+        scores = task.dev_scores(server, dev)
         round_log.append(
             {
                 "round": t + 1,
-                "client_loss": [round_losses[c.id][-1] for c in clients],
+                "client_loss": [float(np.mean(per_epoch)) for per_epoch in losses],
                 **scores,
+                "weights_sha256": weights_sha256(server),
             }
         )
+        if best_round < 0 or scores[metric] > round_log[best_round][metric]:
+            best_round, best_weights = t, server
 
-    metric = task.selection_metric
-    best_round = max(range(cfg.rounds), key=lambda t: (dev_history[t][metric], -t))
     return RunResult(
-        best_weights=weight_history[best_round],
-        final_weights=server.weights,
+        best_weights=best_weights,
+        final_weights=server,
         best_round=best_round,
-        round_losses=round_losses,
         epoch_losses=epoch_losses,
-        dev_history=dev_history,
-        weight_history=weight_history,
         round_log=round_log,
-        wall_time=time.perf_counter() - start,
     )
-
-
-def run_federated(
-    task: Task,
-    cfg: FederationConfig,
-    partitions: Sequence[Sequence],
-    dev: Sequence,
-    execution_order: Sequence[int] | None = None,
-    max_workers: int = 1,
-) -> RunResult:
-    """T rounds of FedAvg (mu = 0) or FedProx (mu > 0) with full participation."""
-    return _run_rounds(task, cfg, partitions, dev, execution_order, max_workers)
 
 
 def run_centralized(task: Task, cfg: FederationConfig, pooled: Sequence, dev: Sequence) -> RunResult:
@@ -265,7 +227,7 @@ def run_centralized(task: Task, cfg: FederationConfig, pooled: Sequence, dev: Se
     is update-for-update identical to a one-client federated run.
     """
     solo = replace(cfg, clients=1, mu=0.0)
-    return _run_rounds(task, solo, [pooled], dev)
+    return run_federated(task, solo, [pooled], dev)
 
 
 def run_single_client(

@@ -174,13 +174,15 @@ def save_bundle(path, task: Task, w: ParamVector) -> None:
     np.savez(
         path,
         values=w.values,
-        tokens=np.array(task.vocab.tokens[1:], dtype=object),
+        tokens=np.array(task.vocab.tokens[1:], dtype=str),
         meta=np.array(json.dumps(meta, sort_keys=True)),
     )
 
 
 def load_bundle(path) -> tuple[Task, ParamVector]:
-    with np.load(path, allow_pickle=True) as data:
+    """Read a bundle written by save_bundle; object (pickled) arrays are
+    refused with ValueError, so loading a file never runs code from it."""
+    with np.load(path, allow_pickle=False) as data:
         meta = json.loads(str(data["meta"]))
         values = data["values"]
         tokens = [str(t) for t in data["tokens"]]

@@ -219,6 +219,59 @@ def test_gen_synth_round_trips_through_the_parser(tmp_path, capsys):
     capsys.readouterr()
 
 
+RE_CONFIG = """\
+[experiment]
+task = re
+scheme = fedavg
+repeats = 1
+output_dir = {out}
+
+[data]
+synthetic = true
+lexicon_size = 8
+sentences = 70
+data_seed = 5
+
+[model]
+kind = relation_classifier
+embed_dim = 4
+hidden_dim = 4
+
+[federation]
+clients = 2
+rounds = 1
+"""
+
+
+def test_gen_synth_writes_relations_for_re(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, text=RE_CONFIG.format(out=tmp_path / "out"))
+    synth_dir = tmp_path / "synth"
+    assert main(["gen-synth", "-c", str(cfg_path), "--out-dir", str(synth_dir)]) == 0
+    from fedtext.corpus import parse_relations
+
+    assert [p.name for p in synth_dir.iterdir()] == ["relations.tsv"]
+    instances = parse_relations((synth_dir / "relations.tsv").read_text())
+    assert len(instances) == 70
+    capsys.readouterr()
+
+
+def test_gen_synth_rejects_a_file_backed_config(tmp_path, capsys):
+    text = BASE_CONFIG.format(out="x").replace("synthetic = true", "files = a.conll")
+    cfg_path = write_config(tmp_path, text=text)
+    assert main(["gen-synth", "-c", str(cfg_path), "--out-dir", str(tmp_path / "s")]) == 1
+    assert "synthetic" in capsys.readouterr().err
+
+
+def test_score_llm_one_shot_rejected_for_re(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, text=RE_CONFIG.format(out=tmp_path / "out"))
+    prompts_path = tmp_path / "prompts.jsonl"
+    assert main(["score-llm", "-c", str(cfg_path), "--tag", "m", "--n", "5", "--shot", "one",
+                 "--emit-prompts", str(prompts_path)]) == 1
+    err = capsys.readouterr().err
+    assert "--shot one" in err and "task = re" in err
+    assert not prompts_path.exists()
+
+
 def test_score_llm_round_trip(tmp_path, capsys):
     cfg_path = write_config(tmp_path, out=str(tmp_path / "out"))
     prompts_path = tmp_path / "prompts.jsonl"

@@ -13,7 +13,6 @@ from fedtext.evaluation import (
     MatchCounts,
     aggregate_repeats,
     decode_bio,
-    eval_re,
     format_cell,
     format_report_table,
     macro_average,
@@ -238,7 +237,6 @@ def test_re_report_hand_example():
     # macro over gold classes only
     assert report.strict_macro_f1 == pytest.approx(0.4)
     assert report.lenient_macro_f1 == pytest.approx(0.4)
-    assert eval_re(["a", "b", "a"], ["a", "a", "a"]) == pytest.approx(0.4)
 
 
 def test_re_report_excludes_pred_only_classes_from_macro():

@@ -6,6 +6,7 @@ import pytest
 
 from fedtext import experiments
 from fedtext.config import ConfigError, parse_config
+from fedtext.evaluation import EvalReport, TypeScore
 
 CONFIG = """\
 [experiment]
@@ -73,6 +74,33 @@ def test_single_scheme_writes_per_client_reports(tmp_path):
     assert summary["scheme"] == "single"
 
 
+def test_single_scheme_report_averages_the_clients(tmp_path):
+    cfg = cfg_for("single")
+    cfg = replace(cfg, repeats=1, data=replace(cfg.data, types=("GENE", "DIS")),
+                  federation=replace(cfg.federation, rounds=6, base_lr=0.2))
+    rep0 = experiments.run_experiment(cfg, tmp_path / "single") / "repeat_0"
+    report = json.loads((rep0 / "report.json").read_text())
+    clients = [json.loads((rep0 / f"client_{k}_report.json").read_text()) for k in (0, 1)]
+    assert clients[0]["strict"] != clients[1]["strict"]
+    for half in ("strict", "lenient"):
+        assert set(report[half]) == {"GENE", "DIS"}
+        for label, scores in report[half].items():
+            mean = [(clients[0][half][label][j] + clients[1][half][label][j]) / 2 for j in range(3)]
+            assert scores == pytest.approx(mean, abs=1e-12)
+        macro = (clients[0][f"{half}_macro_f1"] + clients[1][f"{half}_macro_f1"]) / 2
+        assert report[f"{half}_macro_f1"] == pytest.approx(macro, abs=1e-12)
+
+
+def test_mean_reports_counts_a_missing_type_as_zero():
+    a = EvalReport({"A": TypeScore(1.0, 0.5, 0.6)}, {"A": TypeScore(1.0, 1.0, 1.0)}, 0.6, 1.0)
+    b = EvalReport({"B": TypeScore(0.2, 0.4, 0.3)}, {"B": TypeScore(0.2, 0.2, 0.2)}, 0.3, 0.2)
+    mean = experiments._mean_reports([a, b])
+    assert mean.strict == {"A": (0.5, 0.25, 0.3), "B": (0.1, 0.2, 0.15)}
+    assert mean.lenient == {"A": (0.5, 0.5, 0.5), "B": (0.1, 0.1, 0.1)}
+    assert mean.strict_macro_f1 == pytest.approx(0.45)
+    assert mean.lenient_macro_f1 == pytest.approx(0.6)
+
+
 def test_centralized_scheme_runs(tmp_path):
     out = experiments.run_experiment(cfg_for("centralized"), tmp_path / "cent")
     assert (out / "repeat_0" / "weights.npz").exists()
@@ -81,6 +109,7 @@ def test_centralized_scheme_runs(tmp_path):
     first = json.loads(rounds[0])
     assert first["round"] == 1
     assert len(first["client_loss"]) == 1
+    assert len(first["weights_sha256"]) == 64
 
 
 def test_render_report_flags_tampered_summaries(tmp_path):

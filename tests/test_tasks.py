@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from fedtext import corpus
+from fedtext.cli import main
 from fedtext.evaluation import decode_bio
 from fedtext.tasks import build_ner_task, build_re_task, load_bundle, save_bundle
 
@@ -93,3 +94,21 @@ def test_bundle_round_trip(tmp_path):
     item = task.prepare(TRAIN)[1]
     item2 = task2.prepare(TRAIN)[1]
     assert task.predict_tag_names(w, item) == task2.predict_tag_names(w2, item2)
+
+
+def test_bundle_with_an_object_array_is_refused(tmp_path):
+    task = build_ner_task(TRAIN, kind="window_tagger", embed_dim=4)
+    path = tmp_path / "model.npz"
+    save_bundle(path, task, task.init_params(0))
+    with np.load(path) as data:
+        arrays = dict(data)
+    arrays["tokens"] = arrays["tokens"].astype(object)
+    crafted = tmp_path / "crafted.npz"
+    np.savez(crafted, **arrays)
+    with pytest.raises(ValueError):
+        load_bundle(crafted)
+
+    data_path = tmp_path / "data.conll"
+    data_path.write_text(corpus.serialize_conll(TRAIN))
+    assert main(["bench", "--weights", str(crafted), "--data", str(data_path)]) == 2
+    assert main(["bench", "--weights", str(path), "--data", str(data_path)]) == 0
