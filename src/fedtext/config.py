@@ -1,10 +1,12 @@
 """Experiment configuration: flat key=value sections, validation, hashing.
 
 Config files use INI-style sections ([experiment], [data], [model],
-[federation]) holding flat key=value pairs.  Parsing is strict: unknown keys,
-bad values, and inconsistent scheme/mu combinations are all rejected with the
-offending field named.  The config hash covers every semantically meaningful
-field (everything except the output directory) and is stable across machines.
+[federation]) of flat key=value pairs.  The frozen dataclasses below are the
+one schema: keys, types and defaults come from their fields, and each
+``__post_init__`` checks its ranges.  Parsing is strict: unknown keys, bad
+values and inconsistent scheme/mu combinations are rejected naming the field.
+The config hash covers every field except the output directory and is stable
+across machines.
 """
 from __future__ import annotations
 
@@ -14,6 +16,10 @@ import json
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import get_type_hints
+
+from .models import MODEL_KINDS
+from .optim import OPTIMIZER_KINDS
 
 SCHEMES = ("centralized", "single", "fedavg", "fedprox")
 PARTITION_MODES = ("iid", "by_source")
@@ -22,6 +28,12 @@ DEFAULT_MU_GRID = (1.0, 0.5, 0.1, 0.01, 0.001)
 
 class ConfigError(ValueError):
     """Raised for malformed or inconsistent experiment configs."""
+
+
+def _check(section: str, rules: tuple[tuple[bool, str], ...]) -> None:
+    for ok, message in rules:
+        if not ok:
+            raise ConfigError(f"[{section}] {message}")
 
 
 @dataclass(frozen=True)
@@ -39,6 +51,18 @@ class DataConfig:
     partition: str = "iid"
     max_tokens: int = 512
 
+    def __post_init__(self) -> None:
+        _check("data", (
+            (bool(self.types) and all(self.types), "types must be non-empty names"),
+            (self.lexicon_size >= 1, "lexicon_size must be >= 1"),
+            (bool(self.sentences) and min(self.sentences) >= 1, "sentences must be counts >= 1"),
+            (self.sources >= 1, "sources must be >= 1"),
+            (0 <= self.heterogeneity <= 1, "heterogeneity must lie in [0, 1]"),
+            (0 <= self.cue_rate <= 1, "cue_rate must lie in [0, 1]"),
+            (self.partition in PARTITION_MODES, f"partition must be one of {PARTITION_MODES}"),
+            (self.max_tokens >= 1, "max_tokens must be >= 1"),
+        ))
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -47,9 +71,19 @@ class ModelConfig:
     hidden_dim: int = 24
     window_radius: int = 0
 
+    def __post_init__(self) -> None:
+        _check("model", (
+            (self.kind in MODEL_KINDS, f"kind must be one of {MODEL_KINDS}, got {self.kind!r}"),
+            (self.embed_dim >= 1, "embed_dim must be >= 1"),
+            (self.hidden_dim >= 1, "hidden_dim must be >= 1"),
+            (self.window_radius >= 0, "window_radius must be >= 0"),
+        ))
+
 
 @dataclass(frozen=True)
-class FederationSection:
+class FederationConfig:
+    """The [federation] section, which the round loop also runs from."""
+
     clients: int = 2
     rounds: int = 5
     local_epochs: int = 1
@@ -58,6 +92,18 @@ class FederationSection:
     optimizer: str = "adam"
     base_lr: float = 1e-3
     warmup_frac: float = 0.1
+
+    def __post_init__(self) -> None:
+        _check("federation", (
+            (self.clients >= 1, "clients must be >= 1"),
+            (self.rounds >= 1, "rounds must be >= 1"),
+            (self.local_epochs >= 1, "local_epochs must be >= 1"),
+            (self.batch_size >= 1, "batch_size must be >= 1"),
+            (self.mu >= 0, "mu must be >= 0"),
+            (self.optimizer in OPTIMIZER_KINDS, f"optimizer must be one of {OPTIMIZER_KINDS}"),
+            (self.base_lr > 0, "base_lr must be positive"),
+            (0 <= self.warmup_frac < 1, "warmup_frac must lie in [0, 1)"),
+        ))
 
 
 @dataclass(frozen=True)
@@ -69,46 +115,52 @@ class ExperimentConfig:
     output_dir: str = "runs/out"
     data: DataConfig = field(default_factory=DataConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
-    federation: FederationSection = field(default_factory=FederationSection)
+    federation: FederationConfig = field(default_factory=FederationConfig)
+
+    def __post_init__(self) -> None:
+        _check("experiment", (
+            (self.task in ("ner", "re"), f"task must be ner or re, got {self.task!r}"),
+            (self.scheme in SCHEMES, f"scheme must be one of {SCHEMES}, got {self.scheme!r}"),
+            (self.repeats >= 1, "repeats must be >= 1"),
+        ))
 
 
+# [experiment] is ExperimentConfig's own fields; the other sections are the
+# fields of ExperimentConfig that carry their names
 _SECTIONS = {
-    "experiment": ("task", "scheme", "repeats", "base_seed", "output_dir"),
-    "data": (
-        "files", "synthetic", "types", "lexicon_size", "sentences", "sources",
-        "heterogeneity", "cue_rate", "data_seed", "partition", "max_tokens",
-    ),
-    "model": ("kind", "embed_dim", "hidden_dim", "window_radius"),
-    "federation": (
-        "clients", "rounds", "local_epochs", "batch_size", "mu", "optimizer",
-        "base_lr", "warmup_frac",
-    ),
+    "experiment": ExperimentConfig,
+    "data": DataConfig,
+    "model": ModelConfig,
+    "federation": FederationConfig,
 }
 
 
-def _convert(section: str, key: str, raw: str):
-    raw = raw.strip()
-    where = f"[{section}] {key}"
-    try:
-        if key in ("files", "types"):
-            return tuple(part.strip() for part in raw.split(",") if part.strip())
-        if key == "sentences":
-            return tuple(int(part) for part in raw.split(","))
-        if key == "synthetic":
-            if raw.lower() not in ("true", "false", "0", "1", "yes", "no"):
-                raise ValueError("expected a boolean")
-            return raw.lower() in ("true", "1", "yes")
-        if key in ("heterogeneity", "cue_rate", "mu", "base_lr", "warmup_frac"):
-            return float(raw)
-        if key in (
-            "repeats", "base_seed", "lexicon_size", "sources", "data_seed",
-            "max_tokens", "embed_dim", "hidden_dim", "window_radius", "clients",
-            "rounds", "local_epochs", "batch_size",
-        ):
-            return int(raw)
-        return raw
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+def _parse_bool(raw: str) -> bool:
+    if raw.lower() not in ("true", "false", "0", "1", "yes", "no"):
+        raise ValueError("expected a boolean")
+    return raw.lower() in ("true", "1", "yes")
+
+
+# value parser per field annotation; blank list items are dropped from names
+# but not from counts, where they are an error
+_PARSERS = {
+    int: int,
+    float: float,
+    str: str,
+    bool: _parse_bool,
+    tuple[str, ...]: lambda raw: tuple(part.strip() for part in raw.split(",") if part.strip()),
+    tuple[int, ...]: lambda raw: tuple(int(part) for part in raw.split(",")),
+}
+
+# section -> key -> value parser: every key a config file may set
+_KEYS = {
+    section: {
+        name: _PARSERS[hint]
+        for name, hint in get_type_hints(cls).items()
+        if name not in _SECTIONS
+    }
+    for section, cls in _SECTIONS.items()
+}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -123,21 +175,15 @@ def parse_config(text: str) -> ExperimentConfig:
         if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
         for key, raw in parser.items(section):
-            if key not in _SECTIONS[section]:
+            if key not in _KEYS[section]:
                 raise ConfigError(f"unknown key {key!r} in [{section}]")
-            values[section][key] = _convert(section, key, raw)
+            try:
+                values[section][key] = _KEYS[section][key](raw.strip())
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {key}: {exc}") from None
 
-    exp = values["experiment"]
-    cfg = ExperimentConfig(
-        task=exp.get("task", "ner"),
-        scheme=exp.get("scheme", "fedavg"),
-        repeats=exp.get("repeats", 3),
-        base_seed=exp.get("base_seed", 0),
-        output_dir=exp.get("output_dir", "runs/out"),
-        data=DataConfig(**values["data"]),
-        model=ModelConfig(**values["model"]),
-        federation=FederationSection(**values["federation"]),
-    )
+    sections = {name: cls(**values[name]) for name, cls in _SECTIONS.items() if name != "experiment"}
+    cfg = ExperimentConfig(**values["experiment"], **sections)
     validate_config(cfg)
     return cfg
 
@@ -151,56 +197,29 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
-    def bad(msg: str) -> None:
-        raise ConfigError(msg)
-
-    if cfg.task not in ("ner", "re"):
-        bad(f"[experiment] task must be ner or re, got {cfg.task!r}")
-    if cfg.scheme not in SCHEMES:
-        bad(f"[experiment] scheme must be one of {SCHEMES}, got {cfg.scheme!r}")
-    if cfg.repeats < 1:
-        bad("[experiment] repeats must be >= 1")
+    """Rules that span fields or sections; each section's own ranges are
+    checked when its dataclass is built."""
     if cfg.scheme == "fedprox" and cfg.federation.mu <= 0:
-        bad("[federation] fedprox requires mu > 0")
+        raise ConfigError("[federation] fedprox requires mu > 0")
     if cfg.scheme == "fedavg" and cfg.federation.mu != 0:
-        bad("[federation] fedavg runs with mu = 0; use scheme = fedprox for mu > 0")
+        raise ConfigError("[federation] fedavg runs with mu = 0; use scheme = fedprox for mu > 0")
     if cfg.scheme in ("centralized",) and cfg.federation.mu != 0:
-        bad("[federation] centralized training has no proximal term; set mu = 0")
+        raise ConfigError("[federation] centralized training has no proximal term; set mu = 0")
     if cfg.data.synthetic:
-        if cfg.data.sources < 1:
-            bad("[data] sources must be >= 1")
-        counts = cfg.data.sentences
-        if len(counts) not in (1, cfg.data.sources):
-            bad("[data] sentences must be one count or one per source")
-    else:
-        if not cfg.data.files:
-            bad("[data] either files or synthetic = true is required")
-    if cfg.data.partition not in PARTITION_MODES:
-        bad(f"[data] partition must be one of {PARTITION_MODES}")
+        if len(cfg.data.sentences) not in (1, cfg.data.sources):
+            raise ConfigError("[data] sentences must be one count or one per source")
+    elif not cfg.data.files:
+        raise ConfigError("[data] either files or synthetic = true is required")
     if cfg.data.partition == "by_source":
         n_src = len(cfg.data.files) if cfg.data.files else cfg.data.sources
         if n_src < 2:
-            bad("[data] by_source partitioning needs at least two sources")
+            raise ConfigError("[data] by_source partitioning needs at least two sources")
         if cfg.scheme in ("fedavg", "fedprox") and cfg.federation.clients != n_src:
-            bad("[federation] clients must equal the number of sources for by_source")
-    if cfg.model.kind == "window_tagger" and cfg.model.window_radius < 0:
-        bad("[model] window_radius must be >= 0")
+            raise ConfigError("[federation] clients must equal the number of sources for by_source")
     if cfg.task == "re" and cfg.model.kind != "relation_classifier":
-        bad("[model] task = re requires kind = relation_classifier")
+        raise ConfigError("[model] task = re requires kind = relation_classifier")
     if cfg.task == "ner" and cfg.model.kind == "relation_classifier":
-        bad("[model] task = ner requires a tagger model kind")
-    fed = cfg.federation
-    for name in ("clients", "rounds", "local_epochs", "batch_size"):
-        if getattr(fed, name) < 1:
-            bad(f"[federation] {name} must be >= 1")
-    if fed.mu < 0:
-        bad("[federation] mu must be >= 0")
-    if fed.optimizer not in ("sgd", "adam"):
-        bad("[federation] optimizer must be sgd or adam")
-    if not 0 < fed.base_lr:
-        bad("[federation] base_lr must be positive")
-    if not 0 <= fed.warmup_frac < 1:
-        bad("[federation] warmup_frac must lie in [0, 1)")
+        raise ConfigError("[model] task = ner requires a tagger model kind")
 
 
 def config_hash(cfg: ExperimentConfig) -> str:

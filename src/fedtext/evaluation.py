@@ -166,7 +166,8 @@ def score_ner(
     pred: Sequence[Sequence[EntitySpan]],
     lenient_require_type: bool = True,
 ) -> EvalReport:
-    """Corpus-level report from per-sentence gold and predicted span lists."""
+    """Corpus-level report from per-sentence gold and predicted span lists;
+    with no span on either side the tables are empty and both macros 0."""
     if len(gold) != len(pred):
         raise ValueError("gold and predicted sentence counts differ")
     strict_counts, lenient_counts = MatchCounts(), MatchCounts()
@@ -175,6 +176,8 @@ def score_ner(
         lenient_counts.add(match_lenient(g, p, require_type=lenient_require_type))
     strict = prf1(strict_counts)
     lenient = prf1(lenient_counts)
+    if not strict:  # no span on either side: macro-F1 0/0 is 0, as in prf1
+        return EvalReport(strict={}, lenient={}, strict_macro_f1=0.0, lenient_macro_f1=0.0)
     return EvalReport(
         strict=strict,
         lenient=lenient,
@@ -202,6 +205,15 @@ def re_report(gold: Sequence[str], pred: Sequence[str]) -> EvalReport:
     gold_classes = {k: v.f1 for k, v in scores.items() if counts.n_gold.get(k, 0) > 0}
     macro = macro_average(gold_classes)
     return EvalReport(strict=scores, lenient=dict(scores), strict_macro_f1=macro, lenient_macro_f1=macro)
+
+
+def headline(task: str, report: Mapping[str, float]) -> dict[str, float]:
+    """The metrics a run reports per round and per repeat, from a report in
+    its ``as_dict`` (report.json) form: both macro-F1s for NER, one macro-F1
+    for RE, whose strict and lenient halves coincide."""
+    if task == "ner":
+        return {"strict_f1": report["strict_macro_f1"], "lenient_f1": report["lenient_macro_f1"]}
+    return {"macro_f1": report["strict_macro_f1"]}
 
 
 def aggregate_repeats(values: Sequence[float]) -> tuple[float, float]:

@@ -12,7 +12,7 @@ import json
 import statistics
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -25,8 +25,8 @@ from .config import (
     RunManifest,
     config_hash,
 )
-from .evaluation import EvalReport, TypeScore, aggregate_repeats, format_cell
-from .federation import FederationConfig, RunResult
+from .evaluation import EvalReport, TypeScore, aggregate_repeats, format_cell, headline
+from .federation import RunResult
 
 
 # ---------------------------------------------------------------------------
@@ -43,10 +43,6 @@ class DataBundle:
     test: list
 
 
-def _split_source(items: Sequence, seed: int) -> corpuslib.CorpusSplit:
-    return corpuslib.split_80_10_10(corpuslib.dedup(items), seed)
-
-
 def build_sources(cfg: ExperimentConfig) -> list[tuple[str, list]]:
     """The config's named corpora: one per file, or the synthetic generator's."""
     d = cfg.data
@@ -58,12 +54,7 @@ def build_sources(cfg: ExperimentConfig) -> list[tuple[str, list]]:
         return [("relations", instances)]
     counts = d.sentences if len(d.sentences) == d.sources else d.sentences * d.sources
     profile = corpuslib.make_profile(
-        types=d.types,
-        lexicon_size=d.lexicon_size,
-        sentences=counts,
-        sources=d.sources,
-        heterogeneity=d.heterogeneity,
-        cue_rate=d.cue_rate,
+        d.types, d.lexicon_size, counts, d.sources, d.heterogeneity, d.cue_rate
     )
     return corpuslib.generate_synthetic(profile, d.data_seed)
 
@@ -71,7 +62,7 @@ def build_sources(cfg: ExperimentConfig) -> list[tuple[str, list]]:
 def build_data(cfg: ExperimentConfig) -> DataBundle:
     names, trains, dev, test = [], [], [], []
     for i, (name, items) in enumerate(build_sources(cfg)):
-        split = _split_source(items, cfg.data.data_seed + i)
+        split = corpuslib.split_80_10_10(corpuslib.dedup(items), cfg.data.data_seed + i)
         names.append(name)
         trains.append(split.train)
         dev.extend(split.dev)
@@ -81,35 +72,10 @@ def build_data(cfg: ExperimentConfig) -> DataBundle:
 
 
 def build_task(cfg: ExperimentConfig, train: Sequence) -> tasks.Task:
-    m = cfg.model
+    m, max_tokens = cfg.model, cfg.data.max_tokens
     if cfg.task == "re":
-        return tasks.build_re_task(
-            train, embed_dim=m.embed_dim, hidden_dim=m.hidden_dim, max_tokens=cfg.data.max_tokens
-        )
-    return tasks.build_ner_task(
-        train,
-        kind=m.kind,
-        embed_dim=m.embed_dim,
-        hidden_dim=m.hidden_dim,
-        window_radius=m.window_radius,
-        max_tokens=cfg.data.max_tokens,
-    )
-
-
-def make_fed_config(cfg: ExperimentConfig, task: tasks.Task, seed: int, clients: int, mu: float) -> FederationConfig:
-    f = cfg.federation
-    return FederationConfig(
-        spec=task.spec,
-        clients=clients,
-        rounds=f.rounds,
-        batch_size=f.batch_size,
-        local_epochs=f.local_epochs,
-        mu=mu,
-        optimizer=f.optimizer,
-        base_lr=f.base_lr,
-        warmup_frac=f.warmup_frac,
-        seed=seed,
-    )
+        return tasks.build_re_task(train, m.embed_dim, m.hidden_dim, max_tokens)
+    return tasks.build_ner_task(train, **asdict(m), max_tokens=max_tokens)
 
 
 def partition_train(cfg: ExperimentConfig, bundle: DataBundle, task: tasks.Task, n_clients: int):
@@ -127,7 +93,6 @@ def partition_train(cfg: ExperimentConfig, bundle: DataBundle, task: tasks.Task,
 class SchemeOutcome:
     task: tasks.Task
     report: EvalReport
-    headline: dict[str, float]
     results: list[RunResult]
     client_reports: list[EvalReport] | None = None
 
@@ -137,31 +102,22 @@ def run_scheme(cfg: ExperimentConfig, bundle: DataBundle, seed: int) -> SchemeOu
     dev = task.prepare(bundle.dev)
     test = task.prepare(bundle.test)
 
+    fed = cfg.federation
     if cfg.scheme == "centralized":
-        fed = make_fed_config(cfg, task, seed, clients=1, mu=0.0)
-        results = [federation.run_centralized(task, fed, task.prepare(bundle.train), dev)]
+        results = [federation.run_centralized(task, fed, task.prepare(bundle.train), dev, seed)]
     elif cfg.scheme == "single":
-        parts = partition_train(cfg, bundle, task, cfg.federation.clients)
-        fed = make_fed_config(cfg, task, seed, clients=1, mu=0.0)
-        results = federation.run_single_client(task, fed, parts, dev)
+        parts = partition_train(cfg, bundle, task, fed.clients)
+        results = federation.run_single_client(task, fed, parts, dev, seed)
     else:
-        mu = cfg.federation.mu if cfg.scheme == "fedprox" else 0.0
-        parts = partition_train(cfg, bundle, task, cfg.federation.clients)
-        fed = make_fed_config(cfg, task, seed, clients=len(parts), mu=mu)
-        results = [federation.run_federated(task, fed, parts, dev)]
+        parts = partition_train(cfg, bundle, task, fed.clients)
+        results = [federation.run_federated(task, fed, parts, dev, seed)]
 
     reports = [task.evaluate(r.best_weights, test) for r in results]
     if cfg.scheme == "single":
         report, client_reports = _mean_reports(reports), reports
     else:
         report, client_reports = reports[0], None
-    return SchemeOutcome(task, report, _headline(cfg, report), results, client_reports)
-
-
-def _headline(cfg: ExperimentConfig, report: EvalReport) -> dict[str, float]:
-    if cfg.task == "ner":
-        return {"lenient_f1": report.lenient_macro_f1, "strict_f1": report.strict_macro_f1}
-    return {"macro_f1": report.strict_macro_f1}
+    return SchemeOutcome(task, report, results, client_reports)
 
 
 def _mean_reports(reports: list[EvalReport]) -> EvalReport:
@@ -214,7 +170,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
 
         rep_dir = out / f"repeat_{i}"
         rep_dir.mkdir(exist_ok=True)
-        _write_json(rep_dir / "report.json", {"seed": seed, **outcome.report.as_dict()})
+        report = outcome.report.as_dict()
+        _write_json(rep_dir / "report.json", {"seed": seed, **report})
         (rep_dir / "report.csv").write_text(
             evaluation.report_to_csv(outcome.report), encoding="utf-8"
         )
@@ -228,15 +185,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
         if cfg.scheme != "single":
             tasks.save_bundle(rep_dir / "weights.npz", outcome.task, outcome.results[0].best_weights)
         repeat_files.append(str(rep_dir / "report.json"))
-        for key, value in outcome.headline.items():
+        for key, value in headline(cfg.task, report).items():
             per_metric.setdefault(key, []).append(value)
 
     summary: dict[str, dict[str, float | list[float]]] = {}
     for key, values in sorted(per_metric.items()):
-        if len(values) >= 2:
-            mean, std = aggregate_repeats(values)
-        else:
-            mean, std = values[0], 0.0
+        mean, std = _mean_std(values)
         summary[key] = {"mean": mean, "std": std, "values": values}
     _write_json(out / "summary.json", {"scheme": cfg.scheme, "task": cfg.task, "metrics": summary})
 
@@ -262,9 +216,9 @@ def _repeat_cells(cfg: ExperimentConfig, task: tasks.Task, parts, dev, test, mu:
     cells repeats, lenient mean, lenient std, strict mean, strict std."""
     lenient: list[float] = []
     strict: list[float] = []
+    fed = replace(cfg.federation, clients=len(parts), mu=mu)
     for i in range(cfg.repeats):
-        fed = make_fed_config(cfg, task, cfg.base_seed + i, clients=len(parts), mu=mu)
-        result = federation.run_federated(task, fed, parts, dev)
+        result = federation.run_federated(task, fed, parts, dev, cfg.base_seed + i)
         report = task.evaluate(result.best_weights, test)
         lenient.append(report.lenient_macro_f1)
         strict.append(report.strict_macro_f1)
@@ -305,16 +259,14 @@ def sweep_clients(cfg: ExperimentConfig, client_counts: Sequence[int], out_path:
 def sweep_mu(cfg: ExperimentConfig, mus: Sequence[float] | None, out_path: str | Path) -> Path:
     """Proximal-strength sweep; mu = 0 rows are labeled as plain FedAvg."""
     grid = list(DEFAULT_MU_GRID) if mus is None else list(mus)
-    seen: set[float] = set()
     deduped: list[float] = []
     for mu in grid:
         if mu < 0:
             raise ConfigError(f"mu must be >= 0, got {mu}")
-        if mu in seen:
+        if mu in deduped:
             print(f"warning: duplicate mu {mu} dropped", file=sys.stderr)
-            continue
-        seen.add(mu)
-        deduped.append(mu)
+        else:
+            deduped.append(mu)
 
     bundle = build_data(cfg)
     task = build_task(cfg, bundle.train)
@@ -360,11 +312,8 @@ def render_report(run_dirs: Sequence[str | Path]) -> str:
             if not Path(f).exists():
                 continue
             rep = json.loads(Path(f).read_text())
-            if manifest.task == "ner":
-                check_values.setdefault("lenient_f1", []).append(rep["lenient_macro_f1"])
-                check_values.setdefault("strict_f1", []).append(rep["strict_macro_f1"])
-            else:
-                check_values.setdefault("macro_f1", []).append(rep["strict_macro_f1"])
+            for key, value in headline(manifest.task, rep).items():
+                check_values.setdefault(key, []).append(value)
         for key, stored in metrics.items():
             values = check_values.get(key, [])
             if len(values) == len(stored["values"]):
@@ -372,17 +321,16 @@ def render_report(run_dirs: Sequence[str | Path]) -> str:
                 if abs(mean - stored["mean"]) > 1e-9 or abs(std - stored["std"]) > 1e-9:
                     problems.append(f"{run_dir}: summary does not match repeat files for {key}")
 
-        if manifest.task == "ner":
-            if missing:
-                cell = "incomplete"
-            else:
-                cell = format_cell(
-                    metrics["lenient_f1"]["mean"], metrics["lenient_f1"]["std"],
-                    metrics["strict_f1"]["mean"], metrics["strict_f1"]["std"],
-                )
+        if missing:
+            cell = "incomplete"
+        elif manifest.task == "ner":
+            cell = format_cell(
+                metrics["lenient_f1"]["mean"], metrics["lenient_f1"]["std"],
+                metrics["strict_f1"]["mean"], metrics["strict_f1"]["std"],
+            )
         else:
             m = metrics["macro_f1"]
-            cell = "incomplete" if missing else f"{m['mean']:.3f}±{m['std']:.3f}"
+            cell = f"{m['mean']:.3f}±{m['std']:.3f}"
         lines.append((f"{manifest.task}/{manifest.scheme}", cell))
 
     width = max((len(name) for name, _ in lines), default=0)

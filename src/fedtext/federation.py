@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .models import ModelSpec
+from .config import FederationConfig
 from .optim import (
     OptimizerState,
     ProximalTerm,
@@ -29,34 +29,6 @@ from .optim import (
 )
 from .params import ParamVector, require_same_layout
 from .tasks import Task
-
-
-@dataclass(frozen=True)
-class FederationConfig:
-    spec: ModelSpec
-    clients: int
-    rounds: int
-    batch_size: int
-    local_epochs: int = 1
-    mu: float = 0.0
-    optimizer: str = "adam"
-    base_lr: float = 1e-3
-    warmup_frac: float = 0.1
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.clients < 1:
-            raise ValueError("clients must be >= 1")
-        if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
-        if self.local_epochs < 1:
-            raise ValueError("local_epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.mu < 0:
-            raise ValueError("mu must be >= 0")
-        if not 0.0 <= self.warmup_frac < 1.0:
-            raise ValueError("warmup_frac must lie in [0, 1)")
 
 
 def client_rng(seed: int, client_id: int, round_idx: int) -> np.random.Generator:
@@ -124,17 +96,17 @@ def local_update(
     client: ClientState,
     global_weights: ParamVector,
     cfg: FederationConfig,
-    round_idx: int,
+    rng: np.random.Generator,
 ) -> tuple[ParamVector, list[float]]:
-    """Train the client for one round; returns its new weights and per-epoch
-    mean losses.  The optimizer state carries over to the next round.
+    """Train the client for one round, shuffling with ``rng``; returns its
+    new weights and per-epoch mean losses.  The optimizer state carries over
+    to the next round.
 
     The proximal anchor is the round-start server weights; the recorded loss
     includes the penalty, so at mu = 0 it is the plain training loss.
     """
     weights = global_weights.copy()
     prox = ProximalTerm(cfg.mu, global_weights)
-    rng = client_rng(cfg.seed, client.id, round_idx)
     opt = client.opt
     epoch_losses = []
     for _ in range(cfg.local_epochs):
@@ -157,11 +129,13 @@ def run_federated(
     cfg: FederationConfig,
     partitions: Sequence[Sequence],
     dev: Sequence,
+    seed: int = 0,
     execution_order: Sequence[int] | None = None,
 ) -> RunResult:
     """T rounds of FedAvg (mu = 0) or FedProx (mu > 0) with full participation.
 
-    Clients train one after another in ``execution_order`` (default: by id);
+    ``seed`` fixes the initial weights and every client's shuffling.  Clients
+    train one after another in ``execution_order`` (default: by id);
     aggregation always runs in client-id order.  The best round is the
     earliest one with the highest dev selection metric.
     """
@@ -178,7 +152,7 @@ def run_federated(
     if sorted(order) != list(range(cfg.clients)):
         raise ValueError("execution_order must be a permutation of the client ids")
 
-    server = task.init_params(cfg.seed)
+    server = task.init_params(seed)
     clients = [
         ClientState(
             id=i,
@@ -194,7 +168,10 @@ def run_federated(
     best_round, best_weights = -1, server
 
     for t in range(cfg.rounds):
-        updates = {cid: local_update(task, clients[cid], server, cfg, t) for cid in order}
+        updates = {
+            cid: local_update(task, clients[cid], server, cfg, client_rng(seed, cid, t))
+            for cid in order
+        }
         weights, losses = zip(*(updates[c.id] for c in clients))  # client-id order
         for c, per_epoch in zip(clients, losses):
             epoch_losses[c.id].extend(per_epoch)
@@ -220,20 +197,22 @@ def run_federated(
     )
 
 
-def run_centralized(task: Task, cfg: FederationConfig, pooled: Sequence, dev: Sequence) -> RunResult:
+def run_centralized(
+    task: Task, cfg: FederationConfig, pooled: Sequence, dev: Sequence, seed: int = 0
+) -> RunResult:
     """One worker, the pooled data, rounds x local_epochs epochs, no penalty.
 
     Implemented as the same round loop with a single client, so under sgd it
     is update-for-update identical to a one-client federated run.
     """
     solo = replace(cfg, clients=1, mu=0.0)
-    return run_federated(task, solo, [pooled], dev)
+    return run_federated(task, solo, [pooled], dev, seed)
 
 
 def run_single_client(
-    task: Task, cfg: FederationConfig, partitions: Sequence[Sequence], dev: Sequence
+    task: Task, cfg: FederationConfig, partitions: Sequence[Sequence], dev: Sequence, seed: int = 0
 ) -> list[RunResult]:
     """Independent per-partition baselines: centralized training on each shard."""
     if not partitions:
         raise ValueError("no partitions given")
-    return [run_centralized(task, cfg, part, dev) for part in partitions]
+    return [run_centralized(task, cfg, part, dev, seed) for part in partitions]

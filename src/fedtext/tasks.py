@@ -112,9 +112,7 @@ class Task:
 
     def dev_scores(self, w: ParamVector, items: Sequence) -> dict[str, float]:
         report = self.evaluate(w, items)
-        if self.kind == "ner":
-            return {"strict_f1": report.strict_macro_f1, "lenient_f1": report.lenient_macro_f1}
-        return {"macro_f1": report.strict_macro_f1}
+        return evaluation.headline(self.kind, report.as_dict())
 
 
 def build_ner_task(

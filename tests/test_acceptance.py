@@ -16,14 +16,16 @@ import numpy as np
 import pytest
 
 from fedtext import corpus, llm_bridge, tasks
+from fedtext.config import FederationConfig
 from fedtext.crf import log_partition, viterbi
 from fedtext.evaluation import EntitySpan, decode_bio, match_lenient, score_ner
 from fedtext.federation import (
-    FederationConfig,
     aggregate,
+    client_rng,
     run_centralized,
     run_federated,
     run_single_client,
+    weights_sha256,
 )
 from fedtext.models import (
     ModelSpec,
@@ -32,6 +34,7 @@ from fedtext.models import (
     init_params,
     loss_and_grad,
 )
+from fedtext.optim import Schedule, lr_at
 from fedtext.params import ParamVector
 
 ARTIFACTS = Path(__file__).resolve().parent.parent / "test-artifacts"
@@ -80,10 +83,10 @@ def test_degenerate_federation_matches_centralized():
     task = tasks.build_ner_task(split.train, kind="rnn_crf_tagger",
                                 embed_dim=16, hidden_dim=24)
     train, dev = task.prepare(split.train), task.prepare(split.dev)
-    cfg = FederationConfig(spec=task.spec, clients=1, rounds=2, batch_size=16,
-                           mu=0.0, optimizer="sgd", base_lr=0.05, seed=0)
-    fed = run_federated(task, cfg, [train], dev)
-    cent = run_centralized(task, cfg, train, dev)
+    cfg = FederationConfig(clients=1, rounds=2, batch_size=16,
+                           mu=0.0, optimizer="sgd", base_lr=0.05)
+    fed = run_federated(task, cfg, [train], dev, seed=0)
+    cent = run_centralized(task, cfg, train, dev, seed=0)
     # the records carry each round's weight digest, losses and dev scores
     differing = sum(a != b for a, b in zip(fed.round_log, cent.round_log))
     elapsed = time.perf_counter() - t0
@@ -102,14 +105,30 @@ def test_fedprox_reverts_to_fedavg():
     parts = corpus.partition_iid(train, 2, 7).clients
 
     def run(mu):
-        cfg = FederationConfig(spec=task.spec, clients=2, rounds=3, batch_size=8,
-                               mu=mu, optimizer="sgd", base_lr=0.05, seed=1)
-        return run_federated(task, cfg, parts, dev)
+        cfg = FederationConfig(clients=2, rounds=3, batch_size=8,
+                               mu=mu, optimizer="sgd", base_lr=0.05)
+        return run_federated(task, cfg, parts, dev, seed=1)
 
-    avg, prox0, tiny = run(0.0), run(0.0), run(1e-12)
-    identical = ([r["weights_sha256"] for r in avg.round_log]
-                 == [r["weights_sha256"] for r in prox0.round_log])
-    drift = float(np.max(np.abs(avg.final_weights.values - tiny.final_weights.values)))
+    # FedAvg written out from the primitives, never touching proximal_augment
+    steps = [3 * math.ceil(len(p) / 8) for p in parts]
+    scheds = [Schedule(base_lr=0.05, warmup_steps=int(round(0.1 * n)), total_steps=n)
+              for n in steps]
+    server, taken, fedavg = task.init_params(1), [0, 0], []
+    for t in range(3):
+        local = []
+        for k, part in enumerate(parts):
+            w, order = server, client_rng(1, k, t).permutation(len(part))
+            for lo in range(0, len(part), 8):
+                lg = task.loss_and_grad(w, [part[i] for i in order[lo : lo + 8]])
+                w = ParamVector(w.values - lr_at(scheds[k], taken[k]) * lg.grad.values, w.layout)
+                taken[k] += 1
+            local.append((w, len(part)))
+        server = aggregate(local)
+        fedavg.append(weights_sha256(server))
+
+    prox0, tiny = run(0.0), run(1e-12)
+    identical = fedavg == [r["weights_sha256"] for r in prox0.round_log]
+    drift = float(np.max(np.abs(prox0.final_weights.values - tiny.final_weights.values)))
     check("FedProx at mu=0 is FedAvg; mu=1e-12 final weights within 1e-6",
           identical and drift < 1e-6, f"mu=1e-12 drift {drift:.2e}")
 
@@ -263,14 +282,13 @@ def test_claim_federated_beats_isolation_approaches_centralized():
 
     fed_scores, cent_scores, single_scores = [], [], []
     for seed in (0, 1, 2):
-        cfg = FederationConfig(spec=task.spec, clients=10, rounds=12,
-                               batch_size=16, mu=0.0, optimizer="adam",
-                               base_lr=0.01, seed=seed)
-        fed_scores.append(_evaluate_best(task, run_federated(task, cfg, parts, dev), test))
-        cent_scores.append(_evaluate_best(task, run_centralized(task, cfg, train, dev), test))
+        cfg = FederationConfig(clients=10, rounds=12, batch_size=16, mu=0.0,
+                               optimizer="adam", base_lr=0.01)
+        fed_scores.append(_evaluate_best(task, run_federated(task, cfg, parts, dev, seed), test))
+        cent_scores.append(_evaluate_best(task, run_centralized(task, cfg, train, dev, seed), test))
         per_client = [
             _evaluate_best(task, r, test)
-            for r in run_single_client(task, cfg, parts, dev)
+            for r in run_single_client(task, cfg, parts, dev, seed)
         ]
         single_scores.append(float(np.median(per_client)))
 
@@ -297,10 +315,9 @@ def test_claim_small_models_degrade_faster_with_more_clients():
             parts = corpus.partition_iid(train, k, 99).clients
             scores = []
             for seed in (0, 1, 2):
-                cfg = FederationConfig(spec=task.spec, clients=k, rounds=12,
-                                       batch_size=16, mu=0.0, optimizer="adam",
-                                       base_lr=0.03, seed=seed)
-                f1 = _evaluate_best(task, run_federated(task, cfg, parts, dev), test)
+                cfg = FederationConfig(clients=k, rounds=12, batch_size=16, mu=0.0,
+                                       optimizer="adam", base_lr=0.03)
+                f1 = _evaluate_best(task, run_federated(task, cfg, parts, dev, seed), test)
                 scores.append(f1)
                 rows.append((kind, k, seed, f"{f1:.6f}"))
             medians[kind, k] = float(np.median(scores))
@@ -342,10 +359,9 @@ def test_claim_small_mu_helps_on_heterogeneous_sources():
     for mu in (0.0, 1.0, 0.5, 0.1, 0.01, 0.001):
         scores = []
         for seed in (0, 1, 2):
-            cfg = FederationConfig(spec=task.spec, clients=2, rounds=10,
-                                   batch_size=16, local_epochs=2, mu=mu,
-                                   optimizer="adam", base_lr=0.02, seed=seed)
-            scores.append(_evaluate_best(task, run_federated(task, cfg, parts, dev_p),
+            cfg = FederationConfig(clients=2, rounds=10, batch_size=16, local_epochs=2,
+                                   mu=mu, optimizer="adam", base_lr=0.02)
+            scores.append(_evaluate_best(task, run_federated(task, cfg, parts, dev_p, seed),
                                          test_p))
         medians[mu] = float(np.median(scores))
 
@@ -378,9 +394,9 @@ def test_highlight_round_trip_reproduces_direct_scores():
     task = tasks.build_ner_task(split.train, kind="window_tagger", embed_dim=16)
     train = task.prepare(split.train)
     dev, test = task.prepare(split.dev), task.prepare(split.test)
-    cfg = FederationConfig(spec=task.spec, clients=1, rounds=8, batch_size=16,
-                           mu=0.0, optimizer="adam", base_lr=0.02, seed=0)
-    w = run_centralized(task, cfg, train, dev).best_weights
+    cfg = FederationConfig(clients=1, rounds=8, batch_size=16,
+                           mu=0.0, optimizer="adam", base_lr=0.02)
+    w = run_centralized(task, cfg, train, dev, seed=0).best_weights
 
     subset = llm_bridge.sample_test_subset(test, min(60, len(test)), 3)
     entity, tag = "entity", "hl"

@@ -1,10 +1,13 @@
 """Config parsing/validation, hashing, and the command-line surface."""
+import dataclasses
 import json
+import re
 from pathlib import Path
+from typing import get_type_hints
 
 import pytest
 
-from fedtext import experiments, llm_bridge
+from fedtext import config, experiments, llm_bridge
 from fedtext.cli import main
 from fedtext.config import (
     ConfigError,
@@ -13,6 +16,8 @@ from fedtext.config import (
     parse_config,
     validate_config,
 )
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 BASE_CONFIG = """\
 [experiment]
@@ -130,6 +135,55 @@ def test_config_hash_masks_the_output_dir_only():
                                                               "lexicon_size = 9"))
     assert config_hash(a) != config_hash(c)
     assert len(config_hash(a)) == 64
+
+
+def test_config_hash_of_the_base_config_is_pinned():
+    # the hash covers every field, so a renamed, added or re-defaulted field shows here
+    cfg = parse_config(BASE_CONFIG.format(out="runs/x"))
+    assert config_hash(cfg) == "aab4bd33b074fff015b7217fa5f2e2c51c91613aa27f8cccb821c25a2b9e04df"
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("experiment", "task", "pos"),
+    ("experiment", "repeats", "0"),
+    ("data", "heterogeneity", "2"),
+    ("data", "cue_rate", "-0.5"),
+    ("data", "max_tokens", "0"),
+    ("data", "lexicon_size", "0"),
+    ("data", "sentences", "80,0"),
+    ("data", "types", ","),
+    ("data", "partition", "random"),
+    ("model", "kind", "lstm"),
+    ("model", "embed_dim", "0"),
+    ("model", "window_radius", "-1"),
+    ("federation", "batch_size", "0"),
+    ("federation", "base_lr", "0"),
+])
+def test_out_of_range_values_are_config_errors_naming_the_key(tmp_path, capsys,
+                                                              section, key, value):
+    text = BASE_CONFIG.format(out=str(tmp_path / "out"))
+    text = re.sub(rf"^{key} = .*\n", "", text, flags=re.M)
+    text = text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
+    assert main(["run", "-c", str(write_config(tmp_path, text=text))]) == 1
+    assert f"[{section}] {key}" in capsys.readouterr().err
+
+
+_TYPE_NAMES = {int: "int", float: "float", str: "str", bool: "bool",
+               tuple[str, ...]: "list of str", tuple[int, ...]: "list of int"}
+
+
+def test_readme_config_reference_matches_the_schema():
+    rows = re.findall(r"^\| `\[(\w+)\] (\w+)` \| ([\w ]+?) \| (.+?) \|", README.read_text(), re.M)
+    documented = {(section, key) for section, key, _, _ in rows}
+    accepted = {(section, key) for section, keys in config._KEYS.items() for key in keys}
+    assert len(rows) == len(documented)
+    assert documented == accepted
+    for section, key, type_name, default in rows:
+        cls = config._SECTIONS[section]
+        assert type_name == _TYPE_NAMES[get_type_hints(cls)[key]], (section, key)
+        field = {f.name: f for f in dataclasses.fields(cls)}[key]
+        raw = "" if default == "(none)" else default.strip("`")
+        assert config._KEYS[section][key](raw) == field.default, (section, key)
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +379,13 @@ def test_eval_command(tmp_path, capsys):
     assert main(["eval", "--predictions", str(pred_file), "--lenient-type-free"]) == 0
     free = capsys.readouterr().out
     assert free != out.split("wrote")[0]
+
+
+def test_eval_command_on_a_file_without_entities(tmp_path, capsys):
+    pred_file = tmp_path / "preds.tsv"
+    pred_file.write_text("the\tO\tO\ncell\tO\tO\n")
+    assert main(["eval", "--predictions", str(pred_file)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].split() == ["MACRO", "0.000", "(0.000)"]
 
 
 # ---------------------------------------------------------------------------

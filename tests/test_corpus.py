@@ -1,6 +1,8 @@
 """Corpus I/O, splitting, partitioning, and the synthetic generators."""
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from fedtext.corpus import (
     FILLER_WORDS,
@@ -26,6 +28,30 @@ from fedtext.corpus import (
 )
 
 SAMPLE = "the\tO\nbrca1\tB-GENE\ngene\tO\n\nwilson\tB-DIS\ndisease\tI-DIS\n"
+
+# a token or label: no whitespace, line breaks or control characters, which
+# the file formats use as separators
+WORD = st.text(st.characters(blacklist_categories=("Z", "C")), min_size=1, max_size=6)
+TAG = st.one_of(st.just("O"), st.builds("{}-{}".format, st.sampled_from("BI"), WORD))
+
+
+@st.composite
+def tagged_sentences(draw):
+    n = draw(st.integers(1, 6))
+    tokens = draw(st.lists(WORD, min_size=n, max_size=n))
+    labels = draw(st.lists(TAG, min_size=n, max_size=n))
+    return TaggedSentence(tuple(tokens), tuple(labels))
+
+
+@st.composite
+def relation_instances(draw):
+    tokens = tuple(draw(st.lists(WORD, min_size=1, max_size=6)))
+
+    def span():
+        start = draw(st.integers(0, len(tokens) - 1))
+        return start, draw(st.integers(start, len(tokens) - 1))
+
+    return RelationInstance(tokens, span(), span(), draw(WORD))
 
 
 # ---------------------------------------------------------------------------
@@ -74,8 +100,9 @@ def test_parse_conll_rejects_bad_tag_with_line_number():
         parse_conll("ok\tO\nbad\tQ-GENE\n")
 
 
-def test_conll_round_trip():
-    sents = parse_conll(SAMPLE)
+@given(st.lists(tagged_sentences(), max_size=5))
+@example(parse_conll(SAMPLE))
+def test_conll_round_trip(sents):
     assert parse_conll(serialize_conll(sents)) == sents
 
 
@@ -92,10 +119,10 @@ def test_parse_predictions_rejects_bad_column_count():
         parse_predictions("tok\tO\n")
 
 
-def test_relations_round_trip():
-    inst = RelationInstance(("a", "b", "c"), (0, 0), (2, 2), "assoc")
-    text = serialize_relations([inst])
-    assert parse_relations(text) == [inst]
+@given(st.lists(relation_instances(), max_size=5))
+@example([RelationInstance(("a", "b", "c"), (0, 0), (2, 2), "assoc")])
+def test_relations_round_trip(instances):
+    assert parse_relations(serialize_relations(instances)) == instances
 
 
 def test_parse_relations_rejects_malformed_span():

@@ -217,6 +217,14 @@ def test_score_ner_length_mismatch():
         score_ner([[]], [[], []])
 
 
+def test_score_ner_with_no_spans_anywhere():
+    # 0/0 is 0, as for a single type in prf1; macro_average({}) still raises
+    report = score_ner([[], []], [[], []])
+    assert report.strict == {} and report.lenient == {}
+    assert report.strict_macro_f1 == 0.0 and report.lenient_macro_f1 == 0.0
+    assert format_report_table(report).splitlines()[-1].split() == ["MACRO", "0.000", "(0.000)"]
+
+
 def test_score_ner_type_free_lenient_flag():
     gold = [[EntitySpan("A", 0, 1)]]
     pred = [[EntitySpan("B", 0, 1)]]
@@ -294,8 +302,6 @@ def test_format_report_table_contains_macro_row():
 )
 def test_strict_macro_never_exceeds_lenient_macro(gold_tags, pred_tags):
     gold, pred = decode_bio(gold_tags), decode_bio(pred_tags)
-    if not gold and not pred:
-        return  # nothing to score
     report = score_ner([gold], [pred])
     assert report.strict_macro_f1 <= report.lenient_macro_f1 + 1e-12
     assert isinstance(report, EvalReport)

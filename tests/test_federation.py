@@ -1,10 +1,12 @@
 """Federated training loop: aggregation, scheduling invariances, FedProx."""
+import math
+
 import numpy as np
 import pytest
 
 from fedtext import corpus, tasks
+from fedtext.config import ConfigError, FederationConfig
 from fedtext.federation import (
-    FederationConfig,
     aggregate,
     client_rng,
     run_centralized,
@@ -34,9 +36,8 @@ def ner_setup():
     }
 
 
-def fed_cfg(task, **kw):
-    base = dict(spec=task.spec, clients=2, rounds=3, batch_size=8,
-                optimizer="sgd", base_lr=0.05, seed=0)
+def fed_cfg(**kw):
+    base = dict(clients=2, rounds=3, batch_size=8, optimizer="sgd", base_lr=0.05)
     base.update(kw)
     return FederationConfig(**base)
 
@@ -101,7 +102,7 @@ def test_client_rng_is_deterministic_and_distinct():
 
 def test_single_client_federated_equals_centralized(ner_setup):
     task, train, dev = ner_setup["task"], ner_setup["train"], ner_setup["dev"]
-    cfg = fed_cfg(task, clients=1, rounds=2)
+    cfg = fed_cfg(clients=1, rounds=2)
     fed = run_federated(task, cfg, [train], dev)
     cent = run_centralized(task, cfg, train, dev)
     assert fed.round_log == cent.round_log  # includes every round's weight digest
@@ -110,15 +111,15 @@ def test_single_client_federated_equals_centralized(ner_setup):
 
 def test_centralized_ignores_client_count_and_mu(ner_setup):
     task, train, dev = ner_setup["task"], ner_setup["train"], ner_setup["dev"]
-    a = run_centralized(task, fed_cfg(task, clients=5, mu=0.7), train, dev)
-    b = run_centralized(task, fed_cfg(task, clients=1, mu=0.0), train, dev)
+    a = run_centralized(task, fed_cfg(clients=5, mu=0.7), train, dev)
+    b = run_centralized(task, fed_cfg(clients=1, mu=0.0), train, dev)
     assert np.array_equal(a.final_weights.values, b.final_weights.values)
 
 
 def test_execution_order_does_not_change_the_result(ner_setup):
     task, train, dev = ner_setup["task"], ner_setup["train"], ner_setup["dev"]
     parts = corpus.partition_iid(train, 3, 11).clients
-    cfg = fed_cfg(task, clients=3)
+    cfg = fed_cfg(clients=3)
     default = run_federated(task, cfg, parts, dev)
     reversed_order = run_federated(task, cfg, parts, dev, execution_order=[2, 1, 0])
     assert np.array_equal(default.final_weights.values, reversed_order.final_weights.values)
@@ -129,27 +130,27 @@ def test_execution_order_must_be_a_permutation(ner_setup):
     task, train, dev = ner_setup["task"], ner_setup["train"], ner_setup["dev"]
     parts = corpus.partition_iid(train, 2, 11).clients
     with pytest.raises(ValueError):
-        run_federated(task, fed_cfg(task), parts, dev, execution_order=[0, 0])
+        run_federated(task, fed_cfg(), parts, dev, execution_order=[0, 0])
 
 
 def test_partition_count_must_match_config(ner_setup):
     task, train, dev = ner_setup["task"], ner_setup["train"], ner_setup["dev"]
     with pytest.raises(ValueError):
-        run_federated(task, fed_cfg(task, clients=3), [train, train], dev)
+        run_federated(task, fed_cfg(clients=3), [train, train], dev)
 
 
 def test_empty_partition_and_empty_dev_rejected(ner_setup):
     task, train, dev = ner_setup["task"], ner_setup["train"], ner_setup["dev"]
     with pytest.raises(ValueError):
-        run_federated(task, fed_cfg(task), [train, []], dev)
+        run_federated(task, fed_cfg(), [train, []], dev)
     with pytest.raises(ValueError):
-        run_federated(task, fed_cfg(task), [train, train], [])
+        run_federated(task, fed_cfg(), [train, train], [])
 
 
 def test_history_shapes(ner_setup):
     task, train, dev = ner_setup["task"], ner_setup["train"], ner_setup["dev"]
     parts = corpus.partition_iid(train, 2, 11).clients
-    cfg = fed_cfg(task, rounds=4, local_epochs=2)
+    cfg = fed_cfg(rounds=4, local_epochs=2)
     result = run_federated(task, cfg, parts, dev)
     assert [r["round"] for r in result.round_log] == [1, 2, 3, 4]
     for record in result.round_log:
@@ -162,12 +163,12 @@ def test_history_shapes(ner_setup):
 
 def test_one_round_big_batch_takes_one_sgd_step(ner_setup):
     task, train, dev = ner_setup["task"], ner_setup["train"], ner_setup["dev"]
-    cfg = fed_cfg(task, clients=1, rounds=1, batch_size=len(train), base_lr=0.05)
+    cfg = fed_cfg(clients=1, rounds=1, batch_size=len(train), base_lr=0.05)
     result = run_federated(task, cfg, [train], dev)
     assert len(result.epoch_losses[0]) == 1
     # exactly one step: final = init - lr * grad(init) on the full batch
-    init = task.init_params(cfg.seed)
-    order = client_rng(cfg.seed, 0, 0).permutation(len(train))
+    init = task.init_params(0)
+    order = client_rng(0, 0, 0).permutation(len(train))
     lg = task.loss_and_grad(init, [train[i] for i in order])
     expect = init.values - 0.05 * lg.grad.values
     assert np.array_equal(result.final_weights.values, expect)
@@ -176,7 +177,7 @@ def test_one_round_big_batch_takes_one_sgd_step(ner_setup):
 def test_best_round_is_earliest_maximum(ner_setup):
     task, train, dev = ner_setup["task"], ner_setup["train"], ner_setup["dev"]
     parts = corpus.partition_iid(train, 2, 11).clients
-    cfg = fed_cfg(task, rounds=6, optimizer="adam", base_lr=0.05)
+    cfg = fed_cfg(rounds=6, optimizer="adam", base_lr=0.05)
     result = run_federated(task, cfg, parts, dev)
     metric = task.selection_metric
     series = [r[metric] for r in result.round_log]
@@ -186,22 +187,40 @@ def test_best_round_is_earliest_maximum(ner_setup):
             == result.round_log[result.best_round]["weights_sha256"])
 
 
-def test_fedprox_mu_zero_is_fedavg(ner_setup):
+def test_fedprox_matches_a_hand_rolled_reference(ner_setup):
+    # one client, two rounds of two epochs in batches smaller than the shard,
+    # with the proximal gradient mu * (w - anchor) written out here: the
+    # anchor must stay at the round-start weights across every step
+    from fedtext.optim import Schedule, lr_at
+
     task, train, dev = ner_setup["task"], ner_setup["train"], ner_setup["dev"]
-    parts = corpus.partition_iid(train, 2, 11).clients
-    avg = run_federated(task, fed_cfg(task, mu=0.0), parts, dev)
-    prox = run_federated(task, fed_cfg(task, mu=0.0), parts, dev)
-    digests = [r["weights_sha256"] for r in avg.round_log]
-    assert digests == [r["weights_sha256"] for r in prox.round_log]
-    assert len(set(digests)) == len(digests)
+    mu, lr0, batch = 0.5, 0.05, 8
+    cfg = fed_cfg(clients=1, rounds=2, local_epochs=2, batch_size=batch, mu=mu, base_lr=lr0)
+    result = run_federated(task, cfg, [train], dev)
+
+    steps = 2 * 2 * math.ceil(len(train) / batch)
+    sched = Schedule(base_lr=lr0, warmup_steps=int(round(0.1 * steps)), total_steps=steps)
+    w, step = task.init_params(0), 0
+    for t in range(2):
+        anchor = w.values
+        rng = client_rng(0, 0, t)
+        for _ in range(2):
+            order = rng.permutation(len(train))
+            for lo in range(0, len(train), batch):
+                lg = task.loss_and_grad(w, [train[i] for i in order[lo : lo + batch]])
+                grad = lg.grad.values + mu * (w.values - anchor)
+                w = ParamVector(w.values - lr_at(sched, step) * grad, w.layout)
+                step += 1
+        assert weights_sha256(w) == result.round_log[t]["weights_sha256"]
+    assert step > 2 * 2  # several steps per epoch, so the anchor is tested mid-round
 
 
 def test_large_mu_anchors_the_weights(ner_setup):
     task, train, dev = ner_setup["task"], ner_setup["train"], ner_setup["dev"]
     parts = corpus.partition_iid(train, 2, 11).clients
     init = task.init_params(0).values
-    free = run_federated(task, fed_cfg(task, mu=0.0, rounds=2, local_epochs=2), parts, dev)
-    anchored = run_federated(task, fed_cfg(task, mu=50.0, rounds=2, local_epochs=2), parts, dev)
+    free = run_federated(task, fed_cfg(mu=0.0, rounds=2, local_epochs=2), parts, dev)
+    anchored = run_federated(task, fed_cfg(mu=50.0, rounds=2, local_epochs=2), parts, dev)
     moved_free = np.linalg.norm(free.final_weights.values - init)
     moved_anchored = np.linalg.norm(anchored.final_weights.values - init)
     assert moved_anchored < moved_free
@@ -214,17 +233,17 @@ def test_round_loop_matches_a_hand_rolled_reference(ner_setup):
     from fedtext.optim import Schedule, apply_step, init_optimizer, lr_at
 
     task, train, dev = ner_setup["task"], ner_setup["train"], ner_setup["dev"]
-    cfg = fed_cfg(task, clients=1, rounds=2, batch_size=len(train),
+    cfg = fed_cfg(clients=1, rounds=2, batch_size=len(train),
                   optimizer="adam", base_lr=0.02)
     result = run_federated(task, cfg, [train], dev)
 
-    w = task.init_params(cfg.seed)
+    w = task.init_params(0)
     state = init_optimizer("adam", w)
     sched = Schedule(base_lr=cfg.base_lr,
                      warmup_steps=int(round(cfg.warmup_frac * 2)), total_steps=2)
     hand = []
     for t in range(2):
-        order = client_rng(cfg.seed, 0, t).permutation(len(train))
+        order = client_rng(0, 0, t).permutation(len(train))
         batch = [train[i] for i in order]
         lg = task.loss_and_grad(w, batch)
         lr = lr_at(sched, state.step_count)
@@ -234,7 +253,7 @@ def test_round_loop_matches_a_hand_rolled_reference(ner_setup):
 
     # a fresh optimizer at round two would take a different step
     fresh_state = init_optimizer("adam", hand[0])
-    order = client_rng(cfg.seed, 0, 1).permutation(len(train))
+    order = client_rng(0, 0, 1).permutation(len(train))
     batch = [train[i] for i in order]
     lg = task.loss_and_grad(hand[0], batch)
     _, w_fresh = apply_step(fresh_state, hand[0], lg.grad, lr_at(sched, 0))
@@ -244,7 +263,7 @@ def test_round_loop_matches_a_hand_rolled_reference(ner_setup):
 def test_run_single_client_trains_each_shard_alone(ner_setup):
     task, train, dev = ner_setup["task"], ner_setup["train"], ner_setup["dev"]
     parts = corpus.partition_iid(train, 2, 11).clients
-    cfg = fed_cfg(task)
+    cfg = fed_cfg()
     results = run_single_client(task, cfg, parts, dev)
     assert len(results) == 2
     solo0 = run_centralized(task, cfg, parts[0], dev)
@@ -254,15 +273,11 @@ def test_run_single_client_trains_each_shard_alone(ner_setup):
 
 
 def test_config_validation():
-    spec = tasks.build_ner_task(
-        [corpus.TaggedSentence(("a", "b", "c"), ("O", "B-GENE", "O"))] * 3,
-        kind="window_tagger", embed_dim=4,
-    ).spec
-    with pytest.raises(ValueError):
-        FederationConfig(spec=spec, clients=0, rounds=1, batch_size=1)
-    with pytest.raises(ValueError):
-        FederationConfig(spec=spec, clients=1, rounds=0, batch_size=1)
-    with pytest.raises(ValueError):
-        FederationConfig(spec=spec, clients=1, rounds=1, batch_size=1, mu=-1.0)
-    with pytest.raises(ValueError):
-        FederationConfig(spec=spec, clients=1, rounds=1, batch_size=1, warmup_frac=1.0)
+    with pytest.raises(ConfigError, match=r"\[federation\] clients"):
+        FederationConfig(clients=0, rounds=1, batch_size=1)
+    with pytest.raises(ConfigError, match=r"\[federation\] rounds"):
+        FederationConfig(clients=1, rounds=0, batch_size=1)
+    with pytest.raises(ConfigError, match=r"\[federation\] mu"):
+        FederationConfig(clients=1, rounds=1, batch_size=1, mu=-1.0)
+    with pytest.raises(ConfigError, match=r"\[federation\] warmup_frac"):
+        FederationConfig(clients=1, rounds=1, batch_size=1, warmup_frac=1.0)

@@ -1,6 +1,8 @@
 """Prompt construction and offline response parsing/scoring."""
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fedtext.corpus import RelationInstance, TaggedSentence
 from fedtext.evaluation import EntitySpan, decode_bio
@@ -188,23 +190,32 @@ def test_render_highlights():
     assert out == "a b"
 
 
-def test_render_parse_round_trip_on_random_sentences():
-    rng = np.random.default_rng(12)
-    for _ in range(100):
-        T = int(rng.integers(3, 12))
-        tokens = [f"w{i}" for i in range(T)]  # unique tokens: exact recovery
-        # random disjoint non-adjacent spans
-        spans, pos = [], 0
-        while pos < T:
-            if rng.random() < 0.4:
-                end = min(T - 1, pos + int(rng.integers(0, 2)))
-                spans.append(EntitySpan("E", pos, end))
-                pos = end + 2  # gap keeps regions separate
-            else:
-                pos += 1
-        response = render_highlights(tokens, spans, "t")
-        back = parse_highlights(response, tokens, "E", "t")
-        assert back == spans
+@st.composite
+def separated_spans(draw):
+    """A sentence length and its disjoint, non-adjacent spans of 1-2 tokens."""
+    n = draw(st.integers(3, 11))
+    spans, pos = [], 0
+    while pos < n:
+        if draw(st.booleans()):
+            end = min(n - 1, pos + draw(st.integers(0, 1)))
+            spans.append(EntitySpan("E", pos, end))
+            pos = end + 2  # gap keeps regions separate
+        else:
+            pos += 1
+    return n, spans
+
+
+@settings(max_examples=200, deadline=None)
+@given(separated_spans())
+@example((8, [EntitySpan("E", 1, 1), EntitySpan("E", 3, 4), EntitySpan("E", 6, 6)]))
+@example((11, [EntitySpan("E", 0, 1), EntitySpan("E", 5, 5), EntitySpan("E", 7, 8),
+               EntitySpan("E", 10, 10)]))
+@example((4, []))
+def test_render_parse_round_trip_on_random_sentences(case):
+    n, spans = case
+    tokens = [f"w{i}" for i in range(n)]  # unique tokens: exact recovery
+    response = render_highlights(tokens, spans, "t")
+    assert parse_highlights(response, tokens, "E", "t") == spans
 
 
 # ---------------------------------------------------------------------------
