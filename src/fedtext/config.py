@@ -203,11 +203,13 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("[federation] fedprox requires mu > 0")
     if cfg.scheme == "fedavg" and cfg.federation.mu != 0:
         raise ConfigError("[federation] fedavg runs with mu = 0; use scheme = fedprox for mu > 0")
-    if cfg.scheme in ("centralized",) and cfg.federation.mu != 0:
-        raise ConfigError("[federation] centralized training has no proximal term; set mu = 0")
+    if cfg.scheme in ("centralized", "single") and cfg.federation.mu != 0:
+        raise ConfigError(f"[federation] {cfg.scheme} training has no proximal term; set mu = 0")
     if cfg.data.synthetic:
         if len(cfg.data.sentences) not in (1, cfg.data.sources):
             raise ConfigError("[data] sentences must be one count or one per source")
+        if cfg.task == "re" and cfg.data.lexicon_size < 2:
+            raise ConfigError("[data] lexicon_size must be >= 2 for synthetic relations (task = re)")
     elif not cfg.data.files:
         raise ConfigError("[data] either files or synthetic = true is required")
     if cfg.data.partition == "by_source":

@@ -184,7 +184,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
                 _write_json(rep_dir / f"client_{k}_report.json", rep.as_dict())
         if cfg.scheme != "single":
             tasks.save_bundle(rep_dir / "weights.npz", outcome.task, outcome.results[0].best_weights)
-        repeat_files.append(str(rep_dir / "report.json"))
+        repeat_files.append(f"{rep_dir.name}/report.json")
         for key, value in headline(cfg.task, report).items():
             per_metric.setdefault(key, []).append(value)
 
@@ -201,7 +201,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
         scheme=cfg.scheme,
         task=cfg.task,
         repeat_files=repeat_files,
-        summary_file=str(out / "summary.json"),
+        summary_file="summary.json",
         wall_times=wall_times,
     )
     manifest.save(out / "manifest.json")
@@ -300,18 +300,19 @@ def render_report(run_dirs: Sequence[str | Path]) -> str:
             problems.append(f"{run_dir}: no manifest.json")
             continue
         manifest = RunManifest.load(manifest_path)
-        missing = [f for f in manifest.repeat_files if not Path(f).exists()]
-        for f in missing:
-            problems.append(f"{run_dir}: missing repeat file {f}")
+        repeat_paths = [run_dir / f for f in manifest.repeat_files]
+        missing = [p for p in repeat_paths if not p.exists()]
+        for p in missing:
+            problems.append(f"{run_dir}: missing repeat file {p}")
 
-        summary = json.loads(Path(manifest.summary_file).read_text())
+        summary = json.loads((run_dir / manifest.summary_file).read_text())
         metrics = summary["metrics"]
         # cross-check the stored summary against the surviving repeat files
         check_values: dict[str, list[float]] = {}
-        for f in manifest.repeat_files:
-            if not Path(f).exists():
+        for p in repeat_paths:
+            if not p.exists():
                 continue
-            rep = json.loads(Path(f).read_text())
+            rep = json.loads(p.read_text())
             for key, value in headline(manifest.task, rep).items():
                 check_values.setdefault(key, []).append(value)
         for key, stored in metrics.items():

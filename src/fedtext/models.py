@@ -12,6 +12,17 @@ Three kinds share one interface:
 
 Losses are mean-per-item negative log-likelihood and every gradient is exact
 (checked against central finite differences in the test suite).
+
+Training runs one padded, masked pass per mini-batch.  The B items are
+padded to the longest one, T tokens, giving a (B, T) token array and a
+(B, T) mask that is True on each item's real tokens (a prefix of its row).
+Embeddings are gathered once into (B, T, d); the RNN steps all B sentences
+at once and the CRF forward-backward runs over (B, T, L) emissions; weight
+gradients are single matrix products over all B*T positions, and the
+embedding gradient is scattered once per batch.  Padded positions carry
+zero gradient, so the result equals the per-item sum (the per-item loops
+are kept in the test suite as the reference).  Prediction reuses the same
+forward pass on a batch of one sentence.
 """
 from __future__ import annotations
 
@@ -156,135 +167,163 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _segments(spec: ModelSpec, w: ParamVector) -> dict[str, np.ndarray]:
+    return {name: w.segment(name, shape) for name, shape in segment_shapes(spec).items()}
+
+
+def _pad(arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Stack 1-D int arrays into a zero-padded (B, T) array and its (B, T)
+    prefix mask, T being the longest length."""
+    lengths = np.array([a.size for a in arrays])
+    mask = np.arange(lengths.max()) < lengths[:, None]
+    padded = np.zeros(mask.shape, dtype=np.intp)
+    padded[mask] = np.concatenate(arrays)
+    return padded, mask
+
+
+def _rows(A: np.ndarray) -> np.ndarray:
+    """(..., n) -> (rows, n), for weight gradients summed over all positions."""
+    return A.reshape(-1, A.shape[-1])
+
+
+def _scatter_embed(spec: ModelSpec, grad: ParamVector, ids: np.ndarray, d_embedded: np.ndarray) -> None:
+    np.add.at(grad.segment("embed", (spec.vocab_size, spec.embed_dim)), ids, d_embedded)
+
+
 # ---------------------------------------------------------------------------
 # window tagger
 
-def _window_features(spec: ModelSpec, embed: np.ndarray, token_ids: np.ndarray) -> np.ndarray:
-    T, d, r = token_ids.size, spec.embed_dim, spec.window_radius
-    X = embed[token_ids]
-    F = np.zeros((T, (2 * r + 1) * d))
-    for k, off in enumerate(range(-r, r + 1)):
-        lo, hi = max(0, -off), min(T, T - off)
-        F[lo:hi, k * d : (k + 1) * d] = X[lo + off : hi + off]
-    return F
+def _window_features(spec: ModelSpec, X: np.ndarray) -> np.ndarray:
+    """(B, T, (2r+1)d) context windows over embeddings X (B, T, d) that are
+    zero at padded positions, so context outside a sentence contributes zeros."""
+    B, T, d = X.shape
+    r = spec.window_radius
+    Xp = np.zeros((B, T + 2 * r, d))
+    Xp[:, r : r + T] = X
+    return np.concatenate([Xp[:, k : k + T] for k in range(2 * r + 1)], axis=2)
 
 
-def _window_loss_grad(spec: ModelSpec, w: ParamVector, item: TagExample, grad: ParamVector) -> float:
-    embed = w.segment("embed", segment_shapes(spec)["embed"])
-    out_w = w.segment("out_w", segment_shapes(spec)["out_w"])
-    out_b = w.segment("out_b")
-    T, d, r = item.token_ids.size, spec.embed_dim, spec.window_radius
+def _window_logits(
+    spec: ModelSpec, seg: dict[str, np.ndarray], X: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(B, T, L) logits from embeddings X (B, T, d) that are zero at padded
+    positions, and the window features they came from."""
+    F = _window_features(spec, X)
+    return F @ seg["out_w"] + seg["out_b"], F
 
-    F = _window_features(spec, embed, item.token_ids)
-    probs = _softmax_rows(F @ out_w + out_b)
-    gold = probs[np.arange(T), item.label_ids]
-    loss = float(-np.log(gold).sum())
+
+def _window_loss_grad(
+    spec: ModelSpec, w: ParamVector, ids: np.ndarray, mask: np.ndarray, labels: np.ndarray, grad: ParamVector
+) -> float:
+    seg = _segments(spec, w)
+    B, T = ids.shape
+    d, r = spec.embed_dim, spec.window_radius
+    logits, F = _window_logits(spec, seg, seg["embed"][ids] * mask[:, :, None])
+    probs = _softmax_rows(logits)
+    rows, steps = np.arange(B)[:, None], np.arange(T)
+    loss = float(-np.log(probs[rows, steps, labels][mask]).sum())
 
     d_logits = probs
-    d_logits[np.arange(T), item.label_ids] -= 1.0
-    grad.segment("out_b")[:] += d_logits.sum(axis=0)
-    grad.segment("out_w", out_w.shape)[:] += F.T @ d_logits
-    dF = d_logits @ out_w.T
-    dX = np.zeros((T, d))
-    for k, off in enumerate(range(-r, r + 1)):
-        lo, hi = max(0, -off), min(T, T - off)
-        dX[lo + off : hi + off] += dF[lo:hi, k * d : (k + 1) * d]
-    np.add.at(grad.segment("embed", embed.shape), item.token_ids, dX)
+    d_logits[rows, steps, labels] -= 1.0
+    d_logits *= mask[:, :, None]
+    grad.segment("out_b")[:] += d_logits.sum(axis=(0, 1))
+    grad.segment("out_w", seg["out_w"].shape)[:] += _rows(F).T @ _rows(d_logits)
+    dF = d_logits @ seg["out_w"].T
+    dXp = np.zeros((B, T + 2 * r, d))
+    for k in range(2 * r + 1):
+        dXp[:, k : k + T] += dF[:, :, k * d : (k + 1) * d]
+    _scatter_embed(spec, grad, ids[mask], dXp[:, r : r + T][mask])
     return loss
-
-
-def _window_logits(spec: ModelSpec, w: ParamVector, token_ids: np.ndarray) -> np.ndarray:
-    embed = w.segment("embed", segment_shapes(spec)["embed"])
-    out_w = w.segment("out_w", segment_shapes(spec)["out_w"])
-    F = _window_features(spec, embed, token_ids)
-    return F @ out_w + w.segment("out_b")
 
 
 # ---------------------------------------------------------------------------
 # bidirectional RNN + CRF
+#
+# The recurrences run time-major, over (T, B, ·) arrays for a padded batch
+# or (T, ·) arrays for one sentence, so each step reads and writes one
+# contiguous slice.  The backward direction runs as a left-to-right
+# recurrence over each sentence reversed within its own length.  Padding
+# then always follows the real tokens, so every sentence starts from a zero
+# state in both directions and padded steps never reach a real one.
 
-def _rnn_states(
-    pre: np.ndarray, w_hh: np.ndarray, reverse: bool
-) -> np.ndarray:
-    """Run a tanh recurrence over pre-computed input projections."""
-    T, h = pre.shape
-    states = np.empty((T, h))
-    prev = np.zeros(h)
-    steps = range(T - 1, -1, -1) if reverse else range(T)
-    for t in steps:
+def _reversal(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index for time-major (T, B, ...) arrays that reverses each sentence's
+    real prefix and leaves its padding in place; it is its own inverse."""
+    B, T = mask.shape
+    t = np.arange(T)[:, None]
+    return np.where(mask.T, mask.sum(axis=1) - 1 - t, t), np.arange(B)
+
+
+def _rnn_states(pre: np.ndarray, w_hh: np.ndarray) -> np.ndarray:
+    """Left-to-right tanh recurrence over pre-computed input projections (T, [B,] h)."""
+    states = np.empty_like(pre)
+    prev = np.zeros(pre.shape[1:])
+    for t in range(pre.shape[0]):
         prev = np.tanh(pre[t] + prev @ w_hh)
         states[t] = prev
     return states
 
 
 def _rnn_backward(
-    d_states: np.ndarray,
-    states: np.ndarray,
-    X: np.ndarray,
-    w_x: np.ndarray,
-    w_hh: np.ndarray,
-    reverse: bool,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """BPTT through one direction; returns (dX, d_w_x, d_w_hh, d_b)."""
-    T, h = states.shape
-    d_w_x = np.zeros_like(w_x)
-    d_w_hh = np.zeros_like(w_hh)
-    d_b = np.zeros(h)
-    dX = np.zeros_like(X)
-    carry = np.zeros(h)
-    steps = range(T) if reverse else range(T - 1, -1, -1)
-    for t in steps:
-        g = (d_states[t] + carry) * (1.0 - states[t] ** 2)
-        prev_idx = t + 1 if reverse else t - 1
-        prev = states[prev_idx] if 0 <= prev_idx < T else np.zeros(h)
-        d_w_x += np.outer(X[t], g)
-        d_w_hh += np.outer(prev, g)
-        d_b += g
-        dX[t] = g @ w_x.T
+    d_states: np.ndarray, states: np.ndarray, X: np.ndarray, w_hh: np.ndarray,
+    grad: ParamVector, prefix: str,
+) -> np.ndarray:
+    """BPTT through one left-to-right recurrence over (T, B, ·) arrays: adds
+    the gradients of the ``prefix`` weights to ``grad`` and returns
+    d loss / d pre-activation.  Only the carry stays in the time loop; the
+    weight gradients are single matrix products over all T*B steps.  Steps
+    past a sentence's end get zero gradient, since d_states is zero there."""
+    G = np.empty_like(states)
+    dtanh = 1.0 - states**2
+    carry = np.zeros(states.shape[1:])
+    for t in range(states.shape[0] - 1, -1, -1):
+        g = (d_states[t] + carry) * dtanh[t]
+        G[t] = g
         carry = g @ w_hh.T
-    return dX, d_w_x, d_w_hh, d_b
+    prev = np.zeros_like(states)
+    prev[1:] = states[:-1]
+    G_rows = _rows(G)
+    grad.segment(f"{prefix}_x", (X.shape[-1], G.shape[-1]))[:] += _rows(X).T @ G_rows
+    grad.segment(f"{prefix}_h", w_hh.shape)[:] += _rows(prev).T @ G_rows
+    grad.segment(f"{prefix}_b")[:] += G_rows.sum(axis=0)
+    return G
 
 
 def _rnn_emissions(
-    spec: ModelSpec, w: ParamVector, token_ids: np.ndarray
-) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    shapes = segment_shapes(spec)
-    seg = {name: w.segment(name, shape) for name, shape in shapes.items()}
-    X = seg["embed"][token_ids]
-    fw = _rnn_states(X @ seg["rnn_fw_x"] + seg["rnn_fw_b"], seg["rnn_fw_h"], reverse=False)
-    bw = _rnn_states(X @ seg["rnn_bw_x"] + seg["rnn_bw_b"], seg["rnn_bw_h"], reverse=True)
-    H = np.concatenate([fw, bw], axis=1)
+    seg: dict[str, np.ndarray], X: np.ndarray, flip
+) -> tuple[np.ndarray, dict]:
+    """Emissions (T, [B,] L) from time-major embeddings X (T, [B,] d).
+    ``flip`` indexes X to reverse each sentence within its length: a
+    reversed slice for one sentence, ``_reversal(mask)`` for a padded batch.
+    Positions past a sentence's end hold values no real position depends on."""
+    X_rev = X[flip]
+    fw = _rnn_states(X @ seg["rnn_fw_x"] + seg["rnn_fw_b"], seg["rnn_fw_h"])
+    bw_rev = _rnn_states(X_rev @ seg["rnn_bw_x"] + seg["rnn_bw_b"], seg["rnn_bw_h"])
+    H = np.concatenate([fw, bw_rev[flip]], axis=-1)
     emissions = H @ seg["emit_w"] + seg["emit_b"]
-    cache = {"X": X, "fw": fw, "bw": bw, "H": H, **seg}
-    return emissions, cache
+    return emissions, {"X_rev": X_rev, "fw": fw, "bw_rev": bw_rev, "H": H}
 
 
 def _rnn_crf_loss_grad(
-    spec: ModelSpec, w: ParamVector, item: TagExample, grad: ParamVector
+    spec: ModelSpec, w: ParamVector, ids: np.ndarray, mask: np.ndarray, labels: np.ndarray, grad: ParamVector
 ) -> float:
     h = spec.hidden_dim
-    emissions, c = _rnn_emissions(spec, w, item.token_ids)
-    loss, d_em, d_trans = crf.nll_and_grads(emissions, c["crf_trans"], item.label_ids)
+    seg = _segments(spec, w)
+    flip = _reversal(mask)
+    X = seg["embed"][ids.T]
+    emissions, c = _rnn_emissions(seg, X, flip)
+    nll, d_em, d_trans = crf.nll_and_grads(emissions.transpose(1, 0, 2), seg["crf_trans"], labels, mask)
 
-    grad.segment("crf_trans", c["crf_trans"].shape)[:] += d_trans
-    grad.segment("emit_b")[:] += d_em.sum(axis=0)
-    grad.segment("emit_w", c["emit_w"].shape)[:] += c["H"].T @ d_em
-    dH = d_em @ c["emit_w"].T
-
-    dX_f, d_wx_f, d_wh_f, d_b_f = _rnn_backward(
-        dH[:, :h], c["fw"], c["X"], c["rnn_fw_x"], c["rnn_fw_h"], reverse=False
-    )
-    dX_b, d_wx_b, d_wh_b, d_b_b = _rnn_backward(
-        dH[:, h:], c["bw"], c["X"], c["rnn_bw_x"], c["rnn_bw_h"], reverse=True
-    )
-    grad.segment("rnn_fw_x", d_wx_f.shape)[:] += d_wx_f
-    grad.segment("rnn_fw_h", d_wh_f.shape)[:] += d_wh_f
-    grad.segment("rnn_fw_b")[:] += d_b_f
-    grad.segment("rnn_bw_x", d_wx_b.shape)[:] += d_wx_b
-    grad.segment("rnn_bw_h", d_wh_b.shape)[:] += d_wh_b
-    grad.segment("rnn_bw_b")[:] += d_b_b
-    np.add.at(grad.segment("embed", c["embed"].shape), item.token_ids, dX_f + dX_b)
-    return loss
+    d_em = d_em.transpose(1, 0, 2)
+    grad.segment("crf_trans", d_trans.shape)[:] += d_trans
+    grad.segment("emit_b")[:] += d_em.sum(axis=(0, 1))
+    grad.segment("emit_w", seg["emit_w"].shape)[:] += _rows(c["H"]).T @ _rows(d_em)
+    dH = d_em @ seg["emit_w"].T
+    d_pre_f = _rnn_backward(dH[:, :, :h], c["fw"], X, seg["rnn_fw_h"], grad, "rnn_fw")
+    d_pre_b = _rnn_backward(dH[:, :, h:][flip], c["bw_rev"], c["X_rev"], seg["rnn_bw_h"], grad, "rnn_bw")
+    dX = d_pre_f @ seg["rnn_fw_x"].T + (d_pre_b @ seg["rnn_bw_x"].T)[flip]
+    _scatter_embed(spec, grad, ids.T[mask.T], dX[mask.T])
+    return float(nll.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -297,48 +336,49 @@ def _check_span(span: tuple[int, int], T: int, which: str) -> None:
 
 
 def _relation_forward(
-    spec: ModelSpec, w: ParamVector, item: RelationExample
+    seg: dict[str, np.ndarray], batch: Sequence[RelationExample]
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    shapes = segment_shapes(spec)
-    seg = {name: w.segment(name, shape) for name, shape in shapes.items()}
-    T = item.token_ids.size
-    _check_span(item.span1, T, "span1")
-    _check_span(item.span2, T, "span2")
+    """(B, L) logits for a batch of relation instances."""
+    for item in batch:
+        T = item.token_ids.size
+        _check_span(item.span1, T, "span1")
+        _check_span(item.span2, T, "span2")
+    ids, mask = _pad([item.token_ids for item in batch])
+    spans = np.array([(item.span1, item.span2) for item in batch])  # (B, 2, 2)
+    span_lens = spans[:, :, 1] - spans[:, :, 0] + 1
+    n = mask.sum(axis=1)[:, None]
 
-    pooled = seg["embed"][item.token_ids].sum(axis=0)
-    len1 = item.span1[1] - item.span1[0] + 1
-    len2 = item.span2[1] - item.span2[0] + 1
-    pooled = (pooled + len1 * seg["marker1"] + len2 * seg["marker2"]) / T
+    pooled = (seg["embed"][ids] * mask[:, :, None]).sum(axis=1)
+    pooled = (
+        pooled + span_lens[:, :1] * seg["marker1"] + span_lens[:, 1:] * seg["marker2"]
+    ) / n
     hidden = np.tanh(pooled @ seg["hidden_w"] + seg["hidden_b"])
     logits = hidden @ seg["out_w"] + seg["out_b"]
-    cache = {"pooled": pooled, "hidden": hidden, "len1": len1, "len2": len2, **seg}
+    cache = {"ids": ids, "mask": mask, "n": n, "span_lens": span_lens, "pooled": pooled, "hidden": hidden}
     return logits, cache
 
 
 def _relation_loss_grad(
-    spec: ModelSpec, w: ParamVector, item: RelationExample, grad: ParamVector
+    spec: ModelSpec, w: ParamVector, batch: Sequence[RelationExample], grad: ParamVector
 ) -> float:
-    logits, c = _relation_forward(spec, w, item)
+    seg = _segments(spec, w)
+    logits, c = _relation_forward(seg, batch)
     probs = _softmax_rows(logits)
-    loss = float(-np.log(probs[item.label_id]))
+    gold = (np.arange(len(batch)), np.array([item.label_id for item in batch]))
+    loss = float(-np.log(probs[gold]).sum())
 
     d_logits = probs
-    d_logits[item.label_id] -= 1.0
-    grad.segment("out_b")[:] += d_logits
-    grad.segment("out_w", c["out_w"].shape)[:] += np.outer(c["hidden"], d_logits)
-    d_hidden = (d_logits @ c["out_w"].T) * (1.0 - c["hidden"] ** 2)
-    grad.segment("hidden_b")[:] += d_hidden
-    grad.segment("hidden_w", c["hidden_w"].shape)[:] += np.outer(c["pooled"], d_hidden)
+    d_logits[gold] -= 1.0
+    grad.segment("out_b")[:] += d_logits.sum(axis=0)
+    grad.segment("out_w", seg["out_w"].shape)[:] += c["hidden"].T @ d_logits
+    d_hidden = (d_logits @ seg["out_w"].T) * (1.0 - c["hidden"] ** 2)
+    grad.segment("hidden_b")[:] += d_hidden.sum(axis=0)
+    grad.segment("hidden_w", seg["hidden_w"].shape)[:] += c["pooled"].T @ d_hidden
 
-    T = item.token_ids.size
-    d_pooled = (d_hidden @ c["hidden_w"].T) / T
-    grad.segment("marker1")[:] += c["len1"] * d_pooled
-    grad.segment("marker2")[:] += c["len2"] * d_pooled
-    np.add.at(
-        grad.segment("embed", c["embed"].shape),
-        item.token_ids,
-        np.broadcast_to(d_pooled, (T, spec.embed_dim)),
-    )
+    d_pooled = (d_hidden @ seg["hidden_w"].T) / c["n"]
+    grad.segment("marker1")[:] += c["span_lens"][:, 0] @ d_pooled
+    grad.segment("marker2")[:] += c["span_lens"][:, 1] @ d_pooled
+    _scatter_embed(spec, grad, c["ids"][c["mask"]], np.repeat(d_pooled, c["n"][:, 0], axis=0))
     return loss
 
 
@@ -348,37 +388,43 @@ def _relation_loss_grad(
 Batch = Sequence[TagExample] | Sequence[RelationExample]
 
 
-def _validate_item(spec: ModelSpec, item: TagExample | RelationExample) -> None:
-    _check_token_ids(spec, item.token_ids)
-    if spec.kind == "relation_classifier":
-        if not isinstance(item, RelationExample):
-            raise ValueError("relation_classifier expects RelationExample items")
-        if not 0 <= item.label_id < spec.label_count:
-            raise ValueError(f"label id {item.label_id} out of range")
-    else:
-        if not isinstance(item, TagExample):
-            raise ValueError(f"{spec.kind} expects TagExample items")
-        if item.label_ids.shape != item.token_ids.shape:
-            raise ValueError("token and label arrays differ in length")
-        if item.label_ids.min() < 0 or item.label_ids.max() >= spec.label_count:
+def _validate_batch(spec: ModelSpec, batch: Batch) -> None:
+    for item in batch:
+        token_ids = item.token_ids
+        if token_ids.ndim != 1 or token_ids.size < 1:
+            raise ValueError("token_ids must be a non-empty 1-D array")
+        if spec.kind == "relation_classifier":
+            if not isinstance(item, RelationExample):
+                raise ValueError("relation_classifier expects RelationExample items")
+            if not 0 <= item.label_id < spec.label_count:
+                raise ValueError(f"label id {item.label_id} out of range")
+        else:
+            if not isinstance(item, TagExample):
+                raise ValueError(f"{spec.kind} expects TagExample items")
+            if item.label_ids.shape != token_ids.shape:
+                raise ValueError("token and label arrays differ in length")
+    _check_token_ids(spec, np.concatenate([item.token_ids for item in batch]))
+    if spec.kind != "relation_classifier":
+        labels = np.concatenate([item.label_ids for item in batch])
+        if labels.min() < 0 or labels.max() >= spec.label_count:
             raise ValueError("label id out of range")
 
 
 def loss_and_grad(spec: ModelSpec, w: ParamVector, batch: Batch) -> LossGrad:
-    """Mean per-item NLL over the batch and the matching exact gradient."""
+    """Mean per-item NLL over the batch and the matching exact gradient,
+    from one padded, masked pass over the whole batch."""
     _check_weights(spec, w)
     if len(batch) == 0:
         raise ValueError("batch must be non-empty")
+    _validate_batch(spec, batch)
     grad = w.zeros_like()
-    total = 0.0
-    for item in batch:
-        _validate_item(spec, item)
-        if spec.kind == "window_tagger":
-            total += _window_loss_grad(spec, w, item, grad)
-        elif spec.kind == "rnn_crf_tagger":
-            total += _rnn_crf_loss_grad(spec, w, item, grad)
-        else:
-            total += _relation_loss_grad(spec, w, item, grad)
+    if spec.kind == "relation_classifier":
+        total = _relation_loss_grad(spec, w, batch, grad)
+    else:
+        ids, mask = _pad([item.token_ids for item in batch])
+        labels, _ = _pad([item.label_ids for item in batch])
+        tagger = _window_loss_grad if spec.kind == "window_tagger" else _rnn_crf_loss_grad
+        total = tagger(spec, w, ids, mask, labels, grad)
     grad.values /= len(batch)
     return LossGrad(loss=total / len(batch), grad=grad)
 
@@ -388,11 +434,13 @@ def predict_tags(spec: ModelSpec, w: ParamVector, token_ids: np.ndarray) -> np.n
     _check_weights(spec, w)
     token_ids = np.asarray(token_ids)
     _check_token_ids(spec, token_ids)
+    seg = _segments(spec, w)
+    X = seg["embed"][token_ids]
     if spec.kind == "window_tagger":
-        return _window_logits(spec, w, token_ids).argmax(axis=1)
+        return _window_logits(spec, seg, X[None])[0][0].argmax(axis=1)
     if spec.kind == "rnn_crf_tagger":
-        emissions, cache = _rnn_emissions(spec, w, token_ids)
-        return crf.viterbi(emissions, cache["crf_trans"])
+        emissions, _ = _rnn_emissions(seg, X, slice(None, None, -1))
+        return crf.viterbi(emissions, seg["crf_trans"])
     raise ValueError(f"{spec.kind} does not tag sentences")
 
 
@@ -402,5 +450,5 @@ def predict_relation(spec: ModelSpec, w: ParamVector, item: RelationExample) -> 
     if spec.kind != "relation_classifier":
         raise ValueError(f"{spec.kind} does not classify relations")
     _check_token_ids(spec, item.token_ids)
-    logits, _ = _relation_forward(spec, w, item)
-    return int(logits.argmax())
+    logits, _ = _relation_forward(_segments(spec, w), [item])
+    return int(logits[0].argmax())

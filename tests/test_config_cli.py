@@ -101,6 +101,11 @@ def test_validate_scheme_mu_combinations():
             replace(base, scheme="centralized",
                     federation=replace(base.federation, mu=0.5))
         )
+    with pytest.raises(ConfigError, match="single"):
+        validate_config(
+            replace(base, scheme="single",
+                    federation=replace(base.federation, mu=0.5))
+        )
     # fedprox with positive mu is fine
     validate_config(
         replace(base, scheme="fedprox", federation=replace(base.federation, mu=0.1))
@@ -229,6 +234,22 @@ def test_report_command_renders_finished_runs(tmp_path, capsys):
     assert "±" in out
 
 
+def test_report_works_from_another_directory(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg_path = write_config(tmp_path, out="runs/rel")
+    assert main(["run", "-c", str(cfg_path)]) == 0
+    manifest = RunManifest.load(tmp_path / "runs/rel/manifest.json")
+    assert manifest.repeat_files == ["repeat_0/report.json", "repeat_1/report.json"]
+    assert manifest.summary_file == "summary.json"
+    capsys.readouterr()
+
+    (tmp_path / "elsewhere").mkdir()
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    assert main(["report", "../runs/rel"]) == 0
+    out = capsys.readouterr().out
+    assert "fedavg" in out and "!" not in out
+
+
 def test_sweep_clients_csv(tmp_path, capsys):
     cfg_path = write_config(tmp_path, out=str(tmp_path / "out"))
     csv_path = tmp_path / "sweep.csv"
@@ -307,6 +328,16 @@ def test_gen_synth_writes_relations_for_re(tmp_path, capsys):
     instances = parse_relations((synth_dir / "relations.tsv").read_text())
     assert len(instances) == 70
     capsys.readouterr()
+
+
+def test_re_lexicon_below_two_is_a_config_error(tmp_path, capsys):
+    text = RE_CONFIG.format(out=tmp_path / "out").replace("lexicon_size = 8", "lexicon_size = 1")
+    cfg_path = write_config(tmp_path, text=text)
+    for command in (["gen-synth", "-c", str(cfg_path), "--out-dir", str(tmp_path / "s")],
+                    ["run", "-c", str(cfg_path)]):
+        assert main(command) == 1
+        assert "[data] lexicon_size" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
 
 
 def test_gen_synth_rejects_a_file_backed_config(tmp_path, capsys):

@@ -1,8 +1,10 @@
 """Linear-chain CRF against exhaustive path enumeration.
 
 The enumeration oracle scores every label sequence directly, so the
-log-partition, marginal-based gradients, and Viterbi decode can all be
-checked without trusting any part of the implementation under test.
+log-partition, the per-sentence forward-backward oracle in ``oracles`` and
+the Viterbi decode can all be checked without trusting any part of the
+implementation under test; the batched ``nll_and_grads`` is then checked
+against that per-sentence oracle.
 """
 import itertools
 import math
@@ -11,6 +13,7 @@ import numpy as np
 import pytest
 
 from fedtext.crf import log_partition, nll_and_grads, path_score, viterbi
+from oracles import crf_nll_and_grads
 
 
 def enumerate_paths(emissions, transitions):
@@ -94,7 +97,7 @@ def test_nll_is_logz_minus_path_score():
         em, tr = random_instance(rng)
         T, L = em.shape
         labels = rng.integers(0, L, size=T)
-        nll, _, _ = nll_and_grads(em, tr, labels)
+        nll, _, _ = crf_nll_and_grads(em, tr, labels)
         expect = brute_log_partition(em, tr) - path_score(em, tr, labels)
         assert nll == pytest.approx(expect, abs=1e-8)
 
@@ -106,10 +109,10 @@ def test_nll_gradients_match_finite_differences():
         em, tr = random_instance(rng)
         T, L = em.shape
         labels = rng.integers(0, L, size=T)
-        _, d_em, d_tr = nll_and_grads(em, tr, labels)
+        _, d_em, d_tr = crf_nll_and_grads(em, tr, labels)
 
         def nll_of(e, t):
-            return nll_and_grads(e, t, labels)[0]
+            return crf_nll_and_grads(e, t, labels)[0]
 
         for idx in np.ndindex(em.shape):
             ep, en = em.copy(), em.copy()
@@ -125,14 +128,50 @@ def test_nll_gradients_match_finite_differences():
             assert d_tr[idx] == pytest.approx(fd, abs=1e-5)
 
 
+def random_batch(rng, L, lengths):
+    """Padded (B, T, L) emissions, (B, T) labels and prefix mask; padded
+    positions hold large junk scores and out-of-range labels, which must not
+    matter."""
+    T = max(lengths)
+    mask = np.arange(T) < np.array(lengths)[:, None]
+    em = np.where(mask[:, :, None], rng.normal(size=(len(lengths), T, L)) * 2.0, 400.0)
+    labels = np.where(mask, rng.integers(0, L, size=mask.shape), L + 3)
+    return em, labels, mask
+
+
+def test_batched_nll_matches_per_sentence_oracle():
+    rng = np.random.default_rng(11)
+    worst = 0.0
+    for _ in range(100):
+        L = int(rng.integers(2, 6))
+        lengths = [1] + [int(n) for n in rng.integers(1, 12, size=int(rng.integers(0, 8)))]
+        em, labels, mask = random_batch(rng, L, lengths)
+        tr = rng.normal(size=(L, L)) * 2.0
+        nll, d_em, d_tr = nll_and_grads(em, tr, labels, mask)
+        assert nll.shape == (len(lengths),)
+        assert np.all(d_em[~mask] == 0.0)
+        expect_tr = np.zeros((L, L))
+        for b, n in enumerate(lengths):
+            o_nll, o_em, o_tr = crf_nll_and_grads(em[b, :n], tr, labels[b, :n])
+            worst = max(worst, abs(nll[b] - o_nll), np.abs(d_em[b, :n] - o_em).max())
+            expect_tr += o_tr
+        worst = max(worst, np.abs(d_tr - expect_tr).max())
+    assert worst < 1e-10
+
+
 def test_large_scores_stay_finite():
     em = np.full((6, 4), 500.0)
     tr = np.full((4, 4), 300.0)
     z = log_partition(em, tr)
     assert math.isfinite(z)
-    nll, d_em, d_tr = nll_and_grads(em, tr, np.zeros(6, dtype=int))
-    assert math.isfinite(nll)
-    assert np.all(np.isfinite(d_em)) and np.all(np.isfinite(d_tr))
+    mask = np.arange(6) < np.array([[6], [2]])
+    results = [
+        crf_nll_and_grads(em, tr, np.zeros(6, dtype=int)),
+        nll_and_grads(np.stack([em, em]), tr, np.zeros((2, 6), dtype=int), mask),
+    ]
+    for nll, d_em, d_tr in results:
+        assert np.all(np.isfinite(nll))
+        assert np.all(np.isfinite(d_em)) and np.all(np.isfinite(d_tr))
 
 
 def test_rejects_bad_shapes():
@@ -151,4 +190,22 @@ def test_rejects_non_finite_scores():
 
 def test_rejects_out_of_range_labels():
     with pytest.raises(ValueError):
-        nll_and_grads(np.zeros((2, 2)), np.zeros((2, 2)), np.array([0, 5]))
+        crf_nll_and_grads(np.zeros((2, 2)), np.zeros((2, 2)), np.array([0, 5]))
+    full = np.ones((1, 2), dtype=bool)
+    with pytest.raises(ValueError):
+        nll_and_grads(np.zeros((1, 2, 2)), np.zeros((2, 2)), np.array([[0, 5]]), full)
+
+
+def test_batched_rejects_bad_masks_and_shapes():
+    em, tr, labels = np.zeros((2, 3, 2)), np.zeros((2, 2)), np.zeros((2, 3), dtype=int)
+    bad_masks = [
+        np.array([[True, False, True], [True, True, True]]),  # not a prefix
+        np.array([[False, False, False], [True, True, True]]),  # empty row
+        np.ones((2, 3)),  # not boolean
+        np.ones((2, 2), dtype=bool),  # wrong shape
+    ]
+    for mask in bad_masks:
+        with pytest.raises(ValueError):
+            nll_and_grads(em, tr, labels, mask)
+    with pytest.raises(ValueError):
+        nll_and_grads(np.zeros((3, 2)), tr, labels[0], np.ones(3, dtype=bool))

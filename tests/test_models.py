@@ -18,22 +18,23 @@ from fedtext.models import (
     segment_shapes,
 )
 from fedtext.params import validate_layout
+import oracles
 
 WINDOW = ModelSpec(kind="window_tagger", vocab_size=12, label_count=3, embed_dim=3, window_radius=1)
 RNN = ModelSpec(kind="rnn_crf_tagger", vocab_size=10, label_count=3, embed_dim=3, hidden_dim=3)
 REL = ModelSpec(kind="relation_classifier", vocab_size=10, label_count=2, embed_dim=3, hidden_dim=3)
 
 
-def random_tag_item(spec, rng):
-    T = int(rng.integers(1, 7))
+def random_tag_item(spec, rng, T=None):
+    T = int(rng.integers(1, 7)) if T is None else T
     return TagExample(
         token_ids=rng.integers(0, spec.vocab_size, size=T),
         label_ids=rng.integers(0, spec.label_count, size=T),
     )
 
 
-def random_rel_item(spec, rng):
-    T = int(rng.integers(2, 8))
+def random_rel_item(spec, rng, T=None):
+    T = int(rng.integers(2, 8)) if T is None else T
     s1 = sorted(rng.integers(0, T, size=2))
     s2 = sorted(rng.integers(0, T, size=2))
     return RelationExample(
@@ -44,19 +45,32 @@ def random_rel_item(spec, rng):
     )
 
 
-def finite_difference_check(spec, make_item, n_instances=20, h=1e-4, tol=1e-4):
+def one_item(make_item):
+    return lambda spec, rng: [make_item(spec, rng)]
+
+
+def mixed_batch(make_item):
+    """Batches of 2 to 5 items of mixed lengths, the first one token long,
+    so every batch has padding."""
+    def make(spec, rng):
+        n = int(rng.integers(1, 5))
+        return [make_item(spec, rng, T=1)] + [make_item(spec, rng) for _ in range(n)]
+    return make
+
+
+def finite_difference_check(spec, make_batch, n_instances=20, h=1e-4, tol=1e-4):
     rng = np.random.default_rng(318)
     for _ in range(n_instances):
         w = init_params(spec, int(rng.integers(1_000_000)))
-        item = make_item(spec, rng)
-        lg = loss_and_grad(spec, w, [item])
+        batch = make_batch(spec, rng)
+        lg = loss_and_grad(spec, w, batch)
         for i in range(w.size):
             wp, wn = w.copy(), w.copy()
             wp.values[i] += h
             wn.values[i] -= h
             fd = (
-                loss_and_grad(spec, wp, [item]).loss
-                - loss_and_grad(spec, wn, [item]).loss
+                loss_and_grad(spec, wp, batch).loss
+                - loss_and_grad(spec, wn, batch).loss
             ) / (2 * h)
             a = lg.grad.values[i]
             denom = max(abs(a), abs(fd))
@@ -66,15 +80,36 @@ def finite_difference_check(spec, make_item, n_instances=20, h=1e-4, tol=1e-4):
 
 
 def test_window_gradients_match_finite_differences():
-    finite_difference_check(WINDOW, random_tag_item)
+    finite_difference_check(WINDOW, one_item(random_tag_item))
 
 
 def test_rnn_crf_gradients_match_finite_differences():
-    finite_difference_check(RNN, random_tag_item)
+    finite_difference_check(RNN, one_item(random_tag_item))
 
 
 def test_relation_gradients_match_finite_differences():
-    finite_difference_check(REL, random_rel_item)
+    finite_difference_check(REL, one_item(random_rel_item))
+
+
+def test_padded_batch_gradients_match_finite_differences():
+    for spec, maker in ((WINDOW, random_tag_item), (RNN, random_tag_item), (REL, random_rel_item)):
+        finite_difference_check(spec, mixed_batch(maker), n_instances=10)
+
+
+def test_batched_pass_matches_per_item_oracle():
+    rng = np.random.default_rng(319)
+    wide_window = ModelSpec(kind="window_tagger", vocab_size=12, label_count=3,
+                            embed_dim=3, window_radius=3)
+    for spec, maker in ((WINDOW, random_tag_item), (wide_window, random_tag_item),
+                        (RNN, random_tag_item), (REL, random_rel_item)):
+        for _ in range(30):
+            w = init_params(spec, int(rng.integers(1_000_000)))
+            w.values += rng.normal(size=w.size)
+            batch = mixed_batch(maker)(spec, rng)
+            lg = loss_and_grad(spec, w, batch)
+            loss, grad = oracles.loss_and_grad(spec, w, batch)
+            assert abs(lg.loss - loss) < 1e-10
+            assert np.abs(lg.grad.values - grad.values).max() < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +195,25 @@ def test_window_features_pad_out_of_range_context_with_zeros():
         item = TagExample(np.array([tok]), np.array([gold]))
         lg = loss_and_grad(spec, w, [item])
         assert lg.loss == pytest.approx(-math.log(probs[gold]), abs=1e-12)
+
+
+def test_window_radius_longer_than_the_sentence():
+    # radius 3 over 2 tokens: every window reaches past both ends
+    spec = ModelSpec(kind="window_tagger", vocab_size=12, label_count=3,
+                     embed_dim=3, window_radius=3)
+    w = init_params(spec, 7)
+    shapes = segment_shapes(spec)
+    embed = w.segment("embed", shapes["embed"])
+    tokens = np.array([4, 9])
+    feats = np.zeros((2, 7, 3))
+    feats[0, 3:5] = embed[tokens]
+    feats[1, 2:4] = embed[tokens]
+    logits = feats.reshape(2, 21) @ w.segment("out_w", shapes["out_w"]) + w.segment("out_b")
+    assert predict_tags(spec, w, tokens).tolist() == logits.argmax(axis=1).tolist()
+    probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs /= probs.sum(axis=1, keepdims=True)
+    lg = loss_and_grad(spec, w, [TagExample(tokens, np.array([2, 0]))])
+    assert lg.loss == pytest.approx(-math.log(probs[0, 2]) - math.log(probs[1, 0]), abs=1e-12)
 
 
 def test_window_r0_predictions_ignore_neighbors():
