@@ -247,9 +247,6 @@ class RunManifest:
     wall_times: list[float]
     created_unix: float = field(default_factory=time.time)
 
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.__dict__, indent=2, sort_keys=True) + "\n")
-
     @classmethod
     def load(cls, path: str | Path) -> "RunManifest":
         data = json.loads(Path(path).read_text())

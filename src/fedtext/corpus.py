@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TypeVar
+from itertools import chain
+from typing import Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -51,6 +52,8 @@ class RelationInstance:
     def __post_init__(self) -> None:
         if len(self.tokens) == 0:
             raise ValueError("empty sentence")
+        if not all(self.tokens):
+            raise ValueError(f"empty token at position {self.tokens.index('')}")
         for name, (s, e) in (("span1", self.span1), ("span2", self.span2)):
             if not (0 <= s <= e < len(self.tokens)):
                 raise ValueError(f"{name} [{s}, {e}] out of range")
@@ -63,15 +66,6 @@ class CorpusSplit:
     train: list
     dev: list
     test: list
-    provenance: str = ""
-
-
-@dataclass
-class Partition:
-    """Client datasets; ``mode`` records how they were carved out."""
-
-    clients: list[list]
-    mode: str
 
 
 # ---------------------------------------------------------------------------
@@ -81,80 +75,51 @@ def _decode(text: str | bytes) -> str:
     return text.decode("utf-8") if isinstance(text, bytes) else text
 
 
-def parse_conll(text: str | bytes) -> list[TaggedSentence]:
-    """Read token/tag records; malformed lines are rejected with line numbers."""
-    sentences: list[TaggedSentence] = []
-    tokens: list[str] = []
-    labels: list[str] = []
-
-    def flush() -> None:
-        if tokens:
-            sentences.append(TaggedSentence(tuple(tokens), tuple(labels)))
-            tokens.clear()
-            labels.clear()
-
-    for lineno, line in enumerate(_decode(text).splitlines(), start=1):
+def _read_columns(text: str | bytes, expected: str) -> Iterator[tuple[tuple[str, ...], ...]]:
+    """Yield the columns of one blank-line-separated block at a time.  Each
+    line holds the non-empty fields ``expected`` names ('token<SEP>tag', ...),
+    tab- or else space-separated, all but the first BIO tags; errors name the line."""
+    width = expected.count("<SEP>") + 1
+    rows: list[list[str]] = []
+    # the blank line appended ends the last block
+    for lineno, line in enumerate(chain(_decode(text).splitlines(), [""]), start=1):
         if not line.strip():
-            flush()
+            if rows:
+                yield tuple(zip(*rows))
+            rows = []
             continue
         fields = line.split("\t") if "\t" in line else line.split(" ")
-        if len(fields) != 2 or not fields[0] or not fields[1]:
-            raise ValueError(f"line {lineno}: expected 'token<SEP>tag', got {line!r}")
-        if not BIO_TAG.match(fields[1]):
-            raise ValueError(f"line {lineno}: tag {fields[1]!r} is not valid BIO")
-        tokens.append(fields[0])
-        labels.append(fields[1])
-    flush()
-    return sentences
+        if len(fields) != width or not all(fields):
+            raise ValueError(f"line {lineno}: expected '{expected}', got {line!r}")
+        for tag in fields[1:]:
+            if not BIO_TAG.match(tag):
+                raise ValueError(f"line {lineno}: tag {tag!r} is not valid BIO")
+        rows.append(fields)
+
+
+def _write_columns(blocks: Iterable[Sequence[Sequence[str]]]) -> str:
+    """Inverse of _read_columns: tab-joined lines, a blank line between blocks."""
+    texts = ["\n".join("\t".join(row) for row in zip(*columns)) for columns in blocks]
+    return "\n\n".join(texts) + ("\n" if texts else "")
+
+
+def parse_conll(text: str | bytes) -> list[TaggedSentence]:
+    """Read token/tag records; malformed lines are rejected with line numbers."""
+    return [TaggedSentence(tokens, tags) for tokens, tags in _read_columns(text, "token<SEP>tag")]
 
 
 def serialize_conll(sentences: Iterable[TaggedSentence]) -> str:
-    blocks = []
-    for s in sentences:
-        blocks.append("\n".join(f"{tok}\t{tag}" for tok, tag in zip(s.tokens, s.labels)))
-    return "\n\n".join(blocks) + ("\n" if blocks else "")
+    return _write_columns((s.tokens, s.labels) for s in sentences)
 
 
 def parse_predictions(text: str | bytes) -> list[tuple[TaggedSentence, tuple[str, ...]]]:
     """Three-column variant: (gold sentence, predicted tags) pairs."""
-    out: list[tuple[TaggedSentence, tuple[str, ...]]] = []
-    tokens: list[str] = []
-    gold: list[str] = []
-    pred: list[str] = []
-
-    def flush() -> None:
-        if tokens:
-            out.append((TaggedSentence(tuple(tokens), tuple(gold)), tuple(pred)))
-            tokens.clear()
-            gold.clear()
-            pred.clear()
-
-    for lineno, line in enumerate(_decode(text).splitlines(), start=1):
-        if not line.strip():
-            flush()
-            continue
-        fields = line.split("\t") if "\t" in line else line.split(" ")
-        if len(fields) != 3 or not all(fields):
-            raise ValueError(f"line {lineno}: expected 'token<SEP>gold<SEP>pred', got {line!r}")
-        for tag in fields[1:]:
-            if not BIO_TAG.match(tag):
-                raise ValueError(f"line {lineno}: tag {tag!r} is not valid BIO")
-        tokens.append(fields[0])
-        gold.append(fields[1])
-        pred.append(fields[2])
-    flush()
-    return out
+    blocks = _read_columns(text, "token<SEP>gold<SEP>pred")
+    return [(TaggedSentence(tokens, gold), pred) for tokens, gold, pred in blocks]
 
 
 def serialize_predictions(pairs: Iterable[tuple[TaggedSentence, Sequence[str]]]) -> str:
-    blocks = []
-    for sent, pred in pairs:
-        blocks.append(
-            "\n".join(
-                f"{tok}\t{g}\t{p}" for tok, g, p in zip(sent.tokens, sent.labels, pred)
-            )
-        )
-    return "\n\n".join(blocks) + ("\n" if blocks else "")
+    return _write_columns((sent.tokens, sent.labels, pred) for sent, pred in pairs)
 
 
 SPAN_FIELD = re.compile(r"^(\d+):(\d+)$")
@@ -231,7 +196,7 @@ def split_80_10_10(items: Sequence[T], seed: int) -> CorpusSplit:
     )
 
 
-def partition_iid(items: Sequence[T], n_clients: int, seed: int) -> Partition:
+def partition_iid(items: Sequence[T], n_clients: int, seed: int) -> list[list[T]]:
     """Shuffle then deal round-robin; client sizes differ by at most one."""
     if n_clients < 1:
         raise ValueError("need at least one client")
@@ -241,17 +206,17 @@ def partition_iid(items: Sequence[T], n_clients: int, seed: int) -> Partition:
     clients: list[list[T]] = [[] for _ in range(n_clients)]
     for pos, idx in enumerate(order):
         clients[pos % n_clients].append(items[idx])
-    return Partition(clients=clients, mode="iid")
+    return clients
 
 
-def partition_by_source(named_corpora: Sequence[tuple[str, Sequence[T]]]) -> Partition:
+def partition_by_source(named_corpora: Sequence[tuple[str, Sequence[T]]]) -> list[list[T]]:
     """One client per named corpus, in input order."""
     if len(named_corpora) < 2:
         raise ValueError("by-source partitioning needs at least two corpora")
     for name, items in named_corpora:
         if not items:
             raise ValueError(f"source {name!r} is empty")
-    return Partition(clients=[list(items) for _, items in named_corpora], mode="by_source")
+    return [list(items) for _, items in named_corpora]
 
 
 def truncate(sentence: TaggedSentence, max_tokens: int = 512) -> TaggedSentence:

@@ -9,9 +9,11 @@ for byte.
 from __future__ import annotations
 
 import json
+import os
 import statistics
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -84,9 +86,9 @@ def partition_train(cfg: ExperimentConfig, bundle: DataBundle, task: tasks.Task,
             (name, task.prepare(train))
             for name, train in zip(bundle.source_names, bundle.source_trains)
         ]
-        return corpuslib.partition_by_source(named).clients
+        return corpuslib.partition_by_source(named)
     pooled = task.prepare(bundle.train)
-    return corpuslib.partition_iid(pooled, n_clients, cfg.data.data_seed).clients
+    return corpuslib.partition_iid(pooled, n_clients, cfg.data.data_seed)
 
 
 @dataclass
@@ -142,12 +144,31 @@ def _mean_reports(reports: list[EvalReport]) -> EvalReport:
 # ---------------------------------------------------------------------------
 # cmd-run
 
+@contextmanager
+def _replacing(path: Path, mode: str = "w"):
+    """Yield a temporary file next to ``path`` and move it onto ``path`` once
+    the block completes, so ``path`` never holds a partly written file; on
+    an error the temporary file is removed and ``path`` is left as it was."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open(mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _write_text(path: Path, text: str) -> None:
+    with _replacing(path) as fh:
+        fh.write(text)
+
+
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _write_rounds_log(path: Path, results: list[RunResult]) -> None:
-    with path.open("w", encoding="utf-8") as fh:
+    with _replacing(path) as fh:
         for i, result in enumerate(results):
             for record in result.round_log:
                 fh.write(json.dumps({"run": i, **record}, sort_keys=True) + "\n")
@@ -172,18 +193,16 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
         rep_dir.mkdir(exist_ok=True)
         report = outcome.report.as_dict()
         _write_json(rep_dir / "report.json", {"seed": seed, **report})
-        (rep_dir / "report.csv").write_text(
-            evaluation.report_to_csv(outcome.report), encoding="utf-8"
-        )
-        (rep_dir / "table.txt").write_text(
-            evaluation.format_report_table(outcome.report), encoding="utf-8"
-        )
+        _write_text(rep_dir / "report.csv", evaluation.report_to_csv(outcome.report))
+        _write_text(rep_dir / "table.txt", evaluation.format_report_table(outcome.report))
         _write_rounds_log(rep_dir / "rounds.jsonl", outcome.results)
         if outcome.client_reports is not None:
             for k, rep in enumerate(outcome.client_reports):
                 _write_json(rep_dir / f"client_{k}_report.json", rep.as_dict())
         if cfg.scheme != "single":
-            tasks.save_bundle(rep_dir / "weights.npz", outcome.task, outcome.results[0].best_weights)
+            # np.savez would append ".npz" to the temporary name, so hand it the file
+            with _replacing(rep_dir / "weights.npz", "wb") as fh:
+                tasks.save_bundle(fh, outcome.task, outcome.results[0].best_weights)
         repeat_files.append(f"{rep_dir.name}/report.json")
         for key, value in headline(cfg.task, report).items():
             per_metric.setdefault(key, []).append(value)
@@ -194,6 +213,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
         summary[key] = {"mean": mean, "std": std, "values": values}
     _write_json(out / "summary.json", {"scheme": cfg.scheme, "task": cfg.task, "metrics": summary})
 
+    # the manifest goes last: a run directory that has one is complete
     manifest = RunManifest(
         config_hash=config_hash(cfg),
         seeds=seeds,
@@ -204,7 +224,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
         summary_file="summary.json",
         wall_times=wall_times,
     )
-    manifest.save(out / "manifest.json")
+    _write_json(out / "manifest.json", manifest.__dict__)
     return out
 
 
@@ -230,7 +250,7 @@ def _repeat_cells(cfg: ExperimentConfig, task: tasks.Task, parts, dev, test, mu:
 def _write_csv(out_path: str | Path, rows: list[str]) -> Path:
     out = Path(out_path)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    _write_text(out, "\n".join(rows) + "\n")
     return out
 
 
@@ -248,7 +268,7 @@ def sweep_clients(cfg: ExperimentConfig, client_counts: Sequence[int], out_path:
     rows = ["clients,repeats,lenient_mean,lenient_std,strict_mean,strict_std,error"]
     for k in client_counts:
         try:
-            parts = corpuslib.partition_iid(train, k, cfg.data.data_seed).clients
+            parts = corpuslib.partition_iid(train, k, cfg.data.data_seed)
         except ValueError as exc:
             rows.append(f"{k},0,,,,,{json.dumps(str(exc))}")
             continue
@@ -347,27 +367,19 @@ def render_report(run_dirs: Sequence[str | Path]) -> str:
 def bench_inference(bundle_path: str | Path, data_path: str | Path, limit: int | None = None) -> dict:
     """Timed single-instance prediction loop with a short warmup."""
     task, weights = tasks.load_bundle(bundle_path)
-    text = Path(data_path).read_text(encoding="utf-8")
-    if task.kind == "ner":
-        items = task.prepare(corpuslib.parse_conll(text))
-    else:
-        items = task.prepare(corpuslib.parse_relations(text))
+    parse = corpuslib.parse_conll if task.kind == "ner" else corpuslib.parse_relations
+    items = task.prepare(parse(Path(data_path).read_text(encoding="utf-8")))
     if limit is not None:
         items = items[:limit]
     if not items:
         raise ValueError("no instances to benchmark")
 
-    def predict(item) -> None:
-        if task.kind == "ner":
-            task.predict_spans(weights, item)
-        else:
-            task.predict_label(weights, item)
-
+    predict = task.predict_spans if task.kind == "ner" else task.predict_label
     for item in items[: min(20, len(items))]:
-        predict(item)
+        predict(weights, item)
     t0 = time.perf_counter()
     for item in items:
-        predict(item)
+        predict(weights, item)
     total = time.perf_counter() - t0
     return {
         "instances": len(items),
@@ -392,7 +404,7 @@ def emit_prompts(
     task, subset = _llm_subset(cfg, n, seed)
     out = Path(out_path)
     out.parent.mkdir(parents=True, exist_ok=True)
-    with out.open("w", encoding="utf-8") as fh:
+    with _replacing(out) as fh:
         for i, item in enumerate(subset):
             if task.kind == "ner":
                 text = " ".join(item.sentence.tokens)
@@ -427,6 +439,6 @@ def score_llm(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "llm_report.json", score.report.as_dict())
-    (out / "llm_report.csv").write_text(evaluation.report_to_csv(score.report), encoding="utf-8")
+    _write_text(out / "llm_report.csv", evaluation.report_to_csv(score.report))
     _write_json(out / "llm_diagnostics.json", score.diagnostics.__dict__)
     return out

@@ -26,6 +26,7 @@ forward pass on a batch of one sentence.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -84,8 +85,10 @@ class LossGrad:
     grad: ParamVector
 
 
+@functools.cache
 def segment_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
-    """Ordered segment name -> array shape for the given model kind."""
+    """Ordered segment name -> array shape for the given model kind.  This and
+    param_layout are built once per (frozen, hashable) spec and shared."""
     V, L = spec.vocab_size, spec.label_count
     d, h, r = spec.embed_dim, spec.hidden_dim, spec.window_radius
     if spec.kind == "window_tagger":
@@ -118,6 +121,7 @@ def segment_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
     }
 
 
+@functools.cache
 def param_layout(spec: ModelSpec) -> Layout:
     layout: Layout = {}
     offset = 0
@@ -137,16 +141,21 @@ def init_params(spec: ModelSpec, seed: int) -> ParamVector:
     s = sqrt(6 / (fan_in + fan_out)); the CRF transition table starts at zero."""
     rng = np.random.default_rng(seed)
     w = ParamVector(np.zeros(param_count(spec)), param_layout(spec))
-    for name, shape in segment_shapes(spec).items():
+    for name, view in _segments(spec, w).items():
         if name == "crf_trans":
             continue
-        if len(shape) == 2:
-            fan_in, fan_out = shape
-        else:
-            fan_in = fan_out = shape[0]
+        fan_in, fan_out = view.shape if view.ndim == 2 else view.shape * 2
         s = np.sqrt(6.0 / (fan_in + fan_out))
-        w.segment(name)[:] = rng.uniform(-s, s, size=int(np.prod(shape)))
+        view[...] = rng.uniform(-s, s, size=view.shape)
     return w
+
+
+Segments = dict[str, np.ndarray]
+
+
+def _segments(spec: ModelSpec, w: ParamVector) -> Segments:
+    """Writable, shaped views of every segment of weights or a gradient."""
+    return {name: w.segment(name, shape) for name, shape in segment_shapes(spec).items()}
 
 
 def _check_weights(spec: ModelSpec, w: ParamVector) -> None:
@@ -167,10 +176,6 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _segments(spec: ModelSpec, w: ParamVector) -> dict[str, np.ndarray]:
-    return {name: w.segment(name, shape) for name, shape in segment_shapes(spec).items()}
-
-
 def _pad(arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Stack 1-D int arrays into a zero-padded (B, T) array and its (B, T)
     prefix mask, T being the longest length."""
@@ -184,10 +189,6 @@ def _pad(arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
 def _rows(A: np.ndarray) -> np.ndarray:
     """(..., n) -> (rows, n), for weight gradients summed over all positions."""
     return A.reshape(-1, A.shape[-1])
-
-
-def _scatter_embed(spec: ModelSpec, grad: ParamVector, ids: np.ndarray, d_embedded: np.ndarray) -> None:
-    np.add.at(grad.segment("embed", (spec.vocab_size, spec.embed_dim)), ids, d_embedded)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +205,7 @@ def _window_features(spec: ModelSpec, X: np.ndarray) -> np.ndarray:
 
 
 def _window_logits(
-    spec: ModelSpec, seg: dict[str, np.ndarray], X: np.ndarray
+    spec: ModelSpec, seg: Segments, X: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(B, T, L) logits from embeddings X (B, T, d) that are zero at padded
     positions, and the window features they came from."""
@@ -213,9 +214,8 @@ def _window_logits(
 
 
 def _window_loss_grad(
-    spec: ModelSpec, w: ParamVector, ids: np.ndarray, mask: np.ndarray, labels: np.ndarray, grad: ParamVector
+    spec: ModelSpec, seg: Segments, ids: np.ndarray, mask: np.ndarray, labels: np.ndarray, gs: Segments
 ) -> float:
-    seg = _segments(spec, w)
     B, T = ids.shape
     d, r = spec.embed_dim, spec.window_radius
     logits, F = _window_logits(spec, seg, seg["embed"][ids] * mask[:, :, None])
@@ -226,13 +226,13 @@ def _window_loss_grad(
     d_logits = probs
     d_logits[rows, steps, labels] -= 1.0
     d_logits *= mask[:, :, None]
-    grad.segment("out_b")[:] += d_logits.sum(axis=(0, 1))
-    grad.segment("out_w", seg["out_w"].shape)[:] += _rows(F).T @ _rows(d_logits)
+    gs["out_b"] += d_logits.sum(axis=(0, 1))
+    gs["out_w"] += _rows(F).T @ _rows(d_logits)
     dF = d_logits @ seg["out_w"].T
     dXp = np.zeros((B, T + 2 * r, d))
     for k in range(2 * r + 1):
         dXp[:, k : k + T] += dF[:, :, k * d : (k + 1) * d]
-    _scatter_embed(spec, grad, ids[mask], dXp[:, r : r + T][mask])
+    np.add.at(gs["embed"], ids[mask], dXp[:, r : r + T][mask])
     return loss
 
 
@@ -266,10 +266,10 @@ def _rnn_states(pre: np.ndarray, w_hh: np.ndarray) -> np.ndarray:
 
 def _rnn_backward(
     d_states: np.ndarray, states: np.ndarray, X: np.ndarray, w_hh: np.ndarray,
-    grad: ParamVector, prefix: str,
+    gs: Segments, prefix: str,
 ) -> np.ndarray:
     """BPTT through one left-to-right recurrence over (T, B, ·) arrays: adds
-    the gradients of the ``prefix`` weights to ``grad`` and returns
+    the gradients of the ``prefix`` weights to ``gs`` and returns
     d loss / d pre-activation.  Only the carry stays in the time loop; the
     weight gradients are single matrix products over all T*B steps.  Steps
     past a sentence's end get zero gradient, since d_states is zero there."""
@@ -283,14 +283,14 @@ def _rnn_backward(
     prev = np.zeros_like(states)
     prev[1:] = states[:-1]
     G_rows = _rows(G)
-    grad.segment(f"{prefix}_x", (X.shape[-1], G.shape[-1]))[:] += _rows(X).T @ G_rows
-    grad.segment(f"{prefix}_h", w_hh.shape)[:] += _rows(prev).T @ G_rows
-    grad.segment(f"{prefix}_b")[:] += G_rows.sum(axis=0)
+    gs[f"{prefix}_x"] += _rows(X).T @ G_rows
+    gs[f"{prefix}_h"] += _rows(prev).T @ G_rows
+    gs[f"{prefix}_b"] += G_rows.sum(axis=0)
     return G
 
 
 def _rnn_emissions(
-    seg: dict[str, np.ndarray], X: np.ndarray, flip
+    seg: Segments, X: np.ndarray, flip
 ) -> tuple[np.ndarray, dict]:
     """Emissions (T, [B,] L) from time-major embeddings X (T, [B,] d).
     ``flip`` indexes X to reverse each sentence within its length: a
@@ -305,24 +305,23 @@ def _rnn_emissions(
 
 
 def _rnn_crf_loss_grad(
-    spec: ModelSpec, w: ParamVector, ids: np.ndarray, mask: np.ndarray, labels: np.ndarray, grad: ParamVector
+    spec: ModelSpec, seg: Segments, ids: np.ndarray, mask: np.ndarray, labels: np.ndarray, gs: Segments
 ) -> float:
     h = spec.hidden_dim
-    seg = _segments(spec, w)
     flip = _reversal(mask)
     X = seg["embed"][ids.T]
     emissions, c = _rnn_emissions(seg, X, flip)
     nll, d_em, d_trans = crf.nll_and_grads(emissions.transpose(1, 0, 2), seg["crf_trans"], labels, mask)
 
     d_em = d_em.transpose(1, 0, 2)
-    grad.segment("crf_trans", d_trans.shape)[:] += d_trans
-    grad.segment("emit_b")[:] += d_em.sum(axis=(0, 1))
-    grad.segment("emit_w", seg["emit_w"].shape)[:] += _rows(c["H"]).T @ _rows(d_em)
+    gs["crf_trans"] += d_trans
+    gs["emit_b"] += d_em.sum(axis=(0, 1))
+    gs["emit_w"] += _rows(c["H"]).T @ _rows(d_em)
     dH = d_em @ seg["emit_w"].T
-    d_pre_f = _rnn_backward(dH[:, :, :h], c["fw"], X, seg["rnn_fw_h"], grad, "rnn_fw")
-    d_pre_b = _rnn_backward(dH[:, :, h:][flip], c["bw_rev"], c["X_rev"], seg["rnn_bw_h"], grad, "rnn_bw")
+    d_pre_f = _rnn_backward(dH[:, :, :h], c["fw"], X, seg["rnn_fw_h"], gs, "rnn_fw")
+    d_pre_b = _rnn_backward(dH[:, :, h:][flip], c["bw_rev"], c["X_rev"], seg["rnn_bw_h"], gs, "rnn_bw")
     dX = d_pre_f @ seg["rnn_fw_x"].T + (d_pre_b @ seg["rnn_bw_x"].T)[flip]
-    _scatter_embed(spec, grad, ids.T[mask.T], dX[mask.T])
+    np.add.at(gs["embed"], ids.T[mask.T], dX[mask.T])
     return float(nll.sum())
 
 
@@ -336,7 +335,7 @@ def _check_span(span: tuple[int, int], T: int, which: str) -> None:
 
 
 def _relation_forward(
-    seg: dict[str, np.ndarray], batch: Sequence[RelationExample]
+    seg: Segments, batch: Sequence[RelationExample]
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """(B, L) logits for a batch of relation instances."""
     for item in batch:
@@ -358,10 +357,7 @@ def _relation_forward(
     return logits, cache
 
 
-def _relation_loss_grad(
-    spec: ModelSpec, w: ParamVector, batch: Sequence[RelationExample], grad: ParamVector
-) -> float:
-    seg = _segments(spec, w)
+def _relation_loss_grad(seg: Segments, batch: Sequence[RelationExample], gs: Segments) -> float:
     logits, c = _relation_forward(seg, batch)
     probs = _softmax_rows(logits)
     gold = (np.arange(len(batch)), np.array([item.label_id for item in batch]))
@@ -369,16 +365,16 @@ def _relation_loss_grad(
 
     d_logits = probs
     d_logits[gold] -= 1.0
-    grad.segment("out_b")[:] += d_logits.sum(axis=0)
-    grad.segment("out_w", seg["out_w"].shape)[:] += c["hidden"].T @ d_logits
+    gs["out_b"] += d_logits.sum(axis=0)
+    gs["out_w"] += c["hidden"].T @ d_logits
     d_hidden = (d_logits @ seg["out_w"].T) * (1.0 - c["hidden"] ** 2)
-    grad.segment("hidden_b")[:] += d_hidden.sum(axis=0)
-    grad.segment("hidden_w", seg["hidden_w"].shape)[:] += c["pooled"].T @ d_hidden
+    gs["hidden_b"] += d_hidden.sum(axis=0)
+    gs["hidden_w"] += c["pooled"].T @ d_hidden
 
     d_pooled = (d_hidden @ seg["hidden_w"].T) / c["n"]
-    grad.segment("marker1")[:] += c["span_lens"][:, 0] @ d_pooled
-    grad.segment("marker2")[:] += c["span_lens"][:, 1] @ d_pooled
-    _scatter_embed(spec, grad, c["ids"][c["mask"]], np.repeat(d_pooled, c["n"][:, 0], axis=0))
+    gs["marker1"] += c["span_lens"][:, 0] @ d_pooled
+    gs["marker2"] += c["span_lens"][:, 1] @ d_pooled
+    np.add.at(gs["embed"], c["ids"][c["mask"]], np.repeat(d_pooled, c["n"][:, 0], axis=0))
     return loss
 
 
@@ -418,13 +414,14 @@ def loss_and_grad(spec: ModelSpec, w: ParamVector, batch: Batch) -> LossGrad:
         raise ValueError("batch must be non-empty")
     _validate_batch(spec, batch)
     grad = w.zeros_like()
+    seg, gs = _segments(spec, w), _segments(spec, grad)
     if spec.kind == "relation_classifier":
-        total = _relation_loss_grad(spec, w, batch, grad)
+        total = _relation_loss_grad(seg, batch, gs)
     else:
         ids, mask = _pad([item.token_ids for item in batch])
         labels, _ = _pad([item.label_ids for item in batch])
         tagger = _window_loss_grad if spec.kind == "window_tagger" else _rnn_crf_loss_grad
-        total = tagger(spec, w, ids, mask, labels, grad)
+        total = tagger(spec, seg, ids, mask, labels, gs)
     grad.values /= len(batch)
     return LossGrad(loss=total / len(batch), grad=grad)
 

@@ -23,7 +23,7 @@ from .corpus import (
 )
 from .evaluation import EvalReport, decode_bio
 from .models import ModelSpec, RelationExample, TagExample
-from .params import ParamVector, validate_layout
+from .params import ParamVector
 
 
 @dataclass(frozen=True)
@@ -41,11 +41,15 @@ class ReItem:
 
 @dataclass
 class Task:
-    kind: str  # "ner" or "re"
     spec: ModelSpec
     vocab: Vocab
     label_names: list[str]
     max_tokens: int = 512
+
+    @property
+    def kind(self) -> str:
+        """Task family: "re" for the relation classifier, "ner" for the taggers."""
+        return "re" if self.spec.kind == "relation_classifier" else "ner"
 
     @property
     def selection_metric(self) -> str:
@@ -91,8 +95,7 @@ class Task:
         return models.loss_and_grad(self.spec, w, [it.enc for it in items])
 
     def predict_spans(self, w: ParamVector, item: NerItem) -> list[evaluation.EntitySpan]:
-        ids = models.predict_tags(self.spec, w, item.enc.token_ids)
-        return decode_bio([self.label_names[i] for i in ids])
+        return decode_bio(self.predict_tag_names(w, item))
 
     def predict_label(self, w: ParamVector, item: ReItem) -> str:
         return self.label_names[models.predict_relation(self.spec, w, item.enc)]
@@ -135,7 +138,7 @@ def build_ner_task(
         hidden_dim=hidden_dim,
         window_radius=window_radius,
     )
-    return Task(kind="ner", spec=spec, vocab=vocab, label_names=labels, max_tokens=max_tokens)
+    return Task(spec=spec, vocab=vocab, label_names=labels, max_tokens=max_tokens)
 
 
 def build_re_task(
@@ -155,45 +158,34 @@ def build_re_task(
         embed_dim=embed_dim,
         hidden_dim=hidden_dim,
     )
-    return Task(kind="re", spec=spec, vocab=vocab, label_names=labels, max_tokens=max_tokens)
+    return Task(spec=spec, vocab=vocab, label_names=labels, max_tokens=max_tokens)
 
 
 # ---------------------------------------------------------------------------
 # model bundles: weights plus everything needed to run them elsewhere
 
 def save_bundle(path, task: Task, w: ParamVector) -> None:
-    meta = {
-        "kind": task.kind,
-        "spec": task.spec.__dict__,
-        "labels": task.label_names,
-        "max_tokens": task.max_tokens,
-        "layout": {k: list(v) for k, v in w.layout.items()},
-    }
-    np.savez(
-        path,
-        values=w.values,
-        tokens=np.array(task.vocab.tokens[1:], dtype=str),
-        meta=np.array(json.dumps(meta, sort_keys=True)),
-    )
+    """Write the bundle to ``path``, a file name or an open binary file; the
+    layout follows from the spec, so it is not stored."""
+    if w.layout != models.param_layout(task.spec):
+        raise ValueError("weight layout does not match the task's model spec")
+    meta = {"spec": task.spec.__dict__, "labels": task.label_names, "max_tokens": task.max_tokens}
+    tokens = np.array(task.vocab.tokens[1:], dtype=str)
+    np.savez(path, values=w.values, tokens=tokens, meta=np.array(json.dumps(meta, sort_keys=True)))
 
 
 def load_bundle(path) -> tuple[Task, ParamVector]:
     """Read a bundle written by save_bundle; object (pickled) arrays are
-    refused with ValueError, so loading a file never runs code from it."""
+    refused with ValueError, so loading a file never runs code from it, and
+    so is a spec that disagrees with the stored tokens, labels or values.
+    Older bundles' ``kind`` and ``layout`` keys are ignored."""
     with np.load(path, allow_pickle=False) as data:
         meta = json.loads(str(data["meta"]))
         values = data["values"]
         tokens = [str(t) for t in data["tokens"]]
     spec = ModelSpec(**meta["spec"])
-    # JSON round-trips sort the keys; restore the canonical offset order
-    pairs = sorted(meta["layout"].items(), key=lambda kv: kv[1][0])
-    layout = {k: (int(a), int(b)) for k, (a, b) in pairs}
-    validate_layout(layout, values.size)
-    task = Task(
-        kind=meta["kind"],
-        spec=spec,
-        vocab=Vocab(tokens),
-        label_names=list(meta["labels"]),
-        max_tokens=int(meta["max_tokens"]),
-    )
-    return task, ParamVector(values, layout)
+    task = Task(spec, Vocab(tokens), list(meta["labels"]), int(meta["max_tokens"]))
+    for name, n in (("vocab_size", len(task.vocab)), ("label_count", len(task.label_names))):
+        if getattr(spec, name) != n:
+            raise ValueError(f"bundle spec has {name} = {getattr(spec, name)}, but its tokens and labels give {n}")
+    return task, ParamVector(values, models.param_layout(spec))

@@ -102,7 +102,7 @@ def test_fedprox_reverts_to_fedavg():
     split = build_split_corpus(lexicon=15, sentences=200, cue_rate=0.5)
     task = tasks.build_ner_task(split.train, kind="window_tagger", embed_dim=8)
     train, dev = task.prepare(split.train), task.prepare(split.dev)
-    parts = corpus.partition_iid(train, 2, 7).clients
+    parts = corpus.partition_iid(train, 2, 7)
 
     def run(mu):
         cfg = FederationConfig(clients=2, rounds=3, batch_size=8,
@@ -278,7 +278,7 @@ def test_claim_federated_beats_isolation_approaches_centralized():
                                 embed_dim=16, hidden_dim=24)
     train = task.prepare(split.train)
     dev, test = task.prepare(split.dev), task.prepare(split.test)
-    parts = corpus.partition_iid(train, 10, 99).clients
+    parts = corpus.partition_iid(train, 10, 99)
 
     fed_scores, cent_scores, single_scores = [], [], []
     for seed in (0, 1, 2):
@@ -312,7 +312,7 @@ def test_claim_small_models_degrade_faster_with_more_clients():
         train = task.prepare(split.train)
         dev, test = task.prepare(split.dev), task.prepare(split.test)
         for k in (2, 10):
-            parts = corpus.partition_iid(train, k, 99).clients
+            parts = corpus.partition_iid(train, k, 99)
             scores = []
             for seed in (0, 1, 2):
                 cfg = FederationConfig(clients=k, rounds=12, batch_size=16, mu=0.0,

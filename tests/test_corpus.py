@@ -130,6 +130,15 @@ def test_parse_relations_rejects_malformed_span():
         parse_relations("a b c\t0:x\t2:2\tassoc\n")
 
 
+@pytest.mark.parametrize("tokens", [" a b", "a b ", "a  b"])
+def test_parse_relations_rejects_empty_tokens(tokens):
+    # a stray space would otherwise add an empty token and shift every span
+    with pytest.raises(ValueError, match="line 2: empty token"):
+        parse_relations(f"a b\t0:0\t1:1\tx\n{tokens}\t0:0\t1:1\tx\n")
+    with pytest.raises(ValueError, match="empty token"):
+        RelationInstance(tuple(tokens.split(" ")), (0, 0), (1, 1), "x")
+
+
 # ---------------------------------------------------------------------------
 # dedup / split / partition
 
@@ -176,11 +185,10 @@ def test_split_rejects_tiny_corpora():
 
 def test_partition_iid_sizes_and_multiset():
     items = list(range(23))
-    part = partition_iid(items, 4, 7)
-    sizes = sorted(len(c) for c in part.clients)
+    clients = partition_iid(items, 4, 7)
+    sizes = sorted(len(c) for c in clients)
     assert sizes == [5, 6, 6, 6]
-    assert sorted(x for c in part.clients for x in c) == items
-    assert part.mode == "iid"
+    assert sorted(x for c in clients for x in c) == items
 
 
 def test_partition_iid_rejects_more_clients_than_items():
@@ -189,9 +197,7 @@ def test_partition_iid_rejects_more_clients_than_items():
 
 
 def test_partition_by_source():
-    part = partition_by_source([("a", [1, 2]), ("b", [3])])
-    assert part.clients == [[1, 2], [3]]
-    assert part.mode == "by_source"
+    assert partition_by_source([("a", [1, 2]), ("b", [3])]) == [[1, 2], [3]]
     with pytest.raises(ValueError):
         partition_by_source([("solo", [1])])
     with pytest.raises(ValueError):

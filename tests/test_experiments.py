@@ -2,6 +2,7 @@
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from fedtext import experiments
@@ -110,6 +111,32 @@ def test_centralized_scheme_runs(tmp_path):
     assert first["round"] == 1
     assert len(first["client_loss"]) == 1
     assert len(first["weights_sha256"]) == 64
+
+
+def test_a_write_that_fails_partway_leaves_no_partial_file(tmp_path, monkeypatch):
+    cfg = replace(cfg_for("fedavg"), repeats=1)
+    out = experiments.run_experiment(cfg, tmp_path / "run")
+    rep0 = out / "repeat_0"
+    complete = (rep0 / "weights.npz").read_bytes()
+    (out / "manifest.json").unlink()
+
+    def half_a_bundle(file, task, w):
+        np.savez(file, values=w.values[: w.size // 2])
+        raise RuntimeError("disk full")
+
+    monkeypatch.setattr(experiments.tasks, "save_bundle", half_a_bundle)
+    with pytest.raises(RuntimeError, match="disk full"):
+        experiments.run_experiment(cfg, out)
+    # the earlier complete file is untouched, no temporary file is left and
+    # the manifest, written last, is not there
+    assert (rep0 / "weights.npz").read_bytes() == complete
+    assert not [p for p in out.rglob("*") if p.name.endswith(".tmp")]
+    assert not (out / "manifest.json").exists()
+
+    with pytest.raises(RuntimeError, match="disk full"):
+        experiments.run_experiment(cfg, tmp_path / "fresh")
+    assert not (tmp_path / "fresh" / "repeat_0" / "weights.npz").exists()
+    assert (tmp_path / "fresh" / "repeat_0" / "rounds.jsonl").exists()
 
 
 def test_render_report_flags_tampered_summaries(tmp_path):

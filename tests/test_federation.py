@@ -118,7 +118,7 @@ def test_centralized_ignores_client_count_and_mu(ner_setup):
 
 def test_execution_order_does_not_change_the_result(ner_setup):
     task, train, dev = ner_setup["task"], ner_setup["train"], ner_setup["dev"]
-    parts = corpus.partition_iid(train, 3, 11).clients
+    parts = corpus.partition_iid(train, 3, 11)
     cfg = fed_cfg(clients=3)
     default = run_federated(task, cfg, parts, dev)
     reversed_order = run_federated(task, cfg, parts, dev, execution_order=[2, 1, 0])
@@ -128,7 +128,7 @@ def test_execution_order_does_not_change_the_result(ner_setup):
 
 def test_execution_order_must_be_a_permutation(ner_setup):
     task, train, dev = ner_setup["task"], ner_setup["train"], ner_setup["dev"]
-    parts = corpus.partition_iid(train, 2, 11).clients
+    parts = corpus.partition_iid(train, 2, 11)
     with pytest.raises(ValueError):
         run_federated(task, fed_cfg(), parts, dev, execution_order=[0, 0])
 
@@ -149,7 +149,7 @@ def test_empty_partition_and_empty_dev_rejected(ner_setup):
 
 def test_history_shapes(ner_setup):
     task, train, dev = ner_setup["task"], ner_setup["train"], ner_setup["dev"]
-    parts = corpus.partition_iid(train, 2, 11).clients
+    parts = corpus.partition_iid(train, 2, 11)
     cfg = fed_cfg(rounds=4, local_epochs=2)
     result = run_federated(task, cfg, parts, dev)
     assert [r["round"] for r in result.round_log] == [1, 2, 3, 4]
@@ -176,7 +176,7 @@ def test_one_round_big_batch_takes_one_sgd_step(ner_setup):
 
 def test_best_round_is_earliest_maximum(ner_setup):
     task, train, dev = ner_setup["task"], ner_setup["train"], ner_setup["dev"]
-    parts = corpus.partition_iid(train, 2, 11).clients
+    parts = corpus.partition_iid(train, 2, 11)
     cfg = fed_cfg(rounds=6, optimizer="adam", base_lr=0.05)
     result = run_federated(task, cfg, parts, dev)
     metric = task.selection_metric
@@ -217,7 +217,7 @@ def test_fedprox_matches_a_hand_rolled_reference(ner_setup):
 
 def test_large_mu_anchors_the_weights(ner_setup):
     task, train, dev = ner_setup["task"], ner_setup["train"], ner_setup["dev"]
-    parts = corpus.partition_iid(train, 2, 11).clients
+    parts = corpus.partition_iid(train, 2, 11)
     init = task.init_params(0).values
     free = run_federated(task, fed_cfg(mu=0.0, rounds=2, local_epochs=2), parts, dev)
     anchored = run_federated(task, fed_cfg(mu=50.0, rounds=2, local_epochs=2), parts, dev)
@@ -262,7 +262,7 @@ def test_round_loop_matches_a_hand_rolled_reference(ner_setup):
 
 def test_run_single_client_trains_each_shard_alone(ner_setup):
     task, train, dev = ner_setup["task"], ner_setup["train"], ner_setup["dev"]
-    parts = corpus.partition_iid(train, 2, 11).clients
+    parts = corpus.partition_iid(train, 2, 11)
     cfg = fed_cfg()
     results = run_single_client(task, cfg, parts, dev)
     assert len(results) == 2

@@ -238,6 +238,15 @@ def test_param_layout_tiles_the_vector():
             assert layout[name][1] == int(np.prod(shape))
 
 
+def test_layout_is_built_once_per_spec():
+    for spec in (WINDOW, RNN, REL):
+        assert param_layout(spec) is param_layout(spec)
+        assert segment_shapes(spec) is segment_shapes(spec)
+        # an equal spec built separately shares the same layout
+        assert param_layout(ModelSpec(**spec.__dict__)) is param_layout(spec)
+        assert init_params(spec, 0).layout is param_layout(spec)
+
+
 def test_init_is_deterministic_and_seed_sensitive():
     a = init_params(RNN, 4)
     b = init_params(RNN, 4)

@@ -1,10 +1,15 @@
 """Task plumbing: encoding, prediction, evaluation, model bundles."""
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from fedtext import corpus
 from fedtext.cli import main
 from fedtext.evaluation import decode_bio
+from fedtext.models import param_layout
+from fedtext.params import ParamVector
 from fedtext.tasks import build_ner_task, build_re_task, load_bundle, save_bundle
 
 TRAIN = [
@@ -71,6 +76,7 @@ def test_evaluate_and_dev_scores_ner():
 def test_re_task_end_to_end():
     insts = corpus.generate_synthetic_relations(lexicon_size=6, sentences=30, seed=0)
     task = build_re_task(insts, embed_dim=4, hidden_dim=4)
+    assert task.kind == "re"
     assert task.selection_metric == "macro_f1"
     assert task.label_names == ["assoc", "none"]
     items = task.prepare(insts)
@@ -112,3 +118,72 @@ def test_bundle_with_an_object_array_is_refused(tmp_path):
     data_path.write_text(corpus.serialize_conll(TRAIN))
     assert main(["bench", "--weights", str(crafted), "--data", str(data_path)]) == 2
     assert main(["bench", "--weights", str(path), "--data", str(data_path)]) == 0
+
+
+def _rewrite_bundle(src, dst, **changes):
+    """Copy a bundle, replacing top-level meta keys (None deletes one)."""
+    with np.load(src) as data:
+        arrays = dict(data)
+    meta = json.loads(str(arrays["meta"]))
+    for key, value in changes.items():
+        if value is None:
+            meta.pop(key)
+        else:
+            meta[key] = value
+    arrays["meta"] = np.array(json.dumps(meta, sort_keys=True))
+    np.savez(dst, **arrays)
+    return dst
+
+
+@pytest.mark.parametrize("field, delta", [("vocab_size", 1), ("label_count", -1)])
+def test_bundle_whose_spec_disagrees_with_its_contents_is_refused(tmp_path, field, delta):
+    task = build_ner_task(TRAIN, kind="rnn_crf_tagger", embed_dim=4, hidden_dim=3)
+    path = tmp_path / "model.npz"
+    save_bundle(path, task, task.init_params(0))
+    spec = dict(task.spec.__dict__, **{field: getattr(task.spec, field) + delta})
+    crafted = _rewrite_bundle(path, tmp_path / "crafted.npz", spec=spec)
+    with pytest.raises(ValueError, match=field):
+        load_bundle(crafted)
+
+    data_path = tmp_path / "data.conll"
+    data_path.write_text(corpus.serialize_conll(TRAIN))
+    assert main(["bench", "--weights", str(crafted), "--data", str(data_path)]) == 2
+
+
+def test_bundle_with_the_wrong_number_of_values_is_refused(tmp_path):
+    task = build_ner_task(TRAIN, kind="window_tagger", embed_dim=4)
+    path = tmp_path / "model.npz"
+    save_bundle(path, task, task.init_params(0))
+    with np.load(path) as data:
+        arrays = dict(data)
+    n = arrays["values"].size
+    arrays["values"] = arrays["values"][:-1]
+    np.savez(tmp_path / "short.npz", **arrays)
+    with pytest.raises(ValueError, match=f"covers {n} values but vector has {n - 1}"):
+        load_bundle(tmp_path / "short.npz")
+
+
+def test_save_bundle_refuses_weights_of_another_layout(tmp_path):
+    task = build_ner_task(TRAIN, kind="window_tagger", embed_dim=4)
+    other = replace(task.spec, embed_dim=5)
+    w = ParamVector(np.zeros(sum(n for _, n in param_layout(other).values())), param_layout(other))
+    with pytest.raises(ValueError, match="layout"):
+        save_bundle(tmp_path / "model.npz", task, w)
+    assert not (tmp_path / "model.npz").exists()
+
+
+def test_bundle_in_the_older_format_still_loads(tmp_path):
+    # earlier bundles also stored the task kind and the (key-sorted) layout
+    task = build_ner_task(TRAIN, kind="rnn_crf_tagger", embed_dim=4, hidden_dim=3)
+    w = task.init_params(5)
+    path = tmp_path / "model.npz"
+    save_bundle(path, task, w)
+    old = _rewrite_bundle(path, tmp_path / "old.npz", kind="ner",
+                          layout={k: list(v) for k, v in w.layout.items()})
+    with np.load(old) as data:
+        assert set(json.loads(str(data["meta"]))) == {"kind", "layout", "labels", "max_tokens", "spec"}
+    task2, w2 = load_bundle(old)
+    assert task2.kind == "ner"
+    assert np.array_equal(w2.values, w.values)
+    for a, b in zip(task.prepare(TRAIN), task2.prepare(TRAIN)):
+        assert task.predict_spans(w, a) == task2.predict_spans(w2, b)
