@@ -1,10 +1,10 @@
 """Linear-chain CRF recursions over dense score matrices.
 
 A path y_1..y_T scores sum_t emissions[t, y_t] + sum_{t>=1} transitions[y_{t-1}, y_t].
-The log-partition runs the forward recursion in log space with a per-step max
-subtraction, so it stays finite for any finite inputs.  Gradients of the
-sentence negative log-likelihood come from forward-backward marginals,
-computed for a whole padded mini-batch at once; decoding is per sentence.
+The sentence negative log-likelihood and its gradients come from
+forward-backward marginals, computed for a whole padded mini-batch at once in
+log space with a per-step max subtraction, so they stay finite for any finite
+inputs; decoding is per sentence.
 """
 from __future__ import annotations
 
@@ -30,24 +30,6 @@ def _lse(scores: np.ndarray, axis: int) -> np.ndarray:
     m = scores.max(axis=axis, keepdims=True)
     out = m.squeeze(axis) + np.log(np.exp(scores - m).sum(axis=axis))
     return out
-
-
-def path_score(emissions: np.ndarray, transitions: np.ndarray, labels: np.ndarray) -> float:
-    """Score of one label path: emission terms plus consecutive-pair transitions."""
-    T = emissions.shape[0]
-    score = float(emissions[np.arange(T), labels].sum())
-    if T > 1:
-        score += float(transitions[labels[:-1], labels[1:]].sum())
-    return score
-
-
-def log_partition(emissions: np.ndarray, transitions: np.ndarray) -> float:
-    """Log of the sum of exp(path score) over all L**T label paths."""
-    _check_scores(emissions, transitions)
-    alpha = emissions[0].astype(np.float64)
-    for t in range(1, emissions.shape[0]):
-        alpha = emissions[t] + _lse(alpha[:, None] + transitions, axis=0)
-    return float(_lse(alpha, axis=0))
 
 
 def nll_and_grads(

@@ -65,12 +65,6 @@ class MatchCounts:
             for k, n in src.items():
                 dst[k] = dst.get(k, 0) + n
 
-    def fp(self, label: str) -> int:
-        return self.n_pred.get(label, 0) - self.tp.get(label, 0)
-
-    def fn(self, label: str) -> int:
-        return self.n_gold.get(label, 0) - self.tp.get(label, 0)
-
 
 def _count_totals(counts: MatchCounts, gold: Iterable[EntitySpan], pred: Iterable[EntitySpan]) -> None:
     for span in gold:

@@ -18,15 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import FederationConfig
-from .optim import (
-    OptimizerState,
-    ProximalTerm,
-    Schedule,
-    apply_step,
-    init_optimizer,
-    lr_at,
-    proximal_augment,
-)
+from .optim import OptimizerState, Schedule, apply_step, lr_at, proximal_augment
 from .params import ParamVector, require_same_layout
 from .tasks import Task
 
@@ -106,7 +98,6 @@ def local_update(
     includes the penalty, so at mu = 0 it is the plain training loss.
     """
     weights = global_weights.copy()
-    prox = ProximalTerm(cfg.mu, global_weights)
     opt = client.opt
     epoch_losses = []
     for _ in range(cfg.local_epochs):
@@ -115,12 +106,10 @@ def local_update(
         for lo in range(0, client.n, cfg.batch_size):
             batch = [client.data[i] for i in order[lo : lo + cfg.batch_size]]
             lg = task.loss_and_grad(weights, batch)
-            lg = proximal_augment(lg, weights, prox)
-            lr = lr_at(client.schedule, opt.step_count)
-            opt, weights = apply_step(opt, weights, lg.grad, lr)
-            batch_losses.append(lg.loss)
+            penalty = proximal_augment(opt, weights, lg.grad, global_weights, cfg.mu)
+            apply_step(opt, weights, lg.grad, lr_at(client.schedule, opt.step_count))
+            batch_losses.append(lg.loss + penalty)
         epoch_losses.append(float(np.mean(batch_losses)))
-    client.opt = opt
     return weights, epoch_losses
 
 
@@ -137,7 +126,8 @@ def run_federated(
     ``seed`` fixes the initial weights and every client's shuffling.  Clients
     train one after another in ``execution_order`` (default: by id);
     aggregation always runs in client-id order.  The best round is the
-    earliest one with the highest dev selection metric.
+    earliest one with the highest dev selection metric.  An error inside a
+    client's round is re-raised prefixed with ``round R, client K:``.
     """
     if cfg.clients != len(partitions):
         raise ValueError(
@@ -157,7 +147,7 @@ def run_federated(
         ClientState(
             id=i,
             data=list(part),
-            opt=init_optimizer(cfg.optimizer, server),
+            opt=OptimizerState(cfg.optimizer, server.size),
             schedule=_client_schedule(cfg, len(part)),
         )
         for i, part in enumerate(partitions)
@@ -168,10 +158,13 @@ def run_federated(
     best_round, best_weights = -1, server
 
     for t in range(cfg.rounds):
-        updates = {
-            cid: local_update(task, clients[cid], server, cfg, client_rng(seed, cid, t))
-            for cid in order
-        }
+        updates = {}
+        for cid in order:
+            rng = client_rng(seed, cid, t)
+            try:
+                updates[cid] = local_update(task, clients[cid], server, cfg, rng)
+            except ValueError as exc:  # e.g. a diverging client's non-finite gradient
+                raise ValueError(f"round {t + 1}, client {cid}: {exc}") from exc
         weights, losses = zip(*(updates[c.id] for c in clients))  # client-id order
         for c, per_epoch in zip(clients, losses):
             epoch_losses[c.id].extend(per_epoch)

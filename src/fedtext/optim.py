@@ -1,18 +1,24 @@
-"""From-scratch optimizers, the warmup/decay schedule, and the proximal term.
+"""Per-client in-place optimizer steps, the warmup/decay schedule, and the
+FedProx proximal term.
 
-Everything is functional: ``apply_step`` returns a fresh (state, weights) pair
-so callers can keep or discard trajectories freely.
+Each client owns one ``OptimizerState`` for the whole run.  ``apply_step``
+updates the weights, the step count and the Adam moments in place;
+``proximal_augment`` adds the proximal gradient to the batch gradient in
+place before the step.  Both reuse the state's scratch buffers, so a step
+allocates nothing of the parameter vector's size.  The floating-point
+operations run in the order of the textbook updates, so results are bit-equal
+to computing each formula with fresh arrays.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .models import LossGrad
-from .params import ParamVector, require_same_layout
+from .params import ParamVector
 
 OPTIMIZER_KINDS = ("sgd", "adam")
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
@@ -46,71 +52,59 @@ def lr_at(sched: Schedule, step: int) -> float:
     return 0.0
 
 
-@dataclass(frozen=True)
-class ProximalTerm:
-    """(mu / 2) * ||w - anchor||^2 added to the local objective."""
-
-    mu: float
-    anchor: ParamVector
-
-    def __post_init__(self) -> None:
-        if self.mu < 0:
-            raise ValueError("mu must be >= 0")
-
-
-def proximal_augment(lg: LossGrad, w: ParamVector, prox: ProximalTerm) -> LossGrad:
-    """Add the proximal penalty and its gradient mu * (w - anchor)."""
-    if prox.mu == 0.0:
-        return lg
-    require_same_layout(w, prox.anchor, "proximal_augment")
-    require_same_layout(lg.grad, w, "proximal_augment")
-    diff = w.values - prox.anchor.values
-    loss = lg.loss + 0.5 * prox.mu * float(diff @ diff)
-    grad = ParamVector(lg.grad.values + prox.mu * diff, lg.grad.layout)
-    return LossGrad(loss=loss, grad=grad)
-
-
-@dataclass(frozen=True)
 class OptimizerState:
-    """Per-worker optimizer state; accumulators share the weight layout."""
+    """One client's optimizer for parameter vectors of ``size`` values: the
+    step count, Adam's moments ``m``/``v`` (None under sgd) and scratch."""
 
-    kind: str
-    step_count: int = 0
-    m: np.ndarray | None = None
-    v: np.ndarray | None = None
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-    def __post_init__(self) -> None:
-        if self.kind not in OPTIMIZER_KINDS:
-            raise ValueError(f"unknown optimizer kind {self.kind!r}")
-
-
-def init_optimizer(kind: str, w: ParamVector) -> OptimizerState:
-    if kind == "adam":
-        return OptimizerState(kind="adam", m=np.zeros(w.size), v=np.zeros(w.size))
-    return OptimizerState(kind=kind)
+    def __init__(self, kind: str, size: int) -> None:
+        if kind not in OPTIMIZER_KINDS:
+            raise ValueError(f"unknown optimizer kind {kind!r}")
+        self.kind = kind
+        self.step_count = 0
+        adam = kind == "adam"
+        self.m = np.zeros(size) if adam else None
+        self.v = np.zeros(size) if adam else None
+        self._scratch = np.empty((2 if adam else 1, size))
 
 
-def apply_step(
-    state: OptimizerState, w: ParamVector, grad: ParamVector, lr: float
-) -> tuple[OptimizerState, ParamVector]:
-    """One update; rejects non-finite gradients naming the bad segment."""
-    require_same_layout(w, grad, "apply_step")
+def proximal_augment(
+    state: OptimizerState, w: ParamVector, grad: ParamVector, anchor: ParamVector, mu: float
+) -> float:
+    """Add the gradient mu * (w - anchor) of the penalty (mu / 2) * ||w - anchor||^2
+    to ``grad`` in place; returns the penalty, 0.0 without touching ``grad``
+    at mu = 0."""
+    if mu < 0:
+        raise ValueError("mu must be >= 0")
+    if mu == 0.0:
+        return 0.0
+    diff = np.subtract(w.values, anchor.values, out=state._scratch[0])
+    penalty = 0.5 * mu * float(diff @ diff)
+    diff *= mu
+    grad.values += diff
+    return penalty
+
+
+def apply_step(state: OptimizerState, w: ParamVector, grad: ParamVector, lr: float) -> None:
+    """One update of ``w`` and ``state`` in place.  A non-finite gradient or a
+    negative rate raises before anything is written, naming the bad segment."""
     grad.check_finite("gradient")
     if lr < 0:
         raise ValueError("learning rate must be >= 0")
 
-    t = state.step_count + 1
+    state.step_count += 1
+    g, s = grad.values, state._scratch
     if state.kind == "sgd":
-        new_values = w.values - lr * grad.values
-        new_state = replace(state, step_count=t)
-    else:
-        m = state.beta1 * state.m + (1.0 - state.beta1) * grad.values
-        v = state.beta2 * state.v + (1.0 - state.beta2) * grad.values**2
-        m_hat = m / (1.0 - state.beta1**t)
-        v_hat = v / (1.0 - state.beta2**t)
-        new_values = w.values - lr * m_hat / (np.sqrt(v_hat) + state.eps)
-        new_state = replace(state, step_count=t, m=m, v=v)
-    return new_state, ParamVector(new_values, w.layout)
+        w.values -= np.multiply(lr, g, out=s[0])
+        return
+    t = state.step_count
+    state.m *= BETA1
+    state.m += np.multiply(1.0 - BETA1, g, out=s[0])
+    state.v *= BETA2
+    state.v += np.multiply(1.0 - BETA2, np.square(g, out=s[0]), out=s[0])
+    step = np.divide(state.m, 1.0 - BETA1**t, out=s[0])  # m_hat
+    step *= lr
+    denom = np.divide(state.v, 1.0 - BETA2**t, out=s[1])  # v_hat
+    np.sqrt(denom, out=denom)
+    denom += EPS
+    step /= denom
+    w.values -= step

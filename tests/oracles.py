@@ -1,22 +1,43 @@
-"""Per-sentence and per-item reference implementations of the training losses.
+"""Reference implementations the package's faster code is checked against.
 
-These are the loops the batched passes in ``fedtext.crf`` and
-``fedtext.models`` replaced: one sentence (or relation instance) at a time,
-one timestep at a time.  They stay here as oracles.  The CRF one is checked
+The per-sentence and per-item loops are the ones the batched passes in
+``fedtext.crf`` and ``fedtext.models`` replaced: one sentence (or relation
+instance) at a time, one timestep at a time.  The CRF ones are checked
 against exhaustive path enumeration and finite differences in
-``test_crf.py``; the batched code must match all of them to 1e-10.
+``test_crf.py``; the batched code must match all of them to 1e-10.  The
+functional optimizer step is the one the in-place ``fedtext.optim`` step
+replaced, which must match it bit for bit.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from fedtext.crf import path_score
+from fedtext.crf import _check_scores
 from fedtext.models import segment_shapes
 
 
 def _lse(scores, axis):
     m = scores.max(axis=axis, keepdims=True)
     return m.squeeze(axis) + np.log(np.exp(scores - m).sum(axis=axis))
+
+
+def path_score(emissions, transitions, labels):
+    """Score of one label path: emission terms plus consecutive-pair transitions."""
+    T = emissions.shape[0]
+    score = float(emissions[np.arange(T), labels].sum())
+    if T > 1:
+        score += float(transitions[labels[:-1], labels[1:]].sum())
+    return score
+
+
+def log_partition(emissions, transitions):
+    """Log of the sum of exp(path score) over all L**T label paths, by the
+    forward recursion in log space."""
+    _check_scores(emissions, transitions)
+    alpha = emissions[0].astype(np.float64)
+    for t in range(1, emissions.shape[0]):
+        alpha = emissions[t] + _lse(alpha[:, None] + transitions, axis=0)
+    return float(_lse(alpha, axis=0))
 
 
 def crf_nll_and_grads(emissions, transitions, labels):
@@ -205,3 +226,23 @@ def loss_and_grad(spec, w, batch):
             total += _rnn_crf_loss_grad(spec, w, item, grad)
     grad.values /= len(batch)
     return total / len(batch), grad
+
+
+def optimizer_step(kind, m, v, step_count, w, grad, lr, mu=0.0, anchor=None):
+    """One functional sgd/adam step on plain arrays, with the proximal
+    gradient mu * (w - anchor) added first; returns new (m, v, step_count, w)
+    and the penalty (mu / 2) * ||w - anchor||^2, leaving the inputs untouched."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    penalty = 0.0
+    if mu != 0.0:
+        diff = w - anchor
+        penalty = 0.5 * mu * float(diff @ diff)
+        grad = grad + mu * diff
+    t = step_count + 1
+    if kind == "sgd":
+        return m, v, t, w - lr * grad, penalty
+    m = beta1 * m + (1.0 - beta1) * grad
+    v = beta2 * v + (1.0 - beta2) * grad**2
+    m_hat = m / (1.0 - beta1**t)
+    v_hat = v / (1.0 - beta2**t)
+    return m, v, t, w - lr * m_hat / (np.sqrt(v_hat) + eps), penalty

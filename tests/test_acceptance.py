@@ -17,7 +17,7 @@ import pytest
 
 from fedtext import corpus, llm_bridge, tasks
 from fedtext.config import FederationConfig
-from fedtext.crf import log_partition, viterbi
+from fedtext.crf import viterbi
 from fedtext.evaluation import EntitySpan, decode_bio, match_lenient, score_ner
 from fedtext.federation import (
     aggregate,
@@ -36,6 +36,7 @@ from fedtext.models import (
 )
 from fedtext.optim import Schedule, lr_at
 from fedtext.params import ParamVector
+from oracles import log_partition
 
 ARTIFACTS = Path(__file__).resolve().parent.parent / "test-artifacts"
 

@@ -439,6 +439,33 @@ def test_exit_code_2_for_runtime_errors(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_divergence_exits_2_naming_round_client_and_segment(tmp_path, capsys, monkeypatch):
+    # every gradient after the first round's dev pass carries a NaN, so the
+    # first client of round two diverges
+    from fedtext import tasks
+
+    armed = []
+    loss_and_grad, dev_scores = tasks.Task.loss_and_grad, tasks.Task.dev_scores
+
+    def poisoned(self, w, items):
+        lg = loss_and_grad(self, w, items)
+        if armed:
+            lg.grad.segment("out_b")[0] = float("nan")
+        return lg
+
+    def arming(self, w, items):
+        armed.append(True)
+        return dev_scores(self, w, items)
+
+    monkeypatch.setattr(tasks.Task, "loss_and_grad", poisoned)
+    monkeypatch.setattr(tasks.Task, "dev_scores", arming)
+    cfg_path = write_config(tmp_path, out=str(tmp_path / "out"))
+    assert main(["run", "-c", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: round 2, client 0: non-finite gradient in segment 'out_b'\n"
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
 def test_missing_subcommand_is_an_argparse_error():
     with pytest.raises(SystemExit):
         main([])

@@ -12,8 +12,8 @@ import math
 import numpy as np
 import pytest
 
-from fedtext.crf import log_partition, nll_and_grads, path_score, viterbi
-from oracles import crf_nll_and_grads
+from fedtext.crf import nll_and_grads, viterbi
+from oracles import crf_nll_and_grads, log_partition, path_score
 
 
 def enumerate_paths(emissions, transitions):

@@ -7,13 +7,16 @@ import pytest
 from fedtext import corpus, tasks
 from fedtext.config import ConfigError, FederationConfig
 from fedtext.federation import (
+    ClientState,
     aggregate,
     client_rng,
+    local_update,
     run_centralized,
     run_federated,
     run_single_client,
     weights_sha256,
 )
+from fedtext.optim import OptimizerState, Schedule
 from fedtext.params import ParamVector
 
 LAYOUT = {"w": (0, 2)}
@@ -230,7 +233,7 @@ def test_round_loop_matches_a_hand_rolled_reference(ner_setup):
     # one client, full-batch adam for two rounds, re-implemented from the
     # optimizer primitives; checks rng use, the lr schedule horizon, state
     # persistence across rounds, and the no-op single-client aggregation
-    from fedtext.optim import Schedule, apply_step, init_optimizer, lr_at
+    from fedtext.optim import OptimizerState, Schedule, apply_step, lr_at
 
     task, train, dev = ner_setup["task"], ner_setup["train"], ner_setup["dev"]
     cfg = fed_cfg(clients=1, rounds=2, batch_size=len(train),
@@ -238,7 +241,7 @@ def test_round_loop_matches_a_hand_rolled_reference(ner_setup):
     result = run_federated(task, cfg, [train], dev)
 
     w = task.init_params(0)
-    state = init_optimizer("adam", w)
+    state = OptimizerState("adam", w.size)
     sched = Schedule(base_lr=cfg.base_lr,
                      warmup_steps=int(round(cfg.warmup_frac * 2)), total_steps=2)
     hand = []
@@ -247,17 +250,74 @@ def test_round_loop_matches_a_hand_rolled_reference(ner_setup):
         batch = [train[i] for i in order]
         lg = task.loss_and_grad(w, batch)
         lr = lr_at(sched, state.step_count)
-        state, w = apply_step(state, w, lg.grad, lr)
+        apply_step(state, w, lg.grad, lr)
         assert weights_sha256(w) == result.round_log[t]["weights_sha256"]
-        hand.append(w)
+        hand.append(w.copy())
 
     # a fresh optimizer at round two would take a different step
-    fresh_state = init_optimizer("adam", hand[0])
+    fresh_state = OptimizerState("adam", hand[0].size)
     order = client_rng(0, 0, 1).permutation(len(train))
     batch = [train[i] for i in order]
-    lg = task.loss_and_grad(hand[0], batch)
-    _, w_fresh = apply_step(fresh_state, hand[0], lg.grad, lr_at(sched, 0))
+    w_fresh = hand[0].copy()
+    lg = task.loss_and_grad(w_fresh, batch)
+    apply_step(fresh_state, w_fresh, lg.grad, lr_at(sched, 0))
     assert not np.array_equal(hand[1].values, w_fresh.values)
+
+
+def test_divergence_names_the_round_and_the_client(ner_setup, monkeypatch):
+    task, train, dev = ner_setup["task"], ner_setup["train"], ner_setup["dev"]
+    parts = corpus.partition_iid(train, 2, 11)
+    cfg = fed_cfg(rounds=3, mu=0.5)
+    steps = [math.ceil(len(p) / cfg.batch_size) for p in parts]
+    # the first step of client 1 in round 2 comes after round 1 and client 0's round 2
+    bad_call = 2 * steps[0] + steps[1] + 1
+    calls, original = [], tasks.Task.loss_and_grad
+
+    def loss_and_grad(self, w, items):
+        lg = original(self, w, items)
+        calls.append(1)
+        if len(calls) == bad_call:
+            lg.grad.segment("embed")[0] = np.nan
+        return lg
+
+    monkeypatch.setattr(tasks.Task, "loss_and_grad", loss_and_grad)
+    with pytest.raises(ValueError) as info:
+        run_federated(task, cfg, parts, dev)
+    assert str(info.value) == "round 2, client 1: non-finite gradient in segment 'embed'"
+    assert len(calls) == bad_call
+
+
+def moments(state):
+    """Copies of Adam's m and v; empty under sgd."""
+    return [a.copy() for a in (state.m, state.v) if a is not None]
+
+
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+def test_a_diverging_step_leaves_the_client_as_it_was(ner_setup, monkeypatch, optimizer):
+    task, train = ner_setup["task"], ner_setup["train"]
+    cfg = fed_cfg(clients=1, rounds=1, optimizer=optimizer, mu=0.5)
+    server = task.init_params(0)
+    client = ClientState(0, list(train), OptimizerState(optimizer, server.size),
+                         Schedule(base_lr=0.05, warmup_steps=0, total_steps=100))
+    seen, original = [], tasks.Task.loss_and_grad
+
+    def loss_and_grad(self, w, items):
+        # w is the client's weight vector; the third step's gradient is NaN
+        lg = original(self, w, items)
+        if client.opt.step_count == 2:
+            seen.append((w, w.values.copy(), moments(client.opt)))
+            lg.grad.segment("embed")[0] = np.nan
+        return lg
+
+    monkeypatch.setattr(tasks.Task, "loss_and_grad", loss_and_grad)
+    with pytest.raises(ValueError, match="non-finite gradient in segment 'embed'"):
+        local_update(task, client, server, cfg, client_rng(0, 0, 0))
+    [(w, values, before)] = seen
+    assert np.array_equal(w.values, values)
+    assert client.opt.step_count == 2
+    after = moments(client.opt)
+    assert len(after) == (2 if optimizer == "adam" else 0)
+    assert all(map(np.array_equal, after, before))
 
 
 def test_run_single_client_trains_each_shard_alone(ner_setup):
