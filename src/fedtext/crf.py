@@ -3,8 +3,13 @@
 A path y_1..y_T scores sum_t emissions[t, y_t] + sum_{t>=1} transitions[y_{t-1}, y_t].
 The sentence negative log-likelihood and its gradients come from
 forward-backward marginals, computed for a whole padded mini-batch at once in
-log space with a per-step max subtraction, so they stay finite for any finite
-inputs; decoding is per sentence.
+log space with a per-step max subtraction.  Scores must be finite.  The
+marginals are accurate while float64 rounding in alpha + beta - log Z stays
+small; scores of order 1e15 and beyond, as a diverging run produces, give
+wrong marginals, and from about 1e18 they overflow to inf or NaN.  A
+non-finite result is returned, not raised: the optimizer's finite check
+names it before any weight is written.  Viterbi decodes one sentence, or a
+whole padded batch in one pass.
 """
 from __future__ import annotations
 
@@ -23,6 +28,13 @@ def _check_scores(emissions: np.ndarray, transitions: np.ndarray, axes: str = "T
         )
     if not (np.isfinite(emissions).all() and np.isfinite(transitions).all()):
         raise ValueError("CRF scores must be finite")
+
+
+def _check_mask(mask: np.ndarray, B: int, T: int) -> None:
+    if mask.shape != (B, T) or mask.dtype != bool:
+        raise ValueError(f"mask must be a boolean ({B}, {T}) array")
+    if not mask[:, 0].all() or (mask[:, 1:] > mask[:, :-1]).any():
+        raise ValueError("mask must mark a non-empty prefix of every row")
 
 
 def _lse(scores: np.ndarray, axis: int) -> np.ndarray:
@@ -51,10 +63,9 @@ def nll_and_grads(
     B, T, L = emissions.shape
     labels = np.asarray(labels)
     mask = np.asarray(mask)
-    if labels.shape != (B, T) or mask.shape != (B, T) or mask.dtype != bool:
-        raise ValueError(f"labels and a boolean mask must be ({B}, {T})")
-    if not mask[:, 0].all() or (mask[:, 1:] > mask[:, :-1]).any():
-        raise ValueError("mask must mark a non-empty prefix of every row")
+    if labels.shape != (B, T):
+        raise ValueError(f"labels must be ({B}, {T}), got {labels.shape}")
+    _check_mask(mask, B, T)
     real = labels[mask]
     if real.min() < 0 or real.max() >= L:
         raise ValueError("label id out of range for CRF")
@@ -93,18 +104,47 @@ def nll_and_grads(
     return log_z - gold, d_emissions, d_transitions
 
 
-def viterbi(emissions: np.ndarray, transitions: np.ndarray) -> np.ndarray:
-    """Highest-scoring label path; ties break toward the lowest label index."""
-    _check_scores(emissions, transitions)
-    T, L = emissions.shape
-    delta = emissions[0].astype(np.float64)
-    back = np.empty((T, L), dtype=np.intp)
+def viterbi(
+    emissions: np.ndarray, transitions: np.ndarray, mask: np.ndarray | None = None
+) -> np.ndarray:
+    """Highest-scoring label path of each sentence; ties break toward the
+    lowest label index.
+
+    ``emissions`` is (T, L) for one sentence or (B, T, L) for a batch, and
+    the result is (T,) or (B, T) label ids.  A padded batch passes its (B, T)
+    ``mask``, True on each sentence's tokens (a non-empty prefix of its row);
+    a padded position then repeats its sentence's last real label, and the
+    scores there take no part in any path.
+    """
+    batched = emissions.ndim == 3
+    _check_scores(emissions, transitions, "BTL" if batched else "TL")
+    if mask is not None:
+        if not batched:
+            raise ValueError("a mask needs (B, T, L) emissions")
+        mask = np.asarray(mask)
+        _check_mask(mask, *emissions.shape[:2])
+    T, L = emissions.shape[-2:]
+    em = emissions.swapaxes(-2, 0)  # time-major, so each step is one slice
+    back = np.empty(em.shape, dtype=np.intp)
+    into = transitions.T
+    rows = np.arange(0, em[0].size * L, L).reshape(em[0].shape)  # cand[..., j, :] in cand.ravel()
+    delta = em[0]
+    deltas = [delta]
+    # every row runs every step; padding is resolved once, after the loop
     for t in range(1, T):
-        cand = delta[:, None] + transitions  # cand[i, j]: best-so-far ending i, step to j
-        back[t] = cand.argmax(axis=0)  # argmax takes the first maximum, i.e. lowest index
-        delta = emissions[t] + cand[back[t], np.arange(L)]
-    path = np.empty(T, dtype=np.intp)
-    path[T - 1] = delta.argmax()
+        cand = delta[..., None, :] + into  # cand[..., j, i]: best-so-far ending i, step to j
+        best = cand.argmax(axis=-1, out=back[t])  # the first maximum, i.e. lowest index
+        delta = em[t] + cand.take(rows + best)
+        deltas.append(delta)
+    if mask is not None:
+        # a padded step passes every label back unchanged, and each sentence
+        # ends at its own last real step
+        back = np.where(np.transpose(mask)[:, :, None], back, np.arange(L))
+        delta = np.stack(deltas)[mask.sum(axis=1) - 1, np.arange(len(mask))]
+    flat = back.reshape(T, -1)
+    offsets = np.arange(em.shape[1]) * L if batched else 0
+    path = np.empty(em.shape[:-1], dtype=np.intp)
+    path[-1] = delta.argmax(axis=-1)
     for t in range(T - 1, 0, -1):
-        path[t - 1] = back[t, path[t]]
-    return path
+        path[t - 1] = flat[t, offsets + path[t]]
+    return path.T

@@ -21,8 +21,10 @@ at once and the CRF forward-backward runs over (B, T, L) emissions; weight
 gradients are single matrix products over all B*T positions, and the
 embedding gradient is scattered once per batch.  Padded positions carry
 zero gradient, so the result equals the per-item sum (the per-item loops
-are kept in the test suite as the reference).  Prediction reuses the same
-forward pass on a batch of one sentence.
+are kept in the test suite as the reference).  Prediction pads a chunk of
+sentences the same way and decodes the RNN's emissions with one batched
+Viterbi; when no row is padded, as for a single sentence, the backward
+direction reverses whole rows and the decode needs no mask.
 """
 from __future__ import annotations
 
@@ -153,9 +155,20 @@ def init_params(spec: ModelSpec, seed: int) -> ParamVector:
 Segments = dict[str, np.ndarray]
 
 
+@functools.cache
+def _segment_slices(spec: ModelSpec) -> tuple[tuple[str, slice, tuple[int, ...]], ...]:
+    layout = param_layout(spec)
+    return tuple(
+        (name, slice(layout[name][0], sum(layout[name])), shape)
+        for name, shape in segment_shapes(spec).items()
+    )
+
+
 def _segments(spec: ModelSpec, w: ParamVector) -> Segments:
-    """Writable, shaped views of every segment of weights or a gradient."""
-    return {name: w.segment(name, shape) for name, shape in segment_shapes(spec).items()}
+    """Writable, shaped views of every segment of weights or a gradient laid
+    out by ``spec``; slicing ``values`` directly keeps this cheap enough to
+    run on every single-sentence prediction."""
+    return {name: w.values[part].reshape(shape) for name, part, shape in _segment_slices(spec)}
 
 
 def _check_weights(spec: ModelSpec, w: ParamVector) -> None:
@@ -163,11 +176,19 @@ def _check_weights(spec: ModelSpec, w: ParamVector) -> None:
         raise ValueError("weight layout does not match the model spec")
 
 
-def _check_token_ids(spec: ModelSpec, token_ids: np.ndarray) -> None:
-    if token_ids.ndim != 1 or token_ids.size < 1:
-        raise ValueError("token_ids must be a non-empty 1-D array")
-    if token_ids.min() < 0 or token_ids.max() >= spec.vocab_size:
+def _check_token_ids(spec: ModelSpec, token_ids: Sequence[np.ndarray]) -> np.ndarray:
+    """Check that every item's ids are a non-empty 1-D array inside the
+    vocabulary, and return them joined end to end."""
+    if len(token_ids) == 0:
+        raise ValueError("no items given")
+    for ids in token_ids:
+        if ids.ndim != 1 or ids.size < 1:
+            raise ValueError("token_ids must be a non-empty 1-D array")
+    flat = np.concatenate(token_ids) if len(token_ids) > 1 else token_ids[0]
+    # the ufuncs' own reductions: min() and max() cost a Python call more each
+    if np.minimum.reduce(flat) < 0 or np.maximum.reduce(flat) >= spec.vocab_size:
         raise ValueError("token id out of range for the model vocabulary")
+    return flat
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -294,7 +315,7 @@ def _rnn_emissions(
 ) -> tuple[np.ndarray, dict]:
     """Emissions (T, [B,] L) from time-major embeddings X (T, [B,] d).
     ``flip`` indexes X to reverse each sentence within its length: a
-    reversed slice for one sentence, ``_reversal(mask)`` for a padded batch.
+    reversed slice when no row is padded, ``_reversal(mask)`` otherwise.
     Positions past a sentence's end hold values no real position depends on."""
     X_rev = X[flip]
     fw = _rnn_states(X @ seg["rnn_fw_x"] + seg["rnn_fw_b"], seg["rnn_fw_h"])
@@ -385,10 +406,8 @@ Batch = Sequence[TagExample] | Sequence[RelationExample]
 
 
 def _validate_batch(spec: ModelSpec, batch: Batch) -> None:
+    _check_token_ids(spec, [item.token_ids for item in batch])
     for item in batch:
-        token_ids = item.token_ids
-        if token_ids.ndim != 1 or token_ids.size < 1:
-            raise ValueError("token_ids must be a non-empty 1-D array")
         if spec.kind == "relation_classifier":
             if not isinstance(item, RelationExample):
                 raise ValueError("relation_classifier expects RelationExample items")
@@ -397,9 +416,8 @@ def _validate_batch(spec: ModelSpec, batch: Batch) -> None:
         else:
             if not isinstance(item, TagExample):
                 raise ValueError(f"{spec.kind} expects TagExample items")
-            if item.label_ids.shape != token_ids.shape:
+            if item.label_ids.shape != item.token_ids.shape:
                 raise ValueError("token and label arrays differ in length")
-    _check_token_ids(spec, np.concatenate([item.token_ids for item in batch]))
     if spec.kind != "relation_classifier":
         labels = np.concatenate([item.label_ids for item in batch])
         if labels.min() < 0 or labels.max() >= spec.label_count:
@@ -415,37 +433,51 @@ def loss_and_grad(spec: ModelSpec, w: ParamVector, batch: Batch) -> LossGrad:
     _validate_batch(spec, batch)
     grad = w.zeros_like()
     seg, gs = _segments(spec, w), _segments(spec, grad)
-    if spec.kind == "relation_classifier":
-        total = _relation_loss_grad(seg, batch, gs)
-    else:
-        ids, mask = _pad([item.token_ids for item in batch])
-        labels, _ = _pad([item.label_ids for item in batch])
-        tagger = _window_loss_grad if spec.kind == "window_tagger" else _rnn_crf_loss_grad
-        total = tagger(spec, seg, ids, mask, labels, gs)
+    # Diverging weights can overflow here; the optimizer's finite check then
+    # names the segment, so numpy's warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if spec.kind == "relation_classifier":
+            total = _relation_loss_grad(seg, batch, gs)
+        else:
+            ids, mask = _pad([item.token_ids for item in batch])
+            labels, _ = _pad([item.label_ids for item in batch])
+            tagger = _window_loss_grad if spec.kind == "window_tagger" else _rnn_crf_loss_grad
+            total = tagger(spec, seg, ids, mask, labels, gs)
     grad.values /= len(batch)
     return LossGrad(loss=total / len(batch), grad=grad)
 
 
-def predict_tags(spec: ModelSpec, w: ParamVector, token_ids: np.ndarray) -> np.ndarray:
-    """Label ids for one sentence; ties break toward the lowest label index."""
+def predict_tags(spec: ModelSpec, w: ParamVector, sentences: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Label ids for each sentence's token ids, from one padded, masked pass
+    over all of them; ties break toward the lowest label index."""
     _check_weights(spec, w)
-    token_ids = np.asarray(token_ids)
-    _check_token_ids(spec, token_ids)
+    if spec.kind == "relation_classifier":
+        raise ValueError(f"{spec.kind} does not tag sentences")
+    flat = _check_token_ids(spec, sentences)
+    lengths = [ids.size for ids in sentences]
+    padded = min(lengths) < max(lengths)
+    ids, mask = _pad(sentences) if padded else (flat.reshape(len(lengths), -1), None)
     seg = _segments(spec, w)
-    X = seg["embed"][token_ids]
     if spec.kind == "window_tagger":
-        return _window_logits(spec, seg, X[None])[0][0].argmax(axis=1)
-    if spec.kind == "rnn_crf_tagger":
-        emissions, _ = _rnn_emissions(seg, X, slice(None, None, -1))
-        return crf.viterbi(emissions, seg["crf_trans"])
-    raise ValueError(f"{spec.kind} does not tag sentences")
+        X = seg["embed"][ids]
+        if padded:
+            X *= mask[:, :, None]
+        tags = _window_logits(spec, seg, X)[0].argmax(axis=2)
+    else:
+        # one sentence runs unbatched: numpy's (T, d) products are cheaper than (T, 1, d) ones
+        X = seg["embed"][ids.T if len(ids) > 1 else ids[0]]
+        emissions, _ = _rnn_emissions(seg, X, _reversal(mask) if padded else slice(None, None, -1))
+        tags = crf.viterbi(emissions.swapaxes(0, -2), seg["crf_trans"], mask)
+    tags = tags.reshape(ids.shape)
+    return [tags[b, :n] for b, n in enumerate(lengths)]
 
 
-def predict_relation(spec: ModelSpec, w: ParamVector, item: RelationExample) -> int:
-    """Argmax relation label id; ties break toward the lowest index."""
+def predict_relations(spec: ModelSpec, w: ParamVector, items: Sequence[RelationExample]) -> np.ndarray:
+    """Argmax relation label id of each item, from one batched pass; ties
+    break toward the lowest index."""
     _check_weights(spec, w)
     if spec.kind != "relation_classifier":
         raise ValueError(f"{spec.kind} does not classify relations")
-    _check_token_ids(spec, item.token_ids)
-    logits, _ = _relation_forward(_segments(spec, w), [item])
-    return int(logits[0].argmax())
+    _check_token_ids(spec, [item.token_ids for item in items])
+    logits, _ = _relation_forward(_segments(spec, w), items)
+    return logits.argmax(axis=1)

@@ -25,6 +25,11 @@ from .evaluation import EvalReport, decode_bio
 from .models import ModelSpec, RelationExample, TagExample
 from .params import ParamVector
 
+# Items Task.evaluate predicts per padded pass: enough to spread each pass's
+# fixed cost thin, few enough that a chunk of 512-token sentences takes tens
+# of MB, not hundreds.
+PREDICT_CHUNK = 64
+
 
 @dataclass(frozen=True)
 class NerItem:
@@ -98,19 +103,29 @@ class Task:
         return decode_bio(self.predict_tag_names(w, item))
 
     def predict_label(self, w: ParamVector, item: ReItem) -> str:
-        return self.label_names[models.predict_relation(self.spec, w, item.enc)]
+        return self._labels(w, [item])[0]
 
     def predict_tag_names(self, w: ParamVector, item: NerItem) -> list[str]:
-        ids = models.predict_tags(self.spec, w, item.enc.token_ids)
-        return [self.label_names[i] for i in ids]
+        return self._tag_names(w, [item])[0]
+
+    def _tag_names(self, w: ParamVector, items: Sequence[NerItem]) -> list[list[str]]:
+        tags = models.predict_tags(self.spec, w, [it.enc.token_ids for it in items])
+        return [[self.label_names[i] for i in ids.tolist()] for ids in tags]
+
+    def _labels(self, w: ParamVector, items: Sequence[ReItem]) -> list[str]:
+        ids = models.predict_relations(self.spec, w, [it.enc for it in items])
+        return [self.label_names[i] for i in ids.tolist()]
 
     def evaluate(self, w: ParamVector, items: Sequence) -> EvalReport:
+        """Scores of the predictions for ``items``, made PREDICT_CHUNK items
+        per padded pass; they equal predict_spans/predict_label per item."""
+        chunks = [items[i : i + PREDICT_CHUNK] for i in range(0, len(items), PREDICT_CHUNK)]
         if self.kind == "ner":
             gold = [list(it.gold_spans) for it in items]
-            pred = [self.predict_spans(w, it) for it in items]
+            pred = [decode_bio(names) for chunk in chunks for names in self._tag_names(w, chunk)]
             return evaluation.score_ner(gold, pred)
         gold = [it.instance.label for it in items]
-        pred = [self.predict_label(w, it) for it in items]
+        pred = [label for chunk in chunks for label in self._labels(w, chunk)]
         return evaluation.re_report(gold, pred)
 
     def dev_scores(self, w: ParamVector, items: Sequence) -> dict[str, float]:

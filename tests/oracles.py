@@ -4,7 +4,8 @@ The per-sentence and per-item loops are the ones the batched passes in
 ``fedtext.crf`` and ``fedtext.models`` replaced: one sentence (or relation
 instance) at a time, one timestep at a time.  The CRF ones are checked
 against exhaustive path enumeration and finite differences in
-``test_crf.py``; the batched code must match all of them to 1e-10.  The
+``test_crf.py``; the batched code must match all of them to 1e-10, and
+batched decoding must give exactly the per-sentence paths.  The
 functional optimizer step is the one the in-place ``fedtext.optim`` step
 replaced, which must match it bit for bit.
 """
@@ -38,6 +39,23 @@ def log_partition(emissions, transitions):
     for t in range(1, emissions.shape[0]):
         alpha = emissions[t] + _lse(alpha[:, None] + transitions, axis=0)
     return float(_lse(alpha, axis=0))
+
+
+def viterbi(emissions, transitions):
+    """Highest-scoring label path of one sentence; ties break toward the lowest label index."""
+    _check_scores(emissions, transitions)
+    T, L = emissions.shape
+    delta = emissions[0].astype(np.float64)
+    back = np.empty((T, L), dtype=np.intp)
+    for t in range(1, T):
+        cand = delta[:, None] + transitions  # cand[i, j]: best-so-far ending i, step to j
+        back[t] = cand.argmax(axis=0)  # argmax takes the first maximum, i.e. lowest index
+        delta = emissions[t] + cand[back[t], np.arange(L)]
+    path = np.empty(T, dtype=np.intp)
+    path[T - 1] = delta.argmax()
+    for t in range(T - 1, 0, -1):
+        path[t - 1] = back[t, path[t]]
+    return path
 
 
 def crf_nll_and_grads(emissions, transitions, labels):
@@ -91,15 +109,20 @@ def _segments(spec, w):
 # ---------------------------------------------------------------------------
 # window tagger
 
-def _window_loss_grad(spec, w, item, grad):
-    seg = _segments(spec, w)
-    T, d, r = item.token_ids.size, spec.embed_dim, spec.window_radius
-    X = seg["embed"][item.token_ids]
+def _window_features(spec, X):
+    T, d, r = X.shape[0], spec.embed_dim, spec.window_radius
     F = np.zeros((T, (2 * r + 1) * d))
     for k, off in enumerate(range(-r, r + 1)):
         lo = max(0, -off)
         hi = max(lo, min(T, T - off))
         F[lo:hi, k * d : (k + 1) * d] = X[lo + off : hi + off]
+    return F
+
+
+def _window_loss_grad(spec, w, item, grad):
+    seg = _segments(spec, w)
+    T, d, r = item.token_ids.size, spec.embed_dim, spec.window_radius
+    F = _window_features(spec, seg["embed"][item.token_ids])
     probs = _softmax(F @ seg["out_w"] + seg["out_b"])
     loss = float(-np.log(probs[np.arange(T), item.label_ids]).sum())
 
@@ -150,14 +173,18 @@ def _rnn_backward(d_states, states, X, w_x, w_hh, reverse):
     return dX, d_w_x, d_w_hh, d_b
 
 
+def _rnn_forward(c, X):
+    fw = _rnn_states(X @ c["rnn_fw_x"] + c["rnn_fw_b"], c["rnn_fw_h"], reverse=False)
+    bw = _rnn_states(X @ c["rnn_bw_x"] + c["rnn_bw_b"], c["rnn_bw_h"], reverse=True)
+    H = np.concatenate([fw, bw], axis=1)
+    return fw, bw, H, H @ c["emit_w"] + c["emit_b"]
+
+
 def _rnn_crf_loss_grad(spec, w, item, grad):
     h = spec.hidden_dim
     c = _segments(spec, w)
     X = c["embed"][item.token_ids]
-    fw = _rnn_states(X @ c["rnn_fw_x"] + c["rnn_fw_b"], c["rnn_fw_h"], reverse=False)
-    bw = _rnn_states(X @ c["rnn_bw_x"] + c["rnn_bw_b"], c["rnn_bw_h"], reverse=True)
-    H = np.concatenate([fw, bw], axis=1)
-    emissions = H @ c["emit_w"] + c["emit_b"]
+    fw, bw, H, emissions = _rnn_forward(c, X)
     loss, d_em, d_trans = crf_nll_and_grads(emissions, c["crf_trans"], item.label_ids)
 
     grad.segment("crf_trans", c["crf_trans"].shape)[:] += d_trans
@@ -226,6 +253,15 @@ def loss_and_grad(spec, w, batch):
             total += _rnn_crf_loss_grad(spec, w, item, grad)
     grad.values /= len(batch)
     return total / len(batch), grad
+
+
+def predict_tags(spec, w, token_ids):
+    """One sentence's label ids, from its own unpadded forward pass."""
+    c = _segments(spec, w)
+    X = c["embed"][token_ids]
+    if spec.kind == "window_tagger":
+        return (_window_features(spec, X) @ c["out_w"] + c["out_b"]).argmax(axis=1)
+    return viterbi(_rnn_forward(c, X)[3], c["crf_trans"])
 
 
 def optimizer_step(kind, m, v, step_count, w, grad, lr, mu=0.0, anchor=None):

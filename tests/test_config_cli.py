@@ -466,6 +466,19 @@ def test_divergence_exits_2_naming_round_client_and_segment(tmp_path, capsys, mo
     assert not (tmp_path / "out" / "manifest.json").exists()
 
 
+def test_a_diverging_run_prints_only_the_named_error(tmp_path, capsys):
+    # a real divergence, not an injected NaN: the loss pass overflows, and
+    # only the optimizer's finite check may speak (any warning fails the suite)
+    text = (BASE_CONFIG.format(out=str(tmp_path / "out"))
+            .replace("kind = window_tagger", "kind = rnn_crf_tagger\nhidden_dim = 4")
+            .replace("optimizer = adam", "optimizer = sgd")
+            .replace("base_lr = 0.02", "base_lr = 1e30"))
+    assert main(["run", "-c", str(write_config(tmp_path, text=text))]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: round 1, client 0: non-finite gradient in segment 'embed'\n"
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
 def test_missing_subcommand_is_an_argparse_error():
     with pytest.raises(SystemExit):
         main([])

@@ -4,7 +4,8 @@ The enumeration oracle scores every label sequence directly, so the
 log-partition, the per-sentence forward-backward oracle in ``oracles`` and
 the Viterbi decode can all be checked without trusting any part of the
 implementation under test; the batched ``nll_and_grads`` is then checked
-against that per-sentence oracle.
+against that per-sentence oracle, and the batched ``viterbi`` against the
+per-sentence one.
 """
 import itertools
 import math
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from fedtext.crf import nll_and_grads, viterbi
+import oracles
 from oracles import crf_nll_and_grads, log_partition, path_score
 
 
@@ -48,6 +50,19 @@ def random_instance(rng):
     return em, tr
 
 
+def decode_in_padded_batch(em, tr):
+    """``em``'s path, decoded as the middle row of a padded batch whose other
+    rows are one token shorter and two tokens longer; its own padding and the
+    shorter row's hold large junk scores."""
+    T, L = em.shape
+    lengths = np.array([max(T - 1, 1), T, T + 2])
+    mask = np.arange(T + 2) < lengths[:, None]
+    junk = np.random.default_rng(T).normal(size=(3, T + 2, L)) * 50.0
+    batch = np.where(mask[:, :, None], junk / 25.0, junk)
+    batch[1, :T] = em
+    return viterbi(batch, tr, mask)[1, :T]
+
+
 def test_hand_example_t2_l2():
     em = np.array([[1.0, 2.0], [0.5, 1.5]])
     tr = np.array([[0.2, -0.3], [0.4, 0.1]])
@@ -73,14 +88,37 @@ def test_viterbi_matches_enumeration_argmax():
     rng = np.random.default_rng(8)
     for _ in range(200):
         em, tr = random_instance(rng)
-        assert viterbi(em, tr).tolist() == brute_viterbi(em, tr).tolist()
+        for decode in (viterbi, decode_in_padded_batch):
+            assert decode(em, tr).tolist() == brute_viterbi(em, tr).tolist()
 
 
 def test_viterbi_tie_breaks_to_lowest_labels():
     # all-zero scores tie every path; the decode must pick label 0 throughout
     em = np.zeros((4, 3))
     tr = np.zeros((3, 3))
-    assert viterbi(em, tr).tolist() == [0, 0, 0, 0]
+    for decode in (viterbi, decode_in_padded_batch):
+        assert decode(em, tr).tolist() == [0, 0, 0, 0]
+
+
+def test_batched_viterbi_matches_per_sentence_oracle():
+    # small integer scores tie often, so every argmax tie-break is exercised
+    rng = np.random.default_rng(12)
+    for _ in range(500):
+        lengths = np.concatenate([[1], rng.integers(1, 9, size=6)])
+        T = lengths.max()
+        mask = np.arange(T) < lengths[:, None]
+        em = rng.integers(-2, 3, size=(7, T, 4))
+        em[~mask] = rng.integers(-50, 50, size=((~mask).sum(), 4))  # junk at padding
+        tr = rng.integers(-2, 3, size=(4, 4))
+        paths = viterbi(em, tr, mask)
+        for b, n in enumerate(lengths):
+            expect = oracles.viterbi(em[b, :n], tr).tolist()
+            assert paths[b, :n].tolist() == expect
+            assert viterbi(em[b, :n], tr).tolist() == expect
+        # rows cut to one length: a batch without a mask
+        cut = em[1:, : lengths[1:].min()]
+        for row, path in zip(cut, viterbi(cut, tr)):
+            assert path.tolist() == oracles.viterbi(row, tr).tolist()
 
 
 def test_single_token_sequence():
@@ -207,5 +245,9 @@ def test_batched_rejects_bad_masks_and_shapes():
     for mask in bad_masks:
         with pytest.raises(ValueError):
             nll_and_grads(em, tr, labels, mask)
+        with pytest.raises(ValueError):
+            viterbi(em, tr, mask)
     with pytest.raises(ValueError):
         nll_and_grads(np.zeros((3, 2)), tr, labels[0], np.ones(3, dtype=bool))
+    with pytest.raises(ValueError):
+        viterbi(np.zeros((3, 2)), tr, np.ones((1, 3), dtype=bool))

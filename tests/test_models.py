@@ -13,7 +13,7 @@ from fedtext.models import (
     loss_and_grad,
     param_count,
     param_layout,
-    predict_relation,
+    predict_relations,
     predict_tags,
     segment_shapes,
 )
@@ -162,7 +162,7 @@ def test_relation_forward_matches_independent_computation():
     probs /= probs.sum()
     lg = loss_and_grad(REL, w, [item])
     assert lg.loss == pytest.approx(-math.log(probs[0]), abs=1e-12)
-    assert predict_relation(REL, w, item) == int(logits.argmax())
+    assert predict_relations(REL, w, [item])[0] == int(logits.argmax())
 
 
 def test_relation_markers_distinguish_argument_order():
@@ -209,7 +209,7 @@ def test_window_radius_longer_than_the_sentence():
     feats[0, 3:5] = embed[tokens]
     feats[1, 2:4] = embed[tokens]
     logits = feats.reshape(2, 21) @ w.segment("out_w", shapes["out_w"]) + w.segment("out_b")
-    assert predict_tags(spec, w, tokens).tolist() == logits.argmax(axis=1).tolist()
+    assert predict_tags(spec, w, [tokens])[0].tolist() == logits.argmax(axis=1).tolist()
     probs = np.exp(logits - logits.max(axis=1, keepdims=True))
     probs /= probs.sum(axis=1, keepdims=True)
     lg = loss_and_grad(spec, w, [TagExample(tokens, np.array([2, 0]))])
@@ -220,8 +220,8 @@ def test_window_r0_predictions_ignore_neighbors():
     spec = ModelSpec(kind="window_tagger", vocab_size=12, label_count=3,
                      embed_dim=3, window_radius=0)
     w = init_params(spec, 7)
-    p0 = predict_tags(spec, w, np.array([3, 4, 5]))
-    p1 = predict_tags(spec, w, np.array([3, 9, 8]))
+    p0 = predict_tags(spec, w, [np.array([3, 4, 5])])[0]
+    p1 = predict_tags(spec, w, [np.array([3, 9, 8])])[0]
     assert p0[0] == p1[0]
 
 
@@ -316,17 +316,37 @@ def test_predict_tags_tie_breaks_to_lowest_label():
     for spec in (WINDOW, RNN):
         w = init_params(spec, 0)
         w.values[:] = 0.0
-        tags = predict_tags(spec, w, np.array([1, 2, 3]))
+        tags = predict_tags(spec, w, [np.array([1, 2, 3])])[0]
         assert tags.tolist() == [0, 0, 0]
 
 
 def test_predict_wrong_kind_raises():
     w = init_params(REL, 0)
     with pytest.raises(ValueError):
-        predict_tags(REL, w, np.array([1, 2]))
+        predict_tags(REL, w, [np.array([1, 2])])
     w2 = init_params(WINDOW, 0)
     with pytest.raises(ValueError):
-        predict_relation(WINDOW, w2, RelationExample(np.array([1]), (0, 0), (0, 0), 0))
+        predict_relations(WINDOW, w2, [RelationExample(np.array([1]), (0, 0), (0, 0), 0)])
+
+
+def test_predict_tags_on_a_padded_batch_matches_the_per_sentence_oracle():
+    # mixed lengths with a 1-token sentence, plus a radius-3 window over
+    # sentences shorter than the radius; then an unpadded batch of one length
+    rng = np.random.default_rng(13)
+    wide = ModelSpec(kind="window_tagger", vocab_size=12, label_count=3, embed_dim=3, window_radius=3)
+    for spec in (WINDOW, RNN, wide):
+        for trial in range(20):
+            w = init_params(spec, trial)
+            w.values[:] = rng.normal(size=w.size) * 2.0  # CRF transitions too, which start at zero
+            lengths = [1] + [int(n) for n in rng.integers(1, 9, size=int(rng.integers(1, 8)))]
+            for batch_lengths in (lengths, [lengths[-1]] * 3):
+                sentences = [rng.integers(0, spec.vocab_size, size=n) for n in batch_lengths]
+                tags = predict_tags(spec, w, sentences)
+                assert len(tags) == len(sentences)
+                for sent, got in zip(sentences, tags):
+                    expect = oracles.predict_tags(spec, w, sent).tolist()
+                    assert got.tolist() == expect
+                    assert predict_tags(spec, w, [sent])[0].tolist() == expect
 
 
 def test_short_training_reduces_loss():

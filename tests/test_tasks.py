@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fedtext import corpus
+from fedtext import corpus, evaluation, tasks
 from fedtext.cli import main
 from fedtext.evaluation import decode_bio
 from fedtext.models import param_layout
@@ -71,6 +71,44 @@ def test_evaluate_and_dev_scores_ner():
     assert set(scores) == {"strict_f1", "lenient_f1"}
     assert scores["strict_f1"] == report.strict_macro_f1
     assert 0.0 <= scores["strict_f1"] <= scores["lenient_f1"] <= 1.0
+
+
+@pytest.mark.parametrize("kind,radius", [("rnn_crf_tagger", 0), ("window_tagger", 3), ("re", 0)])
+def test_evaluate_equals_per_item_prediction(kind, radius, monkeypatch):
+    # more items than one chunk; NER adds a 1-token and a 2-token sentence,
+    # shorter than the radius-3 window
+    n = tasks.PREDICT_CHUNK + 30
+    if kind == "re":
+        data = corpus.generate_synthetic_relations(lexicon_size=6, sentences=n, seed=0)
+        task = build_re_task(data, embed_dim=4, hidden_dim=4)
+    else:
+        profile = corpus.make_profile(["GENE", "DIS"], lexicon_size=8, sentences=n)
+        data = corpus.generate_synthetic(profile, 3)[0][1] + TRAIN[:1] + [
+            corpus.TaggedSentence(("brca1",), ("B-GENE",)),
+            corpus.TaggedSentence(("wilson", "disease"), ("B-DIS", "I-DIS")),
+        ]
+        task = build_ner_task(data, kind=kind, embed_dim=4, hidden_dim=3, window_radius=radius)
+    items = task.prepare(data)
+    assert len(items) > tasks.PREDICT_CHUNK
+    w = task.init_params(0)
+    w.values[:] = np.random.default_rng(1).normal(size=w.size) * 2.0  # CRF transitions too
+
+    scorer = "score_ner" if task.kind == "ner" else "re_report"
+    seen = []
+    score = getattr(evaluation, scorer)
+
+    def recording(gold, pred):
+        seen.append(pred)
+        return score(gold, pred)
+
+    monkeypatch.setattr(evaluation, scorer, recording)
+    report = task.evaluate(w, items)
+    per_item = task.predict_spans if task.kind == "ner" else task.predict_label
+    expect = [per_item(w, it) for it in items]
+    assert seen == [expect]
+    assert len(set(map(str, expect))) > 1
+    gold = [list(it.gold_spans) for it in items] if task.kind == "ner" else [it.instance.label for it in items]
+    assert report == score(gold, expect)
 
 
 def test_re_task_end_to_end():

@@ -49,6 +49,20 @@ def test_batched_training_step_is_traced():
     assert tracer.calls["crf.nll_and_grads"] == 1
 
 
+def test_a_dev_pass_is_one_batched_prediction():
+    profile = corpus.make_profile(["GENE"], lexicon_size=8, sentences=20)
+    sents = corpus.generate_synthetic(profile, 2)[0][1]
+    task = tasks.build_ner_task(sents, kind="rnn_crf_tagger", embed_dim=3, hidden_dim=3)
+    items = task.prepare(sents)
+    assert 1 < len(items) < tasks.PREDICT_CHUNK
+    w = task.init_params(0)
+    with load_layertrace().Tracer() as tracer:
+        task.dev_scores(w, items)
+    assert tracer.calls["tasks.Task.dev_scores"] == 1
+    assert tracer.calls["models.predict_tags"] == 1
+    assert tracer.calls["crf.viterbi"] == 1
+
+
 def test_a_fedprox_local_step_allocates_only_its_gradient():
     profile = corpus.make_profile(["GENE"], lexicon_size=8, sentences=40)
     sents = corpus.generate_synthetic(profile, 2)[0][1]
