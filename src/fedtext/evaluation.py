@@ -2,16 +2,22 @@
 
 Strict matching requires exact boundaries and type; lenient matching accepts
 any token overlap with type agreement.  Both are one-to-one: each gold span
-can satisfy at most one prediction.  Macro averages run over every entity
-type that has at least one gold or predicted span.
+can satisfy at most one prediction.  The matchers take a whole corpus, one
+span list per sentence, match within each sentence only, and tally the
+matches and the gold and predicted totals once for the corpus.  Macro
+averages run over every entity type that has at least one gold or predicted
+span.
 """
 from __future__ import annotations
 
 import csv
 import io
 import math
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from itertools import chain
+from operator import itemgetter
+from typing import Mapping, NamedTuple, Sequence
 
 
 class EntitySpan(NamedTuple):
@@ -51,64 +57,63 @@ def decode_bio(tags: Sequence[str]) -> list[EntitySpan]:
 
 @dataclass
 class MatchCounts:
-    """Per-type true positives plus gold/predicted totals."""
+    """Per-type true positives plus gold/predicted totals over a corpus."""
 
-    tp: dict[str, int] = field(default_factory=dict)
-    n_gold: dict[str, int] = field(default_factory=dict)
-    n_pred: dict[str, int] = field(default_factory=dict)
+    tp: Counter[str] = field(default_factory=Counter)
+    n_gold: Counter[str] = field(default_factory=Counter)
+    n_pred: Counter[str] = field(default_factory=Counter)
 
     def labels(self) -> list[str]:
         return sorted(set(self.n_gold) | set(self.n_pred))
 
-    def add(self, other: "MatchCounts") -> None:
-        for src, dst in ((other.tp, self.tp), (other.n_gold, self.n_gold), (other.n_pred, self.n_pred)):
-            for k, n in src.items():
-                dst[k] = dst.get(k, 0) + n
+
+SpanCorpus = Sequence[Sequence[EntitySpan]]  # one span list per sentence
+_label, _position = itemgetter(0), itemgetter(1, 2)
 
 
-def _count_totals(counts: MatchCounts, gold: Iterable[EntitySpan], pred: Iterable[EntitySpan]) -> None:
-    for span in gold:
-        counts.n_gold[span.label] = counts.n_gold.get(span.label, 0) + 1
-    for span in pred:
-        counts.n_pred[span.label] = counts.n_pred.get(span.label, 0) + 1
+def _tally(gold: SpanCorpus, pred: SpanCorpus, hits: list[str]) -> MatchCounts:
+    """Counts from the matched labels and the corpus-wide span totals."""
+    return MatchCounts(
+        tp=Counter(hits),
+        n_gold=Counter(map(_label, chain.from_iterable(gold))),
+        n_pred=Counter(map(_label, chain.from_iterable(pred))),
+    )
 
 
-def match_strict(gold: Sequence[EntitySpan], pred: Sequence[EntitySpan]) -> MatchCounts:
-    """Exact-boundary, same-type matching within one sentence."""
-    counts = MatchCounts()
-    _count_totals(counts, gold, pred)
-    unused: dict[EntitySpan, int] = {}
-    for span in gold:
-        unused[span] = unused.get(span, 0) + 1
-    for span in pred:
-        if unused.get(span, 0) > 0:
-            unused[span] -= 1
-            counts.tp[span.label] = counts.tp.get(span.label, 0) + 1
-    return counts
+def match_strict(gold: SpanCorpus, pred: SpanCorpus) -> MatchCounts:
+    """Exact-boundary, same-type matching within each sentence of a corpus;
+    duplicate spans match as a multiset."""
+    hits: list[str] = []
+    for g, p in zip(gold, pred, strict=True):
+        if not g or not p:
+            continue
+        unused = list(g)
+        for span in p:
+            if span in unused:
+                unused.remove(span)
+                hits.append(span.label)
+    return _tally(gold, pred, hits)
 
 
-def match_lenient(
-    gold: Sequence[EntitySpan], pred: Sequence[EntitySpan], require_type: bool = True
-) -> MatchCounts:
-    """Overlap matching within one sentence: a prediction counts if it shares
-    at least one token with an unconsumed gold span (of the same type unless
-    require_type is off).  Predictions greedily claim the leftmost compatible
-    gold, scanning left to right by prediction start."""
-    counts = MatchCounts()
-    _count_totals(counts, gold, pred)
-    gold_sorted = sorted(gold, key=lambda s: (s.start, s.end))
-    used = [False] * len(gold_sorted)
-    for span in sorted(pred, key=lambda s: (s.start, s.end)):
-        for i, g in enumerate(gold_sorted):
-            if used[i]:
-                continue
-            if require_type and g.label != span.label:
-                continue
-            if g.start <= span.end and span.start <= g.end:
-                used[i] = True
-                counts.tp[span.label] = counts.tp.get(span.label, 0) + 1
-                break
-    return counts
+def match_lenient(gold: SpanCorpus, pred: SpanCorpus, require_type: bool = True) -> MatchCounts:
+    """Overlap matching within each sentence of a corpus: a prediction counts
+    if it shares at least one token with an unconsumed gold span of its
+    sentence (of the same type unless require_type is off).  Predictions
+    greedily claim the leftmost compatible gold, scanning left to right by
+    prediction start."""
+    hits: list[str] = []
+    for g, p in zip(gold, pred, strict=True):
+        if not g or not p:
+            continue
+        unused = sorted(g, key=_position)
+        for span in sorted(p, key=_position):
+            for i, other in enumerate(unused):
+                if (other.start <= span.end and span.start <= other.end
+                        and (other.label == span.label or not require_type)):
+                    del unused[i]
+                    hits.append(span.label)
+                    break
+    return _tally(gold, pred, hits)
 
 
 class TypeScore(NamedTuple):
@@ -155,21 +160,13 @@ class EvalReport:
         }
 
 
-def score_ner(
-    gold: Sequence[Sequence[EntitySpan]],
-    pred: Sequence[Sequence[EntitySpan]],
-    lenient_require_type: bool = True,
-) -> EvalReport:
+def score_ner(gold: SpanCorpus, pred: SpanCorpus, lenient_require_type: bool = True) -> EvalReport:
     """Corpus-level report from per-sentence gold and predicted span lists;
     with no span on either side the tables are empty and both macros 0."""
     if len(gold) != len(pred):
         raise ValueError("gold and predicted sentence counts differ")
-    strict_counts, lenient_counts = MatchCounts(), MatchCounts()
-    for g, p in zip(gold, pred):
-        strict_counts.add(match_strict(g, p))
-        lenient_counts.add(match_lenient(g, p, require_type=lenient_require_type))
-    strict = prf1(strict_counts)
-    lenient = prf1(lenient_counts)
+    strict = prf1(match_strict(gold, pred))
+    lenient = prf1(match_lenient(gold, pred, require_type=lenient_require_type))
     if not strict:  # no span on either side: macro-F1 0/0 is 0, as in prf1
         return EvalReport(strict={}, lenient={}, strict_macro_f1=0.0, lenient_macro_f1=0.0)
     return EvalReport(
@@ -189,12 +186,8 @@ def re_report(gold: Sequence[str], pred: Sequence[str]) -> EvalReport:
         raise ValueError("gold and predicted label counts differ")
     if not gold:
         raise ValueError("no instances to score")
-    counts = MatchCounts()
-    for g, p in zip(gold, pred):
-        counts.n_gold[g] = counts.n_gold.get(g, 0) + 1
-        counts.n_pred[p] = counts.n_pred.get(p, 0) + 1
-        if g == p:
-            counts.tp[g] = counts.tp.get(g, 0) + 1
+    hits = [g for g, p in zip(gold, pred) if g == p]
+    counts = MatchCounts(tp=Counter(hits), n_gold=Counter(gold), n_pred=Counter(pred))
     scores = prf1(counts)
     gold_classes = {k: v.f1 for k, v in scores.items() if counts.n_gold.get(k, 0) > 0}
     macro = macro_average(gold_classes)

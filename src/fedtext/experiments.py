@@ -366,6 +366,8 @@ def render_report(run_dirs: Sequence[str | Path]) -> str:
 
 def bench_inference(bundle_path: str | Path, data_path: str | Path, limit: int | None = None) -> dict:
     """Timed single-instance prediction loop with a short warmup."""
+    if limit is not None and limit < 1:
+        raise ConfigError(f"--limit must be >= 1, got {limit}")
     task, weights = tasks.load_bundle(bundle_path)
     parse = corpuslib.parse_conll if task.kind == "ner" else corpuslib.parse_relations
     items = task.prepare(parse(Path(data_path).read_text(encoding="utf-8")))

@@ -107,8 +107,11 @@ def local_update(
             batch = [client.data[i] for i in order[lo : lo + cfg.batch_size]]
             lg = task.loss_and_grad(weights, batch)
             penalty = proximal_augment(opt, weights, lg.grad, global_weights, cfg.mu)
+            loss = lg.loss + penalty
+            if not math.isfinite(loss):  # a saturated softmax keeps the gradient finite
+                raise ValueError("non-finite loss")
             apply_step(opt, weights, lg.grad, lr_at(client.schedule, opt.step_count))
-            batch_losses.append(lg.loss + penalty)
+            batch_losses.append(loss)
         epoch_losses.append(float(np.mean(batch_losses)))
     return weights, epoch_losses
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -105,21 +106,15 @@ class HighlightDiagnostics:
     nested: int = 0
     stray_close: int = 0
 
-    def add(self, other: "HighlightDiagnostics") -> None:
-        self.dropped += other.dropped
-        self.unclosed += other.unclosed
-        self.nested += other.nested
-        self.stray_close += other.stray_close
 
-
-def _highlight_regions(response: str, tag: str, diag: HighlightDiagnostics) -> list[str]:
-    """Text between <tag>...</tag> pairs.  Nested opens flatten into the
-    enclosing region, stray closes are ignored, an unclosed open runs to the
-    end of the response."""
+def _highlight_regions(response: str, marker: re.Pattern, diag: HighlightDiagnostics) -> list[str]:
+    """Text between the open and close tags ``marker`` matches.  Nested opens
+    flatten into the enclosing region, stray closes are ignored, an unclosed
+    open runs to the end of the response."""
     regions: list[str] = []
     depth = 0
     start = 0
-    for m in re.finditer(rf"</?{re.escape(tag)}>", response):
+    for m in marker.finditer(response):
         is_close = m.group(0).startswith("</")
         if not is_close:
             if depth == 0:
@@ -138,14 +133,16 @@ def _highlight_regions(response: str, tag: str, diag: HighlightDiagnostics) -> l
         diag.unclosed += 1
         regions.append(response[start:])
     # drop any flattened inner markers left inside a region
-    pattern = re.compile(rf"</?{re.escape(tag)}>")
-    return [pattern.sub(" ", r) for r in regions]
+    return [marker.sub(" ", r) for r in regions]
 
 
-def _find_subsequence(haystack: Sequence[str], needle: Sequence[str], start: int) -> int:
+def _find_subsequence(haystack: list[str], needle: list[str], cursor: int) -> int:
+    """First position of ``needle`` in ``haystack`` at or after ``cursor``,
+    else the first one before it; -1 if there is none."""
     n = len(needle)
-    for i in range(start, len(haystack) - n + 1):
-        if list(haystack[i : i + n]) == list(needle):
+    end = len(haystack) - n + 1
+    for i in chain(range(cursor, end), range(min(cursor, end))):
+        if haystack[i : i + n] == needle:
             return i
     return -1
 
@@ -168,9 +165,10 @@ def parse_highlights(
     """
     diag = diagnostics if diagnostics is not None else HighlightDiagnostics()
     haystack = [t.casefold() for t in tokens] if casefold else list(tokens)
+    marker = re.compile(rf"</?{re.escape(tag)}>")
     spans: list[EntitySpan] = []
     cursor = 0
-    for region in _highlight_regions(response, tag, diag):
+    for region in _highlight_regions(response, marker, diag):
         words = region.split()
         if casefold:
             words = [w.casefold() for w in words]
@@ -179,8 +177,6 @@ def parse_highlights(
             for off in range(0, len(words) - n + 1):
                 needle = words[off : off + n]
                 at = _find_subsequence(haystack, needle, cursor)
-                if at < 0 and cursor > 0:
-                    at = _find_subsequence(haystack, needle, 0)
                 if at >= 0:
                     spans.append(EntitySpan(entity_label, at, at + n - 1))
                     cursor = at + n
@@ -251,6 +247,15 @@ def read_responses(text: str | bytes) -> list[ResponseRecord]:
     return records
 
 
+def _responses_in_order(records: Sequence[ResponseRecord], n: int) -> list[str]:
+    """Response texts for ids 0..n-1; any missing id is an error."""
+    by_id = {r.id: r.response for r in records}
+    missing = [i for i in range(n) if i not in by_id]
+    if missing:
+        raise ValueError(f"missing responses for ids {missing}")
+    return [by_id[i] for i in range(n)]
+
+
 @dataclass
 class LlmScore:
     report: EvalReport
@@ -267,17 +272,14 @@ def score_ner_responses(
     """Score highlight responses against the gold subset; ids index the
     subset in order.  Gold spans collapse to the single prompted entity type,
     matching what the responses can express."""
-    by_id = {r.id: r for r in records}
-    missing = [i for i in range(len(subset)) if i not in by_id]
-    if missing:
-        raise ValueError(f"missing responses for ids {missing}")
+    responses = _responses_in_order(records, len(subset))
     diag = HighlightDiagnostics()
     gold, pred = [], []
-    for i, item in enumerate(subset):
+    for item, response in zip(subset, responses):
         gold.append([EntitySpan(entity_label, s.start, s.end) for s in item.gold_spans])
         pred.append(
             parse_highlights(
-                by_id[i].response, item.sentence.tokens, entity_label, tag,
+                response, item.sentence.tokens, entity_label, tag,
                 diagnostics=diag, casefold=casefold,
             )
         )
@@ -297,10 +299,6 @@ def map_relation_response(response: str, labels: Sequence[str]) -> str:
 def score_re_responses(
     subset: Sequence[ReItem], records: Sequence[ResponseRecord], labels: Sequence[str]
 ) -> LlmScore:
-    by_id = {r.id: r for r in records}
-    missing = [i for i in range(len(subset)) if i not in by_id]
-    if missing:
-        raise ValueError(f"missing responses for ids {missing}")
     gold = [item.instance.label for item in subset]
-    pred = [map_relation_response(by_id[i].response, labels) for i in range(len(subset))]
+    pred = [map_relation_response(r, labels) for r in _responses_in_order(records, len(subset))]
     return LlmScore(report=re_report(gold, pred))

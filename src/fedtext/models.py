@@ -433,9 +433,10 @@ def loss_and_grad(spec: ModelSpec, w: ParamVector, batch: Batch) -> LossGrad:
     _validate_batch(spec, batch)
     grad = w.zeros_like()
     seg, gs = _segments(spec, w), _segments(spec, grad)
-    # Diverging weights can overflow here; the optimizer's finite check then
-    # names the segment, so numpy's warnings would only repeat it.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # Diverging weights can overflow here, and a saturated softmax can take
+    # log(0); the caller's finite checks on the loss and the gradient name the
+    # failure, so numpy's warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if spec.kind == "relation_classifier":
             total = _relation_loss_grad(seg, batch, gs)
         else:

@@ -256,7 +256,7 @@ def test_lenient_matcher_is_a_maximum_matching():
         tags_g = [tagset[i] for i in rng.integers(0, 5, size=12)]
         tags_p = [tagset[i] for i in rng.integers(0, 5, size=12)]
         gold, pred = decode_bio(tags_g), decode_bio(tags_p)
-        counts = match_lenient(gold, pred)
+        counts = match_lenient([gold], [pred])
         matcher_ok &= sum(counts.tp.values()) == max_matching(gold, pred)
         if gold or pred:
             report = score_ner([gold], [pred])

@@ -439,6 +439,14 @@ def test_exit_code_2_for_runtime_errors(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("limit", ["-3", "0"])
+def test_bench_limit_below_one_is_a_config_error(tmp_path, capsys, limit):
+    # checked before the files are read: a missing file would be exit 2
+    assert main(["bench", "--weights", str(tmp_path / "no.npz"),
+                 "--data", str(tmp_path / "no.conll"), "--limit", limit]) == 1
+    assert capsys.readouterr().err == f"config error: --limit must be >= 1, got {limit}\n"
+
+
 def test_divergence_exits_2_naming_round_client_and_segment(tmp_path, capsys, monkeypatch):
     # every gradient after the first round's dev pass carries a NaN, so the
     # first client of round two diverges
@@ -477,6 +485,25 @@ def test_a_diverging_run_prints_only_the_named_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == "error: round 1, client 0: non-finite gradient in segment 'embed'\n"
     assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("kind, optimizer", [
+    ("window_tagger", "sgd"), ("window_tagger", "adam"), ("relation_classifier", "sgd"),
+])
+def test_a_saturated_softmax_stops_the_run_on_its_infinite_loss(tmp_path, capsys, kind, optimizer):
+    # the softmax saturates, so the gradient stays finite and only the loss
+    # shows the divergence; it must stop the run before the step
+    out = tmp_path / "out"
+    if kind == "window_tagger":
+        text = (BASE_CONFIG.format(out=out)
+                .replace("optimizer = adam", f"optimizer = {optimizer}")
+                .replace("base_lr = 0.02", "base_lr = 1e30"))
+    else:
+        text = RE_CONFIG.format(out=out) + f"optimizer = {optimizer}\nbase_lr = 1e30\n"
+    assert main(["run", "-c", str(write_config(tmp_path, text=text))]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: round 1, client 0: non-finite loss\n"
+    assert not (out / "manifest.json").exists()
 
 
 def test_missing_subcommand_is_an_argparse_error():

@@ -1,6 +1,7 @@
 """Span decoding and scoring against an independent maximum-matching oracle."""
 import csv
 import io
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -105,14 +106,14 @@ def test_decoded_spans_are_disjoint_property():
 
 def test_strict_exact_boundaries_only():
     gold = [EntitySpan("A", 0, 2)]
-    assert match_strict(gold, [EntitySpan("A", 0, 2)]).tp == {"A": 1}
-    assert match_strict(gold, [EntitySpan("A", 0, 1)]).tp == {}
-    assert match_strict(gold, [EntitySpan("B", 0, 2)]).tp == {}
+    assert match_strict([gold], [[EntitySpan("A", 0, 2)]]).tp == {"A": 1}
+    assert match_strict([gold], [[EntitySpan("A", 0, 1)]]).tp == {}
+    assert match_strict([gold], [[EntitySpan("B", 0, 2)]]).tp == {}
 
 
 def test_strict_counts_duplicates_as_a_multiset():
     gold = [EntitySpan("A", 0, 1), EntitySpan("A", 0, 1)]
-    counts = match_strict(gold, [EntitySpan("A", 0, 1)])
+    counts = match_strict([gold], [[EntitySpan("A", 0, 1)]])
     assert counts.tp == {"A": 1}
     assert counts.n_gold == {"A": 2}
     assert counts.n_gold["A"] - counts.tp["A"] == 1
@@ -120,22 +121,22 @@ def test_strict_counts_duplicates_as_a_multiset():
 
 def test_lenient_overlap_counts():
     gold = [EntitySpan("A", 0, 2)]
-    assert match_lenient(gold, [EntitySpan("A", 2, 4)]).tp == {"A": 1}
-    assert match_lenient(gold, [EntitySpan("A", 3, 4)]).tp == {}
-    assert match_lenient(gold, [EntitySpan("B", 0, 2)]).tp == {}
+    assert match_lenient([gold], [[EntitySpan("A", 2, 4)]]).tp == {"A": 1}
+    assert match_lenient([gold], [[EntitySpan("A", 3, 4)]]).tp == {}
+    assert match_lenient([gold], [[EntitySpan("B", 0, 2)]]).tp == {}
 
 
 def test_lenient_claims_leftmost_unconsumed_gold():
     gold = [EntitySpan("A", 0, 1), EntitySpan("A", 3, 4)]
     pred = [EntitySpan("A", 1, 3), EntitySpan("A", 4, 4)]
-    counts = match_lenient(gold, pred)
+    counts = match_lenient([gold], [pred])
     assert counts.tp == {"A": 2}
 
 
 def test_lenient_each_gold_claimed_once():
     gold = [EntitySpan("A", 0, 4)]
     pred = [EntitySpan("A", 0, 1), EntitySpan("A", 3, 4)]
-    counts = match_lenient(gold, pred)
+    counts = match_lenient([gold], [pred])
     assert counts.tp == {"A": 1}
     assert counts.n_pred["A"] - counts.tp["A"] == 1
 
@@ -143,8 +144,8 @@ def test_lenient_each_gold_claimed_once():
 def test_lenient_type_free_mode():
     gold = [EntitySpan("A", 0, 1)]
     pred = [EntitySpan("B", 0, 1)]
-    assert match_lenient(gold, pred, require_type=True).tp == {}
-    counts = match_lenient(gold, pred, require_type=False)
+    assert match_lenient([gold], [pred], require_type=True).tp == {}
+    counts = match_lenient([gold], [pred], require_type=False)
     assert counts.tp == {"B": 1}
 
 
@@ -152,7 +153,7 @@ def test_lenient_equals_max_matching_with_types():
     rng = np.random.default_rng(42)
     for _ in range(300):
         gold, pred = random_spans(rng), random_spans(rng)
-        counts = match_lenient(gold, pred)
+        counts = match_lenient([gold], [pred])
         for label in ("A", "B"):
             g = [s for s in gold if s.label == label]
             p = [s for s in pred if s.label == label]
@@ -164,7 +165,7 @@ def test_lenient_equals_max_matching_type_free():
     rng = np.random.default_rng(43)
     for _ in range(300):
         gold, pred = random_spans(rng), random_spans(rng)
-        counts = match_lenient(gold, pred, require_type=False)
+        counts = match_lenient([gold], [pred], require_type=False)
         expect = max_bipartite_matching(gold, pred, overlaps)
         assert sum(counts.tp.values()) == expect
 
@@ -173,9 +174,50 @@ def test_strict_never_beats_lenient():
     rng = np.random.default_rng(44)
     for _ in range(300):
         gold, pred = random_spans(rng), random_spans(rng)
-        s, l = match_strict(gold, pred), match_lenient(gold, pred)
+        s, l = match_strict([gold], [pred]), match_lenient([gold], [pred])
         for label in ("A", "B"):
             assert s.tp.get(label, 0) <= l.tp.get(label, 0)
+
+
+@st.composite
+def corpora(draw):
+    """A (gold, pred) corpus of 1-6 sentences.  Each side of a sentence takes
+    its spans from a small shared pool, so identical spans recur in different
+    sentences and some sentences are empty on either side; a span may also
+    repeat within its sentence."""
+    pool = [[]] + [decode_bio(draw(st.lists(st.sampled_from(TAGSET), max_size=10)))
+                   for _ in range(3)]
+
+    def sentence():
+        spans = list(draw(st.sampled_from(pool)))
+        if spans and draw(st.booleans()):
+            spans.append(draw(st.sampled_from(spans)))
+        return spans
+
+    n = draw(st.integers(1, 6))
+    return [sentence() for _ in range(n)], [sentence() for _ in range(n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(corpora())
+def test_corpus_counts_are_the_sum_of_per_sentence_oracles(corpus):
+    gold, pred = corpus
+    strict, typed, free = Counter(), Counter(), 0
+    for g, p in zip(gold, pred):
+        strict.update(span.label for span in (Counter(g) & Counter(p)).elements())
+        for label in ("A", "B"):
+            typed[label] += max_bipartite_matching(
+                [s for s in g if s.label == label], [s for s in p if s.label == label], overlaps
+            )
+        free += max_bipartite_matching(g, p, overlaps)
+    n_gold = Counter(span.label for sent in gold for span in sent)
+    n_pred = Counter(span.label for sent in pred for span in sent)
+    for counts in (match_strict(gold, pred), match_lenient(gold, pred),
+                   match_lenient(gold, pred, require_type=False)):
+        assert counts.n_gold == n_gold and counts.n_pred == n_pred
+    assert match_strict(gold, pred).tp == strict
+    assert match_lenient(gold, pred).tp == typed
+    assert sum(match_lenient(gold, pred, require_type=False).tp.values()) == free
 
 
 # ---------------------------------------------------------------------------

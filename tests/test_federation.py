@@ -292,8 +292,10 @@ def moments(state):
     return [a.copy() for a in (state.m, state.v) if a is not None]
 
 
-@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
-def test_a_diverging_step_leaves_the_client_as_it_was(ner_setup, monkeypatch, optimizer):
+@pytest.mark.parametrize("optimizer, poisoned", [
+    ("sgd", "gradient"), ("adam", "gradient"), ("sgd", "loss"), ("adam", "loss"),
+], ids=["sgd", "adam", "sgd-loss", "adam-loss"])
+def test_a_diverging_step_leaves_the_client_as_it_was(ner_setup, monkeypatch, optimizer, poisoned):
     task, train = ner_setup["task"], ner_setup["train"]
     cfg = fed_cfg(clients=1, rounds=1, optimizer=optimizer, mu=0.5)
     server = task.init_params(0)
@@ -302,15 +304,20 @@ def test_a_diverging_step_leaves_the_client_as_it_was(ner_setup, monkeypatch, op
     seen, original = [], tasks.Task.loss_and_grad
 
     def loss_and_grad(self, w, items):
-        # w is the client's weight vector; the third step's gradient is NaN
+        # w is the client's weight vector; the third step's gradient is NaN,
+        # or its loss is infinite while the gradient stays finite
         lg = original(self, w, items)
         if client.opt.step_count == 2:
             seen.append((w, w.values.copy(), moments(client.opt)))
-            lg.grad.segment("embed")[0] = np.nan
+            if poisoned == "gradient":
+                lg.grad.segment("embed")[0] = np.nan
+            else:
+                lg.loss = math.inf
         return lg
 
     monkeypatch.setattr(tasks.Task, "loss_and_grad", loss_and_grad)
-    with pytest.raises(ValueError, match="non-finite gradient in segment 'embed'"):
+    error = "non-finite gradient in segment 'embed'" if poisoned == "gradient" else "non-finite loss"
+    with pytest.raises(ValueError, match=f"^{error}$"):
         local_update(task, client, server, cfg, client_rng(0, 0, 0))
     [(w, values, before)] = seen
     assert np.array_equal(w.values, values)

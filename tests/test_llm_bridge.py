@@ -177,12 +177,6 @@ def test_parse_casefold_option():
     assert spans == [EntitySpan("GENE", 1, 1)]
 
 
-def test_diagnostics_add():
-    a = HighlightDiagnostics(dropped=1, unclosed=2)
-    a.add(HighlightDiagnostics(dropped=3, nested=1, stray_close=4))
-    assert (a.dropped, a.unclosed, a.nested, a.stray_close) == (4, 2, 1, 4)
-
-
 def test_render_highlights():
     out = render_highlights(["a", "b", "c"], [EntitySpan("E", 1, 2)], "m")
     assert out == "a <m>b c</m>"
