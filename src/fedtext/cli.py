@@ -110,6 +110,8 @@ def _cmd_sweep_mu(args) -> int:
             mus = [float(part) for part in args.mus.split(",") if part.strip()]
         except ValueError:
             raise ConfigError(f"--mus must be numbers, got {args.mus!r}") from None
+        if not mus:
+            raise ConfigError("--mus is empty")
     out = experiments.sweep_mu(cfg, mus, args.out)
     print(f"wrote {out}")
     return 0

@@ -13,6 +13,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -99,9 +100,9 @@ class FederationConfig:
             (self.rounds >= 1, "rounds must be >= 1"),
             (self.local_epochs >= 1, "local_epochs must be >= 1"),
             (self.batch_size >= 1, "batch_size must be >= 1"),
-            (self.mu >= 0, "mu must be >= 0"),
+            (0 <= self.mu < math.inf, "mu must be finite and >= 0"),
             (self.optimizer in OPTIMIZER_KINDS, f"optimizer must be one of {OPTIMIZER_KINDS}"),
-            (self.base_lr > 0, "base_lr must be positive"),
+            (0 < self.base_lr < math.inf, "base_lr must be finite and positive"),
             (0 <= self.warmup_frac < 1, "warmup_frac must lie in [0, 1)"),
         ))
 

@@ -9,6 +9,7 @@ for byte.
 from __future__ import annotations
 
 import json
+import math
 import os
 import statistics
 import sys
@@ -281,8 +282,8 @@ def sweep_mu(cfg: ExperimentConfig, mus: Sequence[float] | None, out_path: str |
     grid = list(DEFAULT_MU_GRID) if mus is None else list(mus)
     deduped: list[float] = []
     for mu in grid:
-        if mu < 0:
-            raise ConfigError(f"mu must be >= 0, got {mu}")
+        if not 0 <= mu < math.inf:
+            raise ConfigError(f"mu must be finite and >= 0, got {mu}")
         if mu in deduped:
             print(f"warning: duplicate mu {mu} dropped", file=sys.stderr)
         else:

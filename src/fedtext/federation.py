@@ -17,9 +17,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import FederationConfig
+from .config import ConfigError, FederationConfig
 from .optim import OptimizerState, Schedule, apply_step, lr_at, proximal_augment
-from .params import ParamVector, require_same_layout
+from .params import ParamVector
 from .tasks import Task
 
 
@@ -45,7 +45,6 @@ class RunResult:
     best_weights: ParamVector
     final_weights: ParamVector
     best_round: int  # 0-based index into round_log
-    epoch_losses: list[list[float]]  # per client, one entry per local epoch
     round_log: list[dict]
 
 
@@ -61,7 +60,8 @@ def aggregate(weighted: Sequence[tuple[ParamVector, int]]) -> ParamVector:
     first = weighted[0][0]
     total = 0
     for w, n_k in weighted:
-        require_same_layout(first, w, "aggregate")
+        if w.layout != first.layout:
+            raise ValueError("aggregate: parameter layouts differ")
         if n_k <= 0:
             raise ValueError("client example counts must be positive")
         total += n_k
@@ -73,14 +73,16 @@ def aggregate(weighted: Sequence[tuple[ParamVector, int]]) -> ParamVector:
     return result
 
 
-def _client_schedule(cfg: FederationConfig, n_items: int) -> Schedule:
+def _client_schedule(cfg: FederationConfig, client_id: int, n_items: int) -> Schedule:
     steps_per_epoch = math.ceil(n_items / cfg.batch_size)
     total = cfg.rounds * cfg.local_epochs * steps_per_epoch
-    return Schedule(
-        base_lr=cfg.base_lr,
-        warmup_steps=int(round(cfg.warmup_frac * total)),
-        total_steps=total,
-    )
+    warmup = int(round(cfg.warmup_frac * total))
+    if warmup >= total:
+        raise ConfigError(
+            f"[federation] warmup_frac = {cfg.warmup_frac} leaves client {client_id} no step "
+            f"after warmup (it takes {total} in all); lower it or give the client more steps"
+        )
+    return Schedule(base_lr=cfg.base_lr, warmup_steps=warmup, total_steps=total)
 
 
 def local_update(
@@ -151,12 +153,11 @@ def run_federated(
             id=i,
             data=list(part),
             opt=OptimizerState(cfg.optimizer, server.size),
-            schedule=_client_schedule(cfg, len(part)),
+            schedule=_client_schedule(cfg, i, len(part)),
         )
         for i, part in enumerate(partitions)
     ]
     metric = task.selection_metric
-    epoch_losses: list[list[float]] = [[] for _ in clients]
     round_log: list[dict] = []
     best_round, best_weights = -1, server
 
@@ -169,8 +170,6 @@ def run_federated(
             except ValueError as exc:  # e.g. a diverging client's non-finite gradient
                 raise ValueError(f"round {t + 1}, client {cid}: {exc}") from exc
         weights, losses = zip(*(updates[c.id] for c in clients))  # client-id order
-        for c, per_epoch in zip(clients, losses):
-            epoch_losses[c.id].extend(per_epoch)
         server = aggregate([(w, c.n) for w, c in zip(weights, clients)])
         scores = task.dev_scores(server, dev)
         round_log.append(
@@ -188,7 +187,6 @@ def run_federated(
         best_weights=best_weights,
         final_weights=server,
         best_round=best_round,
-        epoch_losses=epoch_losses,
         round_log=round_log,
     )
 

@@ -35,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from . import crf
-from .params import Layout, ParamVector
+from .params import Layout, ParamVector, validate_layout
 
 MODEL_KINDS = ("window_tagger", "rnn_crf_tagger", "relation_classifier")
 
@@ -125,12 +125,15 @@ def segment_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
 
 @functools.cache
 def param_layout(spec: ModelSpec) -> Layout:
+    """The spec's segments laid end to end; the one place a layout's tiling
+    is checked, once per spec."""
     layout: Layout = {}
     offset = 0
     for name, shape in segment_shapes(spec).items():
         length = int(np.prod(shape))
         layout[name] = (offset, length)
         offset += length
+    validate_layout(layout, offset)
     return layout
 
 

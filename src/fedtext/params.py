@@ -3,7 +3,9 @@
 All model weights and optimizer accumulators live in a single 1-D float64
 array.  A layout maps each parameter-group name to an (offset, length) pair;
 segments are disjoint and tile the vector exactly, so federated averaging and
-optimizer updates are plain vector arithmetic.
+optimizer updates are plain vector arithmetic.  Every layout the package uses
+comes from ``models.param_layout``, which checks the tiling once per model
+spec; a vector only checks that its size matches where its layout ends.
 """
 from __future__ import annotations
 
@@ -44,26 +46,21 @@ class ParamVector:
         self.values = np.ascontiguousarray(self.values, dtype=np.float64)
         if self.values.ndim != 1:
             raise ValueError(f"expected a 1-D vector, got shape {self.values.shape}")
-        validate_layout(self.layout, self.values.size)
+        offset, length = next(reversed(self.layout.values()), (0, 0))
+        if offset + length != self.values.size:
+            raise ValueError(
+                f"layout covers {offset + length} values but vector has {self.values.size}"
+            )
 
     @property
     def size(self) -> int:
         return self.values.size
-
-    def segment(self, name: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
-        """Return a writable view of one segment, optionally reshaped."""
-        offset, length = self.layout[name]
-        view = self.values[offset : offset + length]
-        return view if shape is None else view.reshape(shape)
 
     def copy(self) -> "ParamVector":
         return ParamVector(self.values.copy(), self.layout)
 
     def zeros_like(self) -> "ParamVector":
         return ParamVector(np.zeros(self.size), self.layout)
-
-    def same_layout(self, other: "ParamVector") -> bool:
-        return self.layout == other.layout
 
     def check_finite(self, what: str = "values") -> None:
         """Raise with the offending segment name if any entry is not finite."""
@@ -74,8 +71,3 @@ class ParamVector:
             if offset <= bad < offset + length:
                 raise ValueError(f"non-finite {what} in segment {name!r}")
         raise ValueError(f"non-finite {what} at index {bad}")
-
-
-def require_same_layout(a: ParamVector, b: ParamVector, context: str) -> None:
-    if not a.same_layout(b):
-        raise ValueError(f"{context}: parameter layouts differ")

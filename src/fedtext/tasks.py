@@ -182,8 +182,7 @@ def build_re_task(
 def save_bundle(path, task: Task, w: ParamVector) -> None:
     """Write the bundle to ``path``, a file name or an open binary file; the
     layout follows from the spec, so it is not stored."""
-    if w.layout != models.param_layout(task.spec):
-        raise ValueError("weight layout does not match the task's model spec")
+    models._check_weights(task.spec, w)
     meta = {"spec": task.spec.__dict__, "labels": task.label_names, "max_tokens": task.max_tokens}
     tokens = np.array(task.vocab.tokens[1:], dtype=str)
     np.savez(path, values=w.values, tokens=tokens, meta=np.array(json.dumps(meta, sort_keys=True)))

@@ -102,8 +102,17 @@ def _softmax(logits):
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def segment(w, name, shape=None):
+    """Writable view of the segment ``name`` of the parameter vector ``w``,
+    reshaped to ``shape`` if given; read straight from ``w.layout``, not
+    through the package's cached slices."""
+    offset, length = w.layout[name]
+    view = w.values[offset : offset + length]
+    return view if shape is None else view.reshape(shape)
+
+
 def _segments(spec, w):
-    return {name: w.segment(name, shape) for name, shape in segment_shapes(spec).items()}
+    return {name: segment(w, name, shape) for name, shape in segment_shapes(spec).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -128,15 +137,15 @@ def _window_loss_grad(spec, w, item, grad):
 
     d_logits = probs
     d_logits[np.arange(T), item.label_ids] -= 1.0
-    grad.segment("out_b")[:] += d_logits.sum(axis=0)
-    grad.segment("out_w", seg["out_w"].shape)[:] += F.T @ d_logits
+    segment(grad, "out_b")[:] += d_logits.sum(axis=0)
+    segment(grad, "out_w", seg["out_w"].shape)[:] += F.T @ d_logits
     dF = d_logits @ seg["out_w"].T
     dX = np.zeros((T, d))
     for k, off in enumerate(range(-r, r + 1)):
         lo = max(0, -off)
         hi = max(lo, min(T, T - off))
         dX[lo + off : hi + off] += dF[lo:hi, k * d : (k + 1) * d]
-    np.add.at(grad.segment("embed", seg["embed"].shape), item.token_ids, dX)
+    np.add.at(segment(grad, "embed", seg["embed"].shape), item.token_ids, dX)
     return loss
 
 
@@ -187,9 +196,9 @@ def _rnn_crf_loss_grad(spec, w, item, grad):
     fw, bw, H, emissions = _rnn_forward(c, X)
     loss, d_em, d_trans = crf_nll_and_grads(emissions, c["crf_trans"], item.label_ids)
 
-    grad.segment("crf_trans", c["crf_trans"].shape)[:] += d_trans
-    grad.segment("emit_b")[:] += d_em.sum(axis=0)
-    grad.segment("emit_w", c["emit_w"].shape)[:] += H.T @ d_em
+    segment(grad, "crf_trans", c["crf_trans"].shape)[:] += d_trans
+    segment(grad, "emit_b")[:] += d_em.sum(axis=0)
+    segment(grad, "emit_w", c["emit_w"].shape)[:] += H.T @ d_em
     dH = d_em @ c["emit_w"].T
     dX_f, d_wx_f, d_wh_f, d_b_f = _rnn_backward(
         dH[:, :h], fw, X, c["rnn_fw_x"], c["rnn_fw_h"], reverse=False
@@ -197,13 +206,13 @@ def _rnn_crf_loss_grad(spec, w, item, grad):
     dX_b, d_wx_b, d_wh_b, d_b_b = _rnn_backward(
         dH[:, h:], bw, X, c["rnn_bw_x"], c["rnn_bw_h"], reverse=True
     )
-    grad.segment("rnn_fw_x", d_wx_f.shape)[:] += d_wx_f
-    grad.segment("rnn_fw_h", d_wh_f.shape)[:] += d_wh_f
-    grad.segment("rnn_fw_b")[:] += d_b_f
-    grad.segment("rnn_bw_x", d_wx_b.shape)[:] += d_wx_b
-    grad.segment("rnn_bw_h", d_wh_b.shape)[:] += d_wh_b
-    grad.segment("rnn_bw_b")[:] += d_b_b
-    np.add.at(grad.segment("embed", c["embed"].shape), item.token_ids, dX_f + dX_b)
+    segment(grad, "rnn_fw_x", d_wx_f.shape)[:] += d_wx_f
+    segment(grad, "rnn_fw_h", d_wh_f.shape)[:] += d_wh_f
+    segment(grad, "rnn_fw_b")[:] += d_b_f
+    segment(grad, "rnn_bw_x", d_wx_b.shape)[:] += d_wx_b
+    segment(grad, "rnn_bw_h", d_wh_b.shape)[:] += d_wh_b
+    segment(grad, "rnn_bw_b")[:] += d_b_b
+    np.add.at(segment(grad, "embed", c["embed"].shape), item.token_ids, dX_f + dX_b)
     return loss
 
 
@@ -223,16 +232,16 @@ def _relation_loss_grad(spec, w, item, grad):
 
     d_logits = probs
     d_logits[item.label_id] -= 1.0
-    grad.segment("out_b")[:] += d_logits
-    grad.segment("out_w", c["out_w"].shape)[:] += np.outer(hidden, d_logits)
+    segment(grad, "out_b")[:] += d_logits
+    segment(grad, "out_w", c["out_w"].shape)[:] += np.outer(hidden, d_logits)
     d_hidden = (d_logits @ c["out_w"].T) * (1.0 - hidden**2)
-    grad.segment("hidden_b")[:] += d_hidden
-    grad.segment("hidden_w", c["hidden_w"].shape)[:] += np.outer(pooled, d_hidden)
+    segment(grad, "hidden_b")[:] += d_hidden
+    segment(grad, "hidden_w", c["hidden_w"].shape)[:] += np.outer(pooled, d_hidden)
     d_pooled = (d_hidden @ c["hidden_w"].T) / T
-    grad.segment("marker1")[:] += len1 * d_pooled
-    grad.segment("marker2")[:] += len2 * d_pooled
+    segment(grad, "marker1")[:] += len1 * d_pooled
+    segment(grad, "marker2")[:] += len2 * d_pooled
     np.add.at(
-        grad.segment("embed", c["embed"].shape),
+        segment(grad, "embed", c["embed"].shape),
         item.token_ids,
         np.broadcast_to(d_pooled, (T, spec.embed_dim)),
     )

@@ -16,6 +16,7 @@ from fedtext.config import (
     parse_config,
     validate_config,
 )
+from oracles import segment
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -163,6 +164,7 @@ def test_config_hash_of_the_base_config_is_pinned():
     ("model", "window_radius", "-1"),
     ("federation", "batch_size", "0"),
     ("federation", "base_lr", "0"),
+    ("federation", "base_lr", "inf"),
 ])
 def test_out_of_range_values_are_config_errors_naming_the_key(tmp_path, capsys,
                                                               section, key, value):
@@ -281,6 +283,18 @@ def test_sweep_mu_labels_zero_as_fedavg(tmp_path, capsys):
     assert "fedavg-equivalent" in lines[1]
     assert "fedprox" in lines[2]
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("mus, message", [
+    ("inf", "mu must be finite and >= 0, got inf"),
+    ("", "--mus is empty"),
+], ids=["inf", "empty"])
+def test_sweep_mu_rejects_an_infinite_or_empty_grid(tmp_path, capsys, mus, message):
+    cfg_path = write_config(tmp_path, out=str(tmp_path / "out"))
+    csv_path = tmp_path / "mu.csv"
+    assert main(["sweep-mu", "-c", str(cfg_path), "--mus", mus, "--out", str(csv_path)]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not csv_path.exists()
 
 
 def test_gen_synth_round_trips_through_the_parser(tmp_path, capsys):
@@ -458,7 +472,7 @@ def test_divergence_exits_2_naming_round_client_and_segment(tmp_path, capsys, mo
     def poisoned(self, w, items):
         lg = loss_and_grad(self, w, items)
         if armed:
-            lg.grad.segment("out_b")[0] = float("nan")
+            segment(lg.grad, "out_b")[0] = float("nan")
         return lg
 
     def arming(self, w, items):
@@ -504,6 +518,29 @@ def test_a_saturated_softmax_stops_the_run_on_its_infinite_loss(tmp_path, capsys
     err = capsys.readouterr().err
     assert err == "error: round 1, client 0: non-finite loss\n"
     assert not (out / "manifest.json").exists()
+
+
+def test_fedprox_with_an_infinite_mu_is_a_config_error(tmp_path, capsys):
+    # otherwise numpy warns in the first step and the run ends on a non-finite loss
+    text = (BASE_CONFIG.format(out=str(tmp_path / "out")).replace("fedavg", "fedprox")
+            + "mu = inf\n")
+    assert main(["run", "-c", str(write_config(tmp_path, text=text))]) == 1
+    assert capsys.readouterr().err == "config error: [federation] mu must be finite and >= 0\n"
+
+
+def test_a_warmup_covering_every_step_is_a_config_error(tmp_path, capsys):
+    # 100 sentences leave 40 training items per client: one step of 64 in
+    # the only round, and round(0.8 * 1) makes it a warmup step at rate 0
+    text = (BASE_CONFIG.format(out=str(tmp_path / "out"))
+            .replace("sentences = 80", "sentences = 100")
+            .replace("batch_size = 16", "batch_size = 64\nwarmup_frac = 0.8")
+            .replace("rounds = 2", "rounds = 1"))
+    assert main(["run", "-c", str(write_config(tmp_path, text=text))]) == 1
+    assert capsys.readouterr().err == (
+        "config error: [federation] warmup_frac = 0.8 leaves client 0 no step after"
+        " warmup (it takes 1 in all); lower it or give the client more steps\n"
+    )
+    assert not (tmp_path / "out" / "manifest.json").exists()
 
 
 def test_missing_subcommand_is_an_argparse_error():

@@ -19,6 +19,7 @@ from fedtext.models import (
 )
 from fedtext.params import validate_layout
 import oracles
+from oracles import segment
 
 WINDOW = ModelSpec(kind="window_tagger", vocab_size=12, label_count=3, embed_dim=3, window_radius=1)
 RNN = ModelSpec(kind="rnn_crf_tagger", vocab_size=10, label_count=3, embed_dim=3, hidden_dim=3)
@@ -152,11 +153,11 @@ def test_relation_forward_matches_independent_computation():
     item = RelationExample(np.array([4, 1, 7, 2]), (1, 2), (3, 3), label_id=0)
 
     shapes = segment_shapes(REL)
-    embed = w.segment("embed", shapes["embed"])
+    embed = segment(w, "embed", shapes["embed"])
     pooled = embed[item.token_ids].sum(axis=0)
-    pooled = (pooled + 2 * w.segment("marker1") + 1 * w.segment("marker2")) / 4
-    hidden = np.tanh(pooled @ w.segment("hidden_w", shapes["hidden_w"]) + w.segment("hidden_b"))
-    logits = hidden @ w.segment("out_w", shapes["out_w"]) + w.segment("out_b")
+    pooled = (pooled + 2 * segment(w, "marker1") + 1 * segment(w, "marker2")) / 4
+    hidden = np.tanh(pooled @ segment(w, "hidden_w", shapes["hidden_w"]) + segment(w, "hidden_b"))
+    logits = hidden @ segment(w, "out_w", shapes["out_w"]) + segment(w, "out_b")
 
     probs = np.exp(logits - logits.max())
     probs /= probs.sum()
@@ -182,9 +183,9 @@ def test_window_features_pad_out_of_range_context_with_zeros():
                      embed_dim=3, window_radius=1)
     w = init_params(spec, 7)
     shapes = segment_shapes(spec)
-    embed = w.segment("embed", shapes["embed"])
-    out_w = w.segment("out_w", shapes["out_w"])
-    out_b = w.segment("out_b")
+    embed = segment(w, "embed", shapes["embed"])
+    out_w = segment(w, "out_w", shapes["out_w"])
+    out_b = segment(w, "out_b")
 
     tok = 5
     feats = np.concatenate([np.zeros(3), embed[tok], np.zeros(3)])
@@ -203,12 +204,12 @@ def test_window_radius_longer_than_the_sentence():
                      embed_dim=3, window_radius=3)
     w = init_params(spec, 7)
     shapes = segment_shapes(spec)
-    embed = w.segment("embed", shapes["embed"])
+    embed = segment(w, "embed", shapes["embed"])
     tokens = np.array([4, 9])
     feats = np.zeros((2, 7, 3))
     feats[0, 3:5] = embed[tokens]
     feats[1, 2:4] = embed[tokens]
-    logits = feats.reshape(2, 21) @ w.segment("out_w", shapes["out_w"]) + w.segment("out_b")
+    logits = feats.reshape(2, 21) @ segment(w, "out_w", shapes["out_w"]) + segment(w, "out_b")
     assert predict_tags(spec, w, [tokens])[0].tolist() == logits.argmax(axis=1).tolist()
     probs = np.exp(logits - logits.max(axis=1, keepdims=True))
     probs /= probs.sum(axis=1, keepdims=True)
@@ -238,6 +239,17 @@ def test_param_layout_tiles_the_vector():
             assert layout[name][1] == int(np.prod(shape))
 
 
+def test_param_layout_is_where_a_layout_is_checked(monkeypatch):
+    # shapes with an empty segment: param_layout must refuse them, since a
+    # vector built on its layout checks only its size
+    from fedtext import models
+
+    spec = ModelSpec(kind="window_tagger", vocab_size=13, label_count=2, embed_dim=3)
+    monkeypatch.setattr(models, "segment_shapes", lambda spec: {"embed": (13, 3), "out_b": (0,)})
+    with pytest.raises(ValueError, match="'out_b' has non-positive length 0"):
+        param_layout(spec)
+
+
 def test_layout_is_built_once_per_spec():
     for spec in (WINDOW, RNN, REL):
         assert param_layout(spec) is param_layout(spec)
@@ -258,7 +270,7 @@ def test_init_is_deterministic_and_seed_sensitive():
 def test_init_respects_fan_based_bounds():
     w = init_params(RNN, 1)
     for name, shape in segment_shapes(RNN).items():
-        seg = w.segment(name)
+        seg = segment(w, name)
         if name == "crf_trans":
             assert np.all(seg == 0.0)
             continue

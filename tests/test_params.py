@@ -1,8 +1,9 @@
-"""Flat parameter-vector mechanics: layouts, views, finiteness checks."""
+"""Flat parameter-vector mechanics: layouts, copies, finiteness checks."""
 import numpy as np
 import pytest
 
-from fedtext.params import ParamVector, require_same_layout, validate_layout
+from fedtext.params import ParamVector, validate_layout
+from oracles import segment
 
 
 def make_vec():
@@ -30,24 +31,11 @@ def test_validate_layout_rejects_wrong_total():
         validate_layout({"a": (0, 4)}, 5)
 
 
-def test_segment_is_a_writable_view():
-    v = make_vec()
-    seg = v.segment("a")
-    seg[0] = 99.0
-    assert v.values[0] == 99.0
-
-
-def test_segment_reshapes_without_copying():
-    v = make_vec()
-    mat = v.segment("b", shape=(2, 3))
-    assert mat.shape == (2, 3)
-    mat[1, 2] = -5.0
-    assert v.values[9] == -5.0
-
-
-def test_segment_unknown_name():
-    with pytest.raises(KeyError):
-        make_vec().segment("nope")
+def test_vector_size_must_match_the_layout_end():
+    with pytest.raises(ValueError, match="layout covers 10 values but vector has 9"):
+        ParamVector(np.zeros(9), {"a": (0, 4), "b": (4, 6)})
+    with pytest.raises(ValueError, match="1-D"):
+        ParamVector(np.zeros((2, 5)), {"a": (0, 10)})
 
 
 def test_copy_is_independent():
@@ -64,16 +52,9 @@ def test_zeros_like_matches_layout():
     assert z.layout == make_vec().layout
 
 
-def test_same_layout():
-    v = make_vec()
-    assert v.same_layout(v.copy())
-    other = ParamVector(np.zeros(10), {"a": (0, 10)})
-    assert not v.same_layout(other)
-
-
 def test_check_finite_names_the_offending_segment():
     v = make_vec()
-    v.segment("b")[2] = np.nan
+    segment(v, "b")[2] = np.nan
     with pytest.raises(ValueError, match="b"):
         v.check_finite("weights")
 
@@ -81,9 +62,3 @@ def test_check_finite_names_the_offending_segment():
 def test_check_finite_passes_on_finite_values():
     make_vec().check_finite("weights")
 
-
-def test_require_same_layout_mentions_context():
-    v = make_vec()
-    other = ParamVector(np.zeros(10), {"a": (0, 10)})
-    with pytest.raises(ValueError, match="aggregate"):
-        require_same_layout(v, other, "aggregate")
