@@ -16,15 +16,15 @@ Losses are mean-per-item negative log-likelihood and every gradient is exact
 Training runs one padded, masked pass per mini-batch.  The B items are
 padded to the longest one, T tokens, giving a (B, T) token array and a
 (B, T) mask that is True on each item's real tokens (a prefix of its row).
-Embeddings are gathered once into (B, T, d); the RNN steps all B sentences
-at once and the CRF forward-backward runs over (B, T, L) emissions; weight
-gradients are single matrix products over all B*T positions, and the
-embedding gradient is scattered once per batch.  Padded positions carry
-zero gradient, so the result equals the per-item sum (the per-item loops
-are kept in the test suite as the reference).  Prediction pads a chunk of
-sentences the same way and decodes the RNN's emissions with one batched
-Viterbi; when no row is padded, as for a single sentence, the backward
-direction reverses whole rows and the decode needs no mask.
+Embeddings are gathered once into (B, T, d); one time loop steps all B
+sentences in both RNN directions, and the CRF forward-backward runs over
+(B, T, L) emissions; weight gradients are single matrix products over all
+B*T positions, and the embedding gradient is scattered once per batch.
+Padded positions carry zero gradient, so the result equals the per-item sum
+(the per-item loops stay in the test suite as the reference).  Prediction
+pads a chunk of sentences the same way and decodes the RNN's emissions with
+one batched Viterbi; when no row is padded, as for a single sentence, the
+backward direction reverses whole rows and the decode needs no mask.
 """
 from __future__ import annotations
 
@@ -269,6 +269,7 @@ def _window_loss_grad(
 # recurrence over each sentence reversed within its own length.  Padding
 # then always follows the real tokens, so every sentence starts from a zero
 # state in both directions and padded steps never reach a real one.
+# Both directions share one time loop over stacked (T, 2, [B,] h) arrays.
 
 def _reversal(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Index for time-major (T, B, ...) arrays that reverses each sentence's
@@ -279,13 +280,16 @@ def _reversal(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _rnn_states(pre: np.ndarray, w_hh: np.ndarray) -> np.ndarray:
-    """Left-to-right tanh recurrence over pre-computed input projections (T, [B,] h)."""
-    states = np.empty_like(pre)
-    prev = np.zeros(pre.shape[1:])
-    for t in range(pre.shape[0]):
-        prev = np.tanh(pre[t] + prev @ w_hh)
+    """Both directions' tanh recurrences over stacked input projections
+    (T, 2, [B,] h) and weights (2, h, h); each step's stacked product runs
+    each direction's (B, h) @ (h, h), or one sentence's (1, h) @ (h, h)."""
+    steps = pre.reshape(pre.shape[0], 2, -1, pre.shape[-1])
+    states = np.empty_like(steps)
+    prev = np.zeros(steps.shape[1:])
+    for t in range(len(steps)):
+        prev = np.tanh(steps[t] + prev @ w_hh)
         states[t] = prev
-    return states
+    return states.reshape(pre.shape)
 
 
 def _rnn_backward(
@@ -321,8 +325,9 @@ def _rnn_emissions(
     reversed slice when no row is padded, ``_reversal(mask)`` otherwise.
     Positions past a sentence's end hold values no real position depends on."""
     X_rev = X[flip]
-    fw = _rnn_states(X @ seg["rnn_fw_x"] + seg["rnn_fw_b"], seg["rnn_fw_h"])
-    bw_rev = _rnn_states(X_rev @ seg["rnn_bw_x"] + seg["rnn_bw_b"], seg["rnn_bw_h"])
+    pre = np.stack([X @ seg["rnn_fw_x"] + seg["rnn_fw_b"], X_rev @ seg["rnn_bw_x"] + seg["rnn_bw_b"]], axis=1)
+    states = _rnn_states(pre, np.stack([seg["rnn_fw_h"], seg["rnn_bw_h"]]))
+    fw, bw_rev = states[:, 0], states[:, 1]
     H = np.concatenate([fw, bw_rev[flip]], axis=-1)
     emissions = H @ seg["emit_w"] + seg["emit_b"]
     return emissions, {"X_rev": X_rev, "fw": fw, "bw_rev": bw_rev, "H": H}
@@ -468,7 +473,8 @@ def predict_tags(spec: ModelSpec, w: ParamVector, sentences: Sequence[np.ndarray
             X *= mask[:, :, None]
         tags = _window_logits(spec, seg, X)[0].argmax(axis=2)
     else:
-        # one sentence runs unbatched: numpy's (T, d) products are cheaper than (T, 1, d) ones
+        # one sentence runs unbatched, as numpy's (T, d) products beat (T, 1, d)
+        # ones; only its recurrence steps a (2, 1, h) view
         X = seg["embed"][ids.T if len(ids) > 1 else ids[0]]
         emissions, _ = _rnn_emissions(seg, X, _reversal(mask) if padded else slice(None, None, -1))
         tags = crf.viterbi(emissions.swapaxes(0, -2), seg["crf_trans"], mask)

@@ -85,14 +85,18 @@ def proximal_augment(
 
 
 def apply_step(state: OptimizerState, w: ParamVector, grad: ParamVector, lr: float) -> None:
-    """One update of ``w`` and ``state`` in place.  A non-finite gradient or a
-    negative rate raises before anything is written, naming the bad segment."""
-    grad.check_finite("gradient")
+    """One update of ``w`` and ``state`` in place.  A non-finite gradient, one
+    whose square overflows Adam's second moment, or a negative rate raises
+    before anything is written, naming the bad segment."""
     if lr < 0:
         raise ValueError("learning rate must be >= 0")
-
-    state.step_count += 1
     g, s = grad.values, state._scratch
+    with np.errstate(over="ignore"):  # one finite check of Adam's g**2 (sgd's g) for both faults
+        sq = np.square(g, out=s[1]) if state.kind == "adam" else g
+    if not np.isfinite(sq).all():
+        grad.check_finite("gradient")
+        raise ValueError(f"gradient too large for Adam's second moment {grad.first_non_finite(sq)}")
+    state.step_count += 1
     if state.kind == "sgd":
         w.values -= np.multiply(lr, g, out=s[0])
         return
@@ -100,7 +104,7 @@ def apply_step(state: OptimizerState, w: ParamVector, grad: ParamVector, lr: flo
     state.m *= BETA1
     state.m += np.multiply(1.0 - BETA1, g, out=s[0])
     state.v *= BETA2
-    state.v += np.multiply(1.0 - BETA2, np.square(g, out=s[0]), out=s[0])
+    state.v += np.multiply(1.0 - BETA2, sq, out=sq)
     step = np.divide(state.m, 1.0 - BETA1**t, out=s[0])  # m_hat
     step *= lr
     denom = np.divide(state.v, 1.0 - BETA2**t, out=s[1])  # v_hat

@@ -64,10 +64,13 @@ class ParamVector:
 
     def check_finite(self, what: str = "values") -> None:
         """Raise with the offending segment name if any entry is not finite."""
-        if np.isfinite(self.values).all():
-            return
-        bad = int(np.flatnonzero(~np.isfinite(self.values))[0])
+        if not np.isfinite(self.values).all():
+            raise ValueError(f"non-finite {what} {self.first_non_finite(self.values)}")
+
+    def first_non_finite(self, values: np.ndarray) -> str:
+        """``in segment 'name'`` of the first non-finite entry of ``values``, laid out like this."""
+        bad = int(np.flatnonzero(~np.isfinite(values))[0])
         for name, (offset, length) in self.layout.items():
             if offset <= bad < offset + length:
-                raise ValueError(f"non-finite {what} in segment {name!r}")
-        raise ValueError(f"non-finite {what} at index {bad}")
+                return f"in segment {name!r}"
+        return f"at index {bad}"

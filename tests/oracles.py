@@ -5,9 +5,10 @@ The per-sentence and per-item loops are the ones the batched passes in
 instance) at a time, one timestep at a time.  The CRF ones are checked
 against exhaustive path enumeration and finite differences in
 ``test_crf.py``; the batched code must match all of them to 1e-10, and
-batched decoding must give exactly the per-sentence paths.  The
-functional optimizer step is the one the in-place ``fedtext.optim`` step
-replaced, which must match it bit for bit.
+batched decoding must give exactly the per-sentence paths.  The two-loop
+bidirectional RNN pass and the functional optimizer step are the ones the
+one-loop pass in ``fedtext.models`` and the in-place ``fedtext.optim`` step
+replaced, which must match them bit for bit.
 """
 from __future__ import annotations
 
@@ -214,6 +215,28 @@ def _rnn_crf_loss_grad(spec, w, item, grad):
     segment(grad, "rnn_bw_b")[:] += d_b_b
     np.add.at(segment(grad, "embed", c["embed"].shape), item.token_ids, dX_f + dX_b)
     return loss
+
+
+def _rnn_one_direction(pre, w_hh):
+    """Left-to-right tanh recurrence over pre-computed input projections (T, [B,] h)."""
+    states = np.empty_like(pre)
+    prev = np.zeros(pre.shape[1:])
+    for t in range(pre.shape[0]):
+        prev = np.tanh(pre[t] + prev @ w_hh)
+        states[t] = prev
+    return states
+
+
+def rnn_emissions_two_loops(seg, X, flip):
+    """Emissions (T, [B,] L) from time-major embeddings X (T, [B,] d), with
+    one time loop per direction; ``flip`` reverses each sentence within its
+    length, as in ``fedtext.models._rnn_emissions``, whose one-loop pass must
+    equal this one bit for bit at every real position."""
+    X_rev = X[flip]
+    fw = _rnn_one_direction(X @ seg["rnn_fw_x"] + seg["rnn_fw_b"], seg["rnn_fw_h"])
+    bw_rev = _rnn_one_direction(X_rev @ seg["rnn_bw_x"] + seg["rnn_bw_b"], seg["rnn_bw_h"])
+    H = np.concatenate([fw, bw_rev[flip]], axis=-1)
+    return H @ seg["emit_w"] + seg["emit_b"]
 
 
 # ---------------------------------------------------------------------------

@@ -528,6 +528,21 @@ def test_fedprox_with_an_infinite_mu_is_a_config_error(tmp_path, capsys):
     assert capsys.readouterr().err == "config error: [federation] mu must be finite and >= 0\n"
 
 
+def test_a_huge_finite_mu_stops_the_run_before_adam_overflows(tmp_path, capsys):
+    # mu = 1e300 is a valid config, but once the weights leave the anchor the
+    # proximal gradient's square overflows Adam's second moment; the step must
+    # refuse it by name, with no numpy warning (any warning fails the suite)
+    text = (BASE_CONFIG.format(out=str(tmp_path / "out"))
+            .replace("kind = window_tagger", "kind = rnn_crf_tagger\nhidden_dim = 4")
+            .replace("sentences = 80", "sentences = 300")
+            .replace("fedavg", "fedprox") + "mu = 1e300\n")
+    assert main(["run", "-c", str(write_config(tmp_path, text=text))]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: round 1, client 0: gradient too large for Adam's"
+                   " second moment in segment 'embed'\n")
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
 def test_a_warmup_covering_every_step_is_a_config_error(tmp_path, capsys):
     # 100 sentences leave 40 training items per client: one step of 64 in
     # the only round, and round(0.8 * 1) makes it a warmup step at rate 0

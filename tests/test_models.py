@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from fedtext import models
 from fedtext.models import (
     MODEL_KINDS,
     ModelSpec,
@@ -359,6 +360,38 @@ def test_predict_tags_on_a_padded_batch_matches_the_per_sentence_oracle():
                     expect = oracles.predict_tags(spec, w, sent).tolist()
                     assert got.tolist() == expect
                     assert predict_tags(spec, w, [sent])[0].tolist() == expect
+
+
+@pytest.mark.parametrize("hidden_dim, lengths", [
+    (3, [1]),  # a 1-token sentence
+    (3, [40]),  # longer than the ~33-token sentences the benchmark tags
+    (3, [9, 1, 33, 4]),  # a padded batch with a 1-token row
+    (3, [12, 12, 12]),  # an unpadded batch of equal lengths
+    (1, [9, 1, 33, 4]),
+    (1, [35]),
+])
+def test_one_loop_rnn_equals_the_two_loop_oracle_bit_for_bit(hidden_dim, lengths):
+    # every way the package runs the recurrence: one sentence unbatched (as
+    # prediction does), and (T, B, d) batches under training's per-row
+    # reversal and, with no row padded, prediction's reversed slice
+    spec = ModelSpec(kind="rnn_crf_tagger", vocab_size=20, label_count=4, embed_dim=5, hidden_dim=hidden_dim)
+    rng = np.random.default_rng(hidden_dim)
+    w = init_params(spec, 0)
+    w.values[:] = rng.normal(size=w.size)
+    seg = models._segments(spec, w)
+    ids, mask = models._pad([rng.integers(0, spec.vocab_size, size=n) for n in lengths])
+    X = seg["embed"][ids.T]
+    runs = [(X, models._reversal(mask), mask.T)]
+    if len(set(lengths)) == 1:
+        runs.append((X, slice(None, None, -1), mask.T))
+    if len(lengths) == 1:
+        runs.append((X[:, 0], slice(None, None, -1), mask[0]))
+    for X, flip, real in runs:
+        got = models._rnn_emissions(seg, X, flip)[0]
+        expect = oracles.rnn_emissions_two_loops(seg, X, flip)
+        assert got.shape == expect.shape
+        assert np.array_equal(got[real], expect[real])
+        assert np.unique(got[real]).size > 1
 
 
 def test_short_training_reduces_loss():

@@ -76,17 +76,23 @@ def test_evaluate_and_dev_scores_ner():
 @pytest.mark.parametrize("kind,radius", [("rnn_crf_tagger", 0), ("window_tagger", 3), ("re", 0)])
 def test_evaluate_equals_per_item_prediction(kind, radius, monkeypatch):
     # more items than one chunk; NER adds a 1-token and a 2-token sentence,
-    # shorter than the radius-3 window
+    # shorter than the radius-3 window, and sentences of 33 tokens or more,
+    # like those whose one-at-a-time prediction the benchmark checks against
+    # batched evaluation, into both chunks
     n = tasks.PREDICT_CHUNK + 30
     if kind == "re":
         data = corpus.generate_synthetic_relations(lexicon_size=6, sentences=n, seed=0)
         task = build_re_task(data, embed_dim=4, hidden_dim=4)
     else:
-        profile = corpus.make_profile(["GENE", "DIS"], lexicon_size=8, sentences=n)
-        data = corpus.generate_synthetic(profile, 3)[0][1] + TRAIN[:1] + [
+        profile = corpus.make_profile(["GENE", "DIS"], lexicon_size=8, sentences=n + 40)
+        sents = corpus.generate_synthetic(profile, 3)[0][1]
+        long = [corpus.TaggedSentence(sum((s.tokens for s in group), ()), sum((s.labels for s in group), ()))
+                for group in zip(*[iter(sents[n:])] * 5)]
+        assert len(long) == 8 and min(len(s.tokens) for s in long) >= 33
+        data = long[:4] + sents[:n] + TRAIN[:1] + [
             corpus.TaggedSentence(("brca1",), ("B-GENE",)),
             corpus.TaggedSentence(("wilson", "disease"), ("B-DIS", "I-DIS")),
-        ]
+        ] + long[4:]
         task = build_ner_task(data, kind=kind, embed_dim=4, hidden_dim=3, window_radius=radius)
     items = task.prepare(data)
     assert len(items) > tasks.PREDICT_CHUNK
