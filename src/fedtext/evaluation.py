@@ -165,6 +165,8 @@ def score_ner(gold: SpanCorpus, pred: SpanCorpus, lenient_require_type: bool = T
     with no span on either side the tables are empty and both macros 0."""
     if len(gold) != len(pred):
         raise ValueError("gold and predicted sentence counts differ")
+    if not gold:
+        raise ValueError("no sentences to score")
     strict = prf1(match_strict(gold, pred))
     lenient = prf1(match_lenient(gold, pred, require_type=lenient_require_type))
     if not strict:  # no span on either side: macro-F1 0/0 is 0, as in prf1
@@ -204,9 +206,9 @@ def headline(task: str, report: Mapping[str, float]) -> dict[str, float]:
 
 
 def aggregate_repeats(values: Sequence[float]) -> tuple[float, float]:
-    """Mean and sample (n-1) standard deviation over repeated runs."""
+    """Mean and sample (n-1) std over repeated runs: std 0 for one, NaN for none."""
     if len(values) < 2:
-        raise ValueError("need at least 2 repeats to aggregate")
+        return (values[0], 0.0) if values else (math.nan, math.nan)
     mean = sum(values) / len(values)
     var = sum((v - mean) ** 2 for v in values) / (len(values) - 1)
     return mean, math.sqrt(var)

@@ -71,6 +71,9 @@ def build_data(cfg: ExperimentConfig) -> DataBundle:
         dev.extend(split.dev)
         test.extend(split.test)
     pooled_train = [item for part in trains for item in part]
+    if not test:  # nothing could score a run: refuse before anything trains
+        raise ConfigError(f"the pooled test split is empty: {len(pooled_train) + len(dev)} items "
+                          f"split {len(pooled_train)}/{len(dev)}/0 into train/dev/test")
     return DataBundle(names, trains, pooled_train, dev, test)
 
 
@@ -93,34 +96,19 @@ def partition_train(cfg: ExperimentConfig, bundle: DataBundle, task: tasks.Task,
 
 
 @dataclass
-class SchemeOutcome:
+class _Setup:
+    """One command's data, the task built on its train split, encoded dev and test."""
+
+    bundle: DataBundle
     task: tasks.Task
-    report: EvalReport
-    results: list[RunResult]
-    client_reports: list[EvalReport] | None = None
+    dev: list
+    test: list
 
 
-def run_scheme(cfg: ExperimentConfig, bundle: DataBundle, seed: int) -> SchemeOutcome:
+def _setup(cfg: ExperimentConfig) -> _Setup:
+    bundle = build_data(cfg)
     task = build_task(cfg, bundle.train)
-    dev = task.prepare(bundle.dev)
-    test = task.prepare(bundle.test)
-
-    fed = cfg.federation
-    if cfg.scheme == "centralized":
-        results = [federation.run_centralized(task, fed, task.prepare(bundle.train), dev, seed)]
-    elif cfg.scheme == "single":
-        parts = partition_train(cfg, bundle, task, fed.clients)
-        results = federation.run_single_client(task, fed, parts, dev, seed)
-    else:
-        parts = partition_train(cfg, bundle, task, fed.clients)
-        results = [federation.run_federated(task, fed, parts, dev, seed)]
-
-    reports = [task.evaluate(r.best_weights, test) for r in results]
-    if cfg.scheme == "single":
-        report, client_reports = _mean_reports(reports), reports
-    else:
-        report, client_reports = reports[0], None
-    return SchemeOutcome(task, report, results, client_reports)
+    return _Setup(bundle, task, task.prepare(bundle.dev), task.prepare(bundle.test))
 
 
 def _mean_reports(reports: list[EvalReport]) -> EvalReport:
@@ -177,8 +165,14 @@ def _write_rounds_log(path: Path, results: list[RunResult]) -> None:
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> Path:
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
+    s = _setup(cfg)
     out.mkdir(parents=True, exist_ok=True)
-    bundle = build_data(cfg)
+    fed = cfg.federation
+    # partitions depend on data_seed only, so every repeat trains on the same ones
+    if cfg.scheme == "centralized":
+        parts = [s.task.prepare(s.bundle.train)]
+    else:
+        parts = partition_train(cfg, s.bundle, s.task, fed.clients)
 
     seeds = [cfg.base_seed + i for i in range(cfg.repeats)]
     repeat_files: list[str] = []
@@ -187,30 +181,34 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
 
     for i, seed in enumerate(seeds):
         t0 = time.perf_counter()
-        outcome = run_scheme(cfg, bundle, seed)
+        if cfg.scheme in ("single", "centralized"):
+            results = [federation.run_centralized(s.task, fed, part, s.dev, seed) for part in parts]
+        else:
+            results = [federation.run_federated(s.task, fed, parts, s.dev, seed)]
+        reports = [s.task.evaluate(r.best_weights, s.test) for r in results]
         wall_times.append(time.perf_counter() - t0)
 
         rep_dir = out / f"repeat_{i}"
         rep_dir.mkdir(exist_ok=True)
-        report = outcome.report.as_dict()
-        _write_json(rep_dir / "report.json", {"seed": seed, **report})
-        _write_text(rep_dir / "report.csv", evaluation.report_to_csv(outcome.report))
-        _write_text(rep_dir / "table.txt", evaluation.format_report_table(outcome.report))
-        _write_rounds_log(rep_dir / "rounds.jsonl", outcome.results)
-        if outcome.client_reports is not None:
-            for k, rep in enumerate(outcome.client_reports):
+        report = _mean_reports(reports) if cfg.scheme == "single" else reports[0]
+        _write_json(rep_dir / "report.json", {"seed": seed, **report.as_dict()})
+        _write_text(rep_dir / "report.csv", evaluation.report_to_csv(report))
+        _write_text(rep_dir / "table.txt", evaluation.format_report_table(report))
+        _write_rounds_log(rep_dir / "rounds.jsonl", results)
+        if cfg.scheme == "single":
+            for k, rep in enumerate(reports):
                 _write_json(rep_dir / f"client_{k}_report.json", rep.as_dict())
-        if cfg.scheme != "single":
+        else:
             # np.savez would append ".npz" to the temporary name, so hand it the file
             with _replacing(rep_dir / "weights.npz", "wb") as fh:
-                tasks.save_bundle(fh, outcome.task, outcome.results[0].best_weights)
+                tasks.save_bundle(fh, s.task, results[0].best_weights)
         repeat_files.append(f"{rep_dir.name}/report.json")
-        for key, value in headline(cfg.task, report).items():
+        for key, value in headline(cfg.task, report.as_dict()).items():
             per_metric.setdefault(key, []).append(value)
 
     summary: dict[str, dict[str, float | list[float]]] = {}
     for key, values in sorted(per_metric.items()):
-        mean, std = _mean_std(values)
+        mean, std = aggregate_repeats(values)
         summary[key] = {"mean": mean, "std": std, "values": values}
     _write_json(out / "summary.json", {"scheme": cfg.scheme, "task": cfg.task, "metrics": summary})
 
@@ -232,20 +230,27 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
 # ---------------------------------------------------------------------------
 # sweeps
 
-def _repeat_cells(cfg: ExperimentConfig, task: tasks.Task, parts, dev, test, mu: float) -> str:
+def _repeat_cells(cfg: ExperimentConfig, s: _Setup, parts, mu: float) -> str:
     """One federated run per repeat seed, scored on test; returns the CSV
     cells repeats, lenient mean, lenient std, strict mean, strict std."""
-    lenient: list[float] = []
-    strict: list[float] = []
     fed = replace(cfg.federation, clients=len(parts), mu=mu)
-    for i in range(cfg.repeats):
-        result = federation.run_federated(task, fed, parts, dev, cfg.base_seed + i)
-        report = task.evaluate(result.best_weights, test)
-        lenient.append(report.lenient_macro_f1)
-        strict.append(report.strict_macro_f1)
-    lm, ls = _mean_std(lenient)
-    sm, ss = _mean_std(strict)
-    return f"{len(lenient)},{lm:.6f},{ls:.6f},{sm:.6f},{ss:.6f}"
+    seeds = range(cfg.base_seed, cfg.base_seed + cfg.repeats)
+    runs = [federation.run_federated(s.task, fed, parts, s.dev, seed) for seed in seeds]
+    reports = [s.task.evaluate(r.best_weights, s.test) for r in runs]
+    lm, ls = aggregate_repeats([r.lenient_macro_f1 for r in reports])
+    sm, ss = aggregate_repeats([r.strict_macro_f1 for r in reports])
+    return f"{len(reports)},{lm:.6f},{ls:.6f},{sm:.6f},{ss:.6f}"
+
+
+def _distinct(values: Sequence, name: str) -> list:
+    """``values`` in order with repeats dropped, warning once per repeat."""
+    kept: list = []
+    for value in values:
+        if value in kept:
+            print(f"warning: duplicate {name} {value} dropped", file=sys.stderr)
+        else:
+            kept.append(value)
+    return kept
 
 
 def _write_csv(out_path: str | Path, rows: list[str]) -> Path:
@@ -256,55 +261,38 @@ def _write_csv(out_path: str | Path, rows: list[str]) -> Path:
 
 
 def sweep_clients(cfg: ExperimentConfig, client_counts: Sequence[int], out_path: str | Path) -> Path:
-    """Scale sweep at fixed total data; one CSV row per requested K."""
-    for k in client_counts:
+    """Scale sweep at fixed total data; one CSV row per distinct requested K."""
+    counts = _distinct(client_counts, "client count")
+    for k in counts:
         if k < 2:
             raise ConfigError(f"sweep-clients needs K >= 2, got {k} (K = 1 is the centralized scheme)")
-    bundle = build_data(cfg)
-    task = build_task(cfg, bundle.train)
-    train = task.prepare(bundle.train)
-    dev = task.prepare(bundle.dev)
-    test = task.prepare(bundle.test)
+    s = _setup(cfg)
+    train = s.task.prepare(s.bundle.train)
     mu = cfg.federation.mu if cfg.scheme == "fedprox" else 0.0
     rows = ["clients,repeats,lenient_mean,lenient_std,strict_mean,strict_std,error"]
-    for k in client_counts:
+    for k in counts:
         try:
             parts = corpuslib.partition_iid(train, k, cfg.data.data_seed)
         except ValueError as exc:
             rows.append(f"{k},0,,,,,{json.dumps(str(exc))}")
             continue
-        rows.append(f"{k},{_repeat_cells(cfg, task, parts, dev, test, mu)},")
+        rows.append(f"{k},{_repeat_cells(cfg, s, parts, mu)},")
     return _write_csv(out_path, rows)
 
 
 def sweep_mu(cfg: ExperimentConfig, mus: Sequence[float] | None, out_path: str | Path) -> Path:
     """Proximal-strength sweep; mu = 0 rows are labeled as plain FedAvg."""
-    grid = list(DEFAULT_MU_GRID) if mus is None else list(mus)
-    deduped: list[float] = []
+    grid = _distinct(DEFAULT_MU_GRID if mus is None else mus, "mu")
     for mu in grid:
         if not 0 <= mu < math.inf:
             raise ConfigError(f"mu must be finite and >= 0, got {mu}")
-        if mu in deduped:
-            print(f"warning: duplicate mu {mu} dropped", file=sys.stderr)
-        else:
-            deduped.append(mu)
-
-    bundle = build_data(cfg)
-    task = build_task(cfg, bundle.train)
-    parts = partition_train(cfg, bundle, task, cfg.federation.clients)
-    dev = task.prepare(bundle.dev)
-    test = task.prepare(bundle.test)
+    s = _setup(cfg)
+    parts = partition_train(cfg, s.bundle, s.task, cfg.federation.clients)
     rows = ["mu,label,repeats,lenient_mean,lenient_std,strict_mean,strict_std"]
-    for mu in deduped:
+    for mu in grid:
         label = "fedavg-equivalent" if mu == 0 else "fedprox"
-        rows.append(f"{mu},{label},{_repeat_cells(cfg, task, parts, dev, test, mu)}")
+        rows.append(f"{mu},{label},{_repeat_cells(cfg, s, parts, mu)}")
     return _write_csv(out_path, rows)
-
-
-def _mean_std(values: Sequence[float]) -> tuple[float, float]:
-    if len(values) >= 2:
-        return aggregate_repeats(values)
-    return (values[0], 0.0) if values else (float("nan"), float("nan"))
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +327,7 @@ def render_report(run_dirs: Sequence[str | Path]) -> str:
         for key, stored in metrics.items():
             values = check_values.get(key, [])
             if len(values) == len(stored["values"]):
-                mean, std = _mean_std(values)
+                mean, std = aggregate_repeats(values)
                 if abs(mean - stored["mean"]) > 1e-9 or abs(std - stored["std"]) > 1e-9:
                     problems.append(f"{run_dir}: summary does not match repeat files for {key}")
 
@@ -396,9 +384,10 @@ def bench_inference(bundle_path: str | Path, data_path: str | Path, limit: int |
 # llm bridge plumbing
 
 def _llm_subset(cfg: ExperimentConfig, n: int, seed: int):
-    bundle = build_data(cfg)
-    task = build_task(cfg, bundle.train)
-    return task, llm_bridge.sample_test_subset(task.prepare(bundle.test), n, seed)
+    if n < 1:
+        raise ConfigError(f"--n must be >= 1, got {n}")
+    s = _setup(cfg)
+    return s.task, llm_bridge.sample_test_subset(s.test, n, seed)
 
 
 def emit_prompts(

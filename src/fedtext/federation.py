@@ -1,12 +1,13 @@
-"""FedAvg/FedProx round loop plus centralized and single-client baselines.
+"""FedAvg/FedProx round loop plus the centralized baseline.
 
 One round: every client copies the server weights, runs R epochs of
 mini-batch updates on its own shard (optionally with the proximal penalty
 anchored at the round-start weights), and the server takes the data-weighted
-average of the results.  Client work depends only on (server weights, shard,
-per-round seed), so the order clients run in never changes the result;
-the baselines reuse the same loop with a single client, which makes the
-K=1 / centralized equivalence hold bit for bit.
+average of the results.  Client work depends only on the server weights, its
+shard and its ``client_rng`` stream, keyed by (seed, client, round), so the
+order clients run in cannot change the result.  The baseline reuses the same
+loop with a single client, which makes the K=1 / centralized equivalence hold
+bit for bit; a single-client scheme is one baseline run per shard.
 """
 from __future__ import annotations
 
@@ -124,15 +125,15 @@ def run_federated(
     partitions: Sequence[Sequence],
     dev: Sequence,
     seed: int = 0,
-    execution_order: Sequence[int] | None = None,
 ) -> RunResult:
     """T rounds of FedAvg (mu = 0) or FedProx (mu > 0) with full participation.
 
     ``seed`` fixes the initial weights and every client's shuffling.  Clients
-    train one after another in ``execution_order`` (default: by id);
-    aggregation always runs in client-id order.  The best round is the
-    earliest one with the highest dev selection metric.  An error inside a
-    client's round is re-raised prefixed with ``round R, client K:``.
+    train and are aggregated in client-id order; each one shuffles with its
+    own ``client_rng`` stream, so running them in another order would give
+    the same weights.  The best round is the earliest one with the highest
+    dev selection metric.  An error inside a client's round is re-raised
+    prefixed with ``round R, client K:``.
     """
     if cfg.clients != len(partitions):
         raise ValueError(
@@ -143,9 +144,6 @@ def run_federated(
             raise ValueError(f"partition {i} is empty")
     if not dev:
         raise ValueError("dev set is empty")
-    order = list(execution_order) if execution_order is not None else list(range(cfg.clients))
-    if sorted(order) != list(range(cfg.clients)):
-        raise ValueError("execution_order must be a permutation of the client ids")
 
     server = task.init_params(seed)
     clients = [
@@ -162,14 +160,13 @@ def run_federated(
     best_round, best_weights = -1, server
 
     for t in range(cfg.rounds):
-        updates = {}
-        for cid in order:
-            rng = client_rng(seed, cid, t)
+        updates = []
+        for c in clients:
             try:
-                updates[cid] = local_update(task, clients[cid], server, cfg, rng)
+                updates.append(local_update(task, c, server, cfg, client_rng(seed, c.id, t)))
             except ValueError as exc:  # e.g. a diverging client's non-finite gradient
-                raise ValueError(f"round {t + 1}, client {cid}: {exc}") from exc
-        weights, losses = zip(*(updates[c.id] for c in clients))  # client-id order
+                raise ValueError(f"round {t + 1}, client {c.id}: {exc}") from exc
+        weights, losses = zip(*updates)
         server = aggregate([(w, c.n) for w, c in zip(weights, clients)])
         scores = task.dev_scores(server, dev)
         round_log.append(
@@ -201,12 +198,3 @@ def run_centralized(
     """
     solo = replace(cfg, clients=1, mu=0.0)
     return run_federated(task, solo, [pooled], dev, seed)
-
-
-def run_single_client(
-    task: Task, cfg: FederationConfig, partitions: Sequence[Sequence], dev: Sequence, seed: int = 0
-) -> list[RunResult]:
-    """Independent per-partition baselines: centralized training on each shard."""
-    if not partitions:
-        raise ValueError("no partitions given")
-    return [run_centralized(task, cfg, part, dev, seed) for part in partitions]

@@ -426,6 +426,13 @@ def test_eval_command(tmp_path, capsys):
     assert free != out.split("wrote")[0]
 
 
+def test_eval_command_refuses_an_empty_file(tmp_path, capsys):
+    pred_file = tmp_path / "preds.tsv"
+    pred_file.write_text("")
+    assert main(["eval", "--predictions", str(pred_file)]) == 2
+    assert capsys.readouterr().err == "error: no sentences to score\n"
+
+
 def test_eval_command_on_a_file_without_entities(tmp_path, capsys):
     pred_file = tmp_path / "preds.tsv"
     pred_file.write_text("the\tO\tO\ncell\tO\tO\n")
@@ -459,6 +466,37 @@ def test_bench_limit_below_one_is_a_config_error(tmp_path, capsys, limit):
     assert main(["bench", "--weights", str(tmp_path / "no.npz"),
                  "--data", str(tmp_path / "no.conll"), "--limit", limit]) == 1
     assert capsys.readouterr().err == f"config error: --limit must be >= 1, got {limit}\n"
+
+
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_score_llm_n_below_one_is_a_config_error(tmp_path, capsys, monkeypatch, n):
+    # checked before the corpus is built, which here would be a runtime error
+    def no_data(cfg):
+        raise RuntimeError("the corpus was built")
+
+    monkeypatch.setattr(experiments, "build_data", no_data)
+    cfg_path = write_config(tmp_path, out=str(tmp_path / "out"))
+    assert main(["score-llm", "-c", str(cfg_path), "--tag", "m", "--n", n,
+                 "--emit-prompts", str(tmp_path / "prompts.jsonl")]) == 1
+    assert capsys.readouterr().err == f"config error: --n must be >= 1, got {n}\n"
+
+
+@pytest.mark.parametrize("task", ["ner", "re"])
+def test_a_run_with_an_empty_test_split_stops_before_training(tmp_path, capsys, monkeypatch, task):
+    # five items split 4/1/0: no run could be scored, so none is trained
+    from fedtext import federation
+
+    def no_training(*args, **kwargs):
+        raise RuntimeError("a run was trained")
+
+    monkeypatch.setattr(federation, "run_federated", no_training)
+    text = (BASE_CONFIG if task == "ner" else RE_CONFIG).format(out=tmp_path / "out")
+    text = text.replace("sentences = 80", "sentences = 5").replace("sentences = 70", "sentences = 5")
+    assert main(["run", "-c", str(write_config(tmp_path, text=text))]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: the pooled test split is empty")
+    assert "split 4/1/0 into train/dev/test" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_divergence_exits_2_naming_round_client_and_segment(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Span decoding and scoring against an independent maximum-matching oracle."""
 import csv
 import io
+import math
 from collections import Counter
 
 import numpy as np
@@ -259,6 +260,12 @@ def test_score_ner_length_mismatch():
         score_ner([[]], [[], []])
 
 
+def test_score_ner_refuses_an_empty_corpus():
+    # no sentence at all is nothing scored, not a macro-F1 of 0
+    with pytest.raises(ValueError, match="no sentences to score"):
+        score_ner([], [])
+
+
 def test_score_ner_with_no_spans_anywhere():
     # 0/0 is 0, as for a single type in prf1; macro_average({}) still raises
     report = score_ner([[], []], [[], []])
@@ -306,8 +313,8 @@ def test_aggregate_repeats_hand_values():
     mean, std = aggregate_repeats([0.8, 0.9, 1.0])
     assert mean == pytest.approx(0.9)
     assert std == pytest.approx(0.1)
-    with pytest.raises(ValueError):
-        aggregate_repeats([0.5])
+    assert aggregate_repeats([0.5]) == (0.5, 0.0)
+    assert all(map(math.isnan, aggregate_repeats([])))
 
 
 def test_report_csv_layout():

@@ -1,11 +1,12 @@
 """Experiment drivers: scheme dispatch, output integrity, benchmarking."""
 import json
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from fedtext import experiments
+from fedtext import experiments, tasks
 from fedtext.config import ConfigError, parse_config
 from fedtext.evaluation import EvalReport, TypeScore
 
@@ -63,6 +64,27 @@ def test_build_data_pools_dev_and_test():
     assert len(bundle.train) == sum(len(t) for t in bundle.source_trains)
     assert len(bundle.dev) == expect_dev
     assert len(bundle.test) == expect_test
+
+
+@pytest.mark.parametrize("scheme", ["fedavg", "single", "centralized"])
+def test_run_experiment_sets_up_once_for_all_repeats(tmp_path, monkeypatch, scheme):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(experiments, "build_task", counted("build_task", experiments.build_task))
+    monkeypatch.setattr(tasks.Task, "prepare", counted("prepare", tasks.Task.prepare))
+    per_repeats = {}
+    for repeats in (1, 3):
+        calls.clear()
+        experiments.run_experiment(replace(cfg_for(scheme), repeats=repeats), tmp_path / str(repeats))
+        per_repeats[repeats] = dict(calls)
+    assert per_repeats[3]["build_task"] == 1
+    assert per_repeats[3] == per_repeats[1]
 
 
 def test_single_scheme_writes_per_client_reports(tmp_path):
@@ -193,3 +215,12 @@ def test_sweep_mu_rejects_negative_and_warns_on_duplicates(tmp_path, capsys):
     assert "duplicate mu" in capsys.readouterr().err
     lines = (tmp_path / "mu.csv").read_text().strip().splitlines()
     assert len(lines) == 2  # header plus the single deduplicated row
+
+
+def test_sweep_clients_runs_each_distinct_count_once(tmp_path, capsys):
+    cfg = replace(cfg_for("fedavg"), repeats=1)
+    experiments.sweep_clients(cfg, [2, 3, 2, 2], tmp_path / "k.csv")
+    err = capsys.readouterr().err
+    assert err.count("warning: duplicate client count 2 dropped") == 2
+    lines = (tmp_path / "k.csv").read_text().strip().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["2", "3"]

@@ -13,7 +13,6 @@ from fedtext.federation import (
     local_update,
     run_centralized,
     run_federated,
-    run_single_client,
     weights_sha256,
 )
 from fedtext.optim import OptimizerState, Schedule
@@ -126,20 +125,25 @@ def test_centralized_ignores_client_count_and_mu(ner_setup):
 
 
 def test_execution_order_does_not_change_the_result(ner_setup):
+    # each client shuffles with its own client_rng stream, so round one run by
+    # hand in reverse client order, then aggregated in id order, gives the
+    # weights run_federated logs for it
     task, train, dev = ner_setup["task"], ner_setup["train"], ner_setup["dev"]
     parts = corpus.partition_iid(train, 3, 11)
     cfg = fed_cfg(clients=3)
-    default = run_federated(task, cfg, parts, dev)
-    reversed_order = run_federated(task, cfg, parts, dev, execution_order=[2, 1, 0])
-    assert np.array_equal(default.final_weights.values, reversed_order.final_weights.values)
-    assert default.round_log == reversed_order.round_log
+    logged = run_federated(task, cfg, parts, dev).round_log[0]["weights_sha256"]
 
-
-def test_execution_order_must_be_a_permutation(ner_setup):
-    task, train, dev = ner_setup["task"], ner_setup["train"], ner_setup["dev"]
-    parts = corpus.partition_iid(train, 2, 11)
-    with pytest.raises(ValueError):
-        run_federated(task, fed_cfg(), parts, dev, execution_order=[0, 0])
+    server = task.init_params(0)
+    clients = []
+    for i, part in enumerate(parts):
+        total = cfg.rounds * cfg.local_epochs * math.ceil(len(part) / cfg.batch_size)
+        sched = Schedule(base_lr=cfg.base_lr, warmup_steps=int(round(cfg.warmup_frac * total)),
+                         total_steps=total)
+        clients.append(ClientState(i, list(part), OptimizerState(cfg.optimizer, server.size), sched))
+    updates = {c.id: local_update(task, c, server, cfg, client_rng(0, c.id, 0))[0]
+               for c in reversed(clients)}
+    by_hand = aggregate([(updates[c.id], c.n) for c in clients])
+    assert weights_sha256(by_hand) == logged
 
 
 def test_partition_count_must_match_config(ner_setup):
@@ -328,18 +332,6 @@ def test_a_diverging_step_leaves_the_client_as_it_was(ner_setup, monkeypatch, op
     after = moments(client.opt)
     assert len(after) == (2 if optimizer == "adam" else 0)
     assert all(map(np.array_equal, after, before))
-
-
-def test_run_single_client_trains_each_shard_alone(ner_setup):
-    task, train, dev = ner_setup["task"], ner_setup["train"], ner_setup["dev"]
-    parts = corpus.partition_iid(train, 2, 11)
-    cfg = fed_cfg()
-    results = run_single_client(task, cfg, parts, dev)
-    assert len(results) == 2
-    solo0 = run_centralized(task, cfg, parts[0], dev)
-    assert np.array_equal(results[0].final_weights.values, solo0.final_weights.values)
-    with pytest.raises(ValueError):
-        run_single_client(task, cfg, [], dev)
 
 
 def test_config_validation():
