@@ -147,35 +147,25 @@ def _cmd_gen_synth(args) -> int:
 
 def _cmd_score_llm(args) -> int:
     cfg = load_config(args.config)
-    if not args.emit_prompts and not args.responses:
-        raise ConfigError("score-llm needs --emit-prompts or --responses")
-    if args.emit_prompts:
-        if args.shot == "one" and cfg.task == "re":
-            raise ConfigError("score-llm --shot one has no exemplar for task = re; use --shot zero")
-        exemplar = (
-            llm_bridge.default_ner_exemplar(args.tag) if args.shot == "one" else None
+    if bool(args.emit_prompts) == bool(args.responses):
+        raise ConfigError("score-llm takes exactly one of --emit-prompts and --responses")
+    if cfg.task == "ner" and not llm_bridge.TAG_NAME.fullmatch(args.tag):
+        raise ConfigError(f"--tag {args.tag!r} is not a usable HTML tag name")
+    if args.responses:
+        out = experiments.score_llm(
+            cfg, args.responses, entity_label=args.entity_type, tag=args.tag, n=args.n,
+            seed=args.subset_seed, out_dir=args.out_dir, casefold=args.align_casefold,
         )
-        spec = llm_bridge.PromptSpec(
-            task=cfg.task,
-            entity_type=args.entity_type,
-            tag=args.tag,
-            shot=args.shot,
-            exemplar=exemplar,
-        )
-        out = experiments.emit_prompts(cfg, spec, args.n, args.subset_seed, args.emit_prompts)
-        print(f"wrote {out}")
+        print(f"wrote {out}/llm_report.json")
         return 0
-    out = experiments.score_llm(
-        cfg,
-        args.responses,
-        entity_label=args.entity_type,
-        tag=args.tag,
-        n=args.n,
-        seed=args.subset_seed,
-        out_dir=args.out_dir,
-        casefold=args.align_casefold,
+    if args.shot == "one" and cfg.task == "re":
+        raise ConfigError("score-llm --shot one has no exemplar for task = re; use --shot zero")
+    exemplar = llm_bridge.default_ner_exemplar(args.tag) if args.shot == "one" else None
+    spec = llm_bridge.PromptSpec(
+        task=cfg.task, entity_type=args.entity_type, tag=args.tag, shot=args.shot, exemplar=exemplar
     )
-    print(f"wrote {out}/llm_report.json")
+    out = experiments.emit_prompts(cfg, spec, args.n, args.subset_seed, args.emit_prompts)
+    print(f"wrote {out}")
     return 0
 
 

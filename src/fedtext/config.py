@@ -85,7 +85,7 @@ class ModelConfig:
 class FederationConfig:
     """The [federation] section, which the round loop also runs from."""
 
-    clients: int = 2
+    clients: int = 2  # shards partition_train makes; the round loop takes K from them
     rounds: int = 5
     local_epochs: int = 1
     batch_size: int = 16

@@ -163,6 +163,17 @@ def _write_rounds_log(path: Path, results: list[RunResult]) -> None:
                 fh.write(json.dumps({"run": i, **record}, sort_keys=True) + "\n")
 
 
+def _summary_metrics(task: str, reports: Sequence[dict]) -> dict[str, dict]:
+    """summary.json's ``metrics`` from one or more repeats' report.json dicts:
+    the mean, std and per-repeat values of each headline metric."""
+    metrics = {}
+    for key in headline(task, reports[0]):
+        values = [headline(task, report)[key] for report in reports]
+        mean, std = aggregate_repeats(values)
+        metrics[key] = {"mean": mean, "std": std, "values": values}
+    return metrics
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> Path:
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     s = _setup(cfg)
@@ -177,7 +188,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
     seeds = [cfg.base_seed + i for i in range(cfg.repeats)]
     repeat_files: list[str] = []
     wall_times: list[float] = []
-    per_metric: dict[str, list[float]] = {}
+    repeat_reports: list[dict] = []
 
     for i, seed in enumerate(seeds):
         t0 = time.perf_counter()
@@ -191,7 +202,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
         rep_dir = out / f"repeat_{i}"
         rep_dir.mkdir(exist_ok=True)
         report = _mean_reports(reports) if cfg.scheme == "single" else reports[0]
-        _write_json(rep_dir / "report.json", {"seed": seed, **report.as_dict()})
+        repeat_reports.append({"seed": seed, **report.as_dict()})
+        _write_json(rep_dir / "report.json", repeat_reports[-1])
         _write_text(rep_dir / "report.csv", evaluation.report_to_csv(report))
         _write_text(rep_dir / "table.txt", evaluation.format_report_table(report))
         _write_rounds_log(rep_dir / "rounds.jsonl", results)
@@ -203,14 +215,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
             with _replacing(rep_dir / "weights.npz", "wb") as fh:
                 tasks.save_bundle(fh, s.task, results[0].best_weights)
         repeat_files.append(f"{rep_dir.name}/report.json")
-        for key, value in headline(cfg.task, report.as_dict()).items():
-            per_metric.setdefault(key, []).append(value)
 
-    summary: dict[str, dict[str, float | list[float]]] = {}
-    for key, values in sorted(per_metric.items()):
-        mean, std = aggregate_repeats(values)
-        summary[key] = {"mean": mean, "std": std, "values": values}
-    _write_json(out / "summary.json", {"scheme": cfg.scheme, "task": cfg.task, "metrics": summary})
+    metrics = _summary_metrics(cfg.task, repeat_reports)
+    _write_json(out / "summary.json", {"scheme": cfg.scheme, "task": cfg.task, "metrics": metrics})
 
     # the manifest goes last: a run directory that has one is complete
     manifest = RunManifest(
@@ -233,7 +240,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
 def _repeat_cells(cfg: ExperimentConfig, s: _Setup, parts, mu: float) -> str:
     """One federated run per repeat seed, scored on test; returns the CSV
     cells repeats, lenient mean, lenient std, strict mean, strict std."""
-    fed = replace(cfg.federation, clients=len(parts), mu=mu)
+    fed = replace(cfg.federation, mu=mu)
     seeds = range(cfg.base_seed, cfg.base_seed + cfg.repeats)
     runs = [federation.run_federated(s.task, fed, parts, s.dev, seed) for seed in seeds]
     reports = [s.task.evaluate(r.best_weights, s.test) for r in runs]
@@ -298,49 +305,53 @@ def sweep_mu(cfg: ExperimentConfig, mus: Sequence[float] | None, out_path: str |
 # ---------------------------------------------------------------------------
 # report rendering
 
+def _read_run_file(run_dir: Path, name: str, make=dict):
+    """``make`` applied to the JSON in a run directory's file ``name``; a
+    ValueError naming the file if it is unreadable or ``make`` rejects it."""
+    try:
+        return make(json.loads((run_dir / name).read_text(encoding="utf-8")))
+    except (OSError, ValueError, TypeError, KeyError) as exc:
+        raise ValueError(f"cannot read {name}: {exc}") from None
+
+
 def render_report(run_dirs: Sequence[str | Path]) -> str:
-    """Summary table across run directories; cells are lenient (strict)."""
+    """Summary table across run directories; cells are lenient (strict), from
+    the repeat files.  A file that is missing or unreadable, or a summary.json
+    that differs from what the repeat files give, adds a ``!`` line."""
     lines = []
     problems = []
-    for run_dir in run_dirs:
-        run_dir = Path(run_dir)
-        manifest_path = run_dir / "manifest.json"
-        if not manifest_path.exists():
+    for run_dir in map(Path, run_dirs):
+        if not (run_dir / "manifest.json").exists():
             problems.append(f"{run_dir}: no manifest.json")
             continue
-        manifest = RunManifest.load(manifest_path)
-        repeat_paths = [run_dir / f for f in manifest.repeat_files]
-        missing = [p for p in repeat_paths if not p.exists()]
-        for p in missing:
-            problems.append(f"{run_dir}: missing repeat file {p}")
-
-        summary = json.loads((run_dir / manifest.summary_file).read_text())
-        metrics = summary["metrics"]
-        # cross-check the stored summary against the surviving repeat files
-        check_values: dict[str, list[float]] = {}
-        for p in repeat_paths:
-            if not p.exists():
+        try:
+            manifest = _read_run_file(run_dir, "manifest.json", lambda data: RunManifest(**data))
+            stored = _read_run_file(run_dir, manifest.summary_file, lambda data: dict(data["metrics"]))
+        except ValueError as exc:
+            problems.append(f"{run_dir}: {exc}")
+            continue
+        reports = []
+        for name in manifest.repeat_files:
+            if not (run_dir / name).exists():
+                problems.append(f"{run_dir}: missing repeat file {run_dir / name}")
                 continue
-            rep = json.loads(p.read_text())
-            for key, value in headline(manifest.task, rep).items():
-                check_values.setdefault(key, []).append(value)
-        for key, stored in metrics.items():
-            values = check_values.get(key, [])
-            if len(values) == len(stored["values"]):
-                mean, std = aggregate_repeats(values)
-                if abs(mean - stored["mean"]) > 1e-9 or abs(std - stored["std"]) > 1e-9:
-                    problems.append(f"{run_dir}: summary does not match repeat files for {key}")
+            try:  # a report without its headline metrics is unreadable too
+                reports.append(_read_run_file(run_dir, name, lambda d: headline(manifest.task, d) and d))
+            except ValueError as exc:
+                problems.append(f"{run_dir}: {exc}")
 
-        if missing:
+        if not reports or len(reports) < len(manifest.repeat_files):
             cell = "incomplete"
-        elif manifest.task == "ner":
-            cell = format_cell(
-                metrics["lenient_f1"]["mean"], metrics["lenient_f1"]["std"],
-                metrics["strict_f1"]["mean"], metrics["strict_f1"]["std"],
-            )
         else:
-            m = metrics["macro_f1"]
-            cell = f"{m['mean']:.3f}±{m['std']:.3f}"
+            metrics = _summary_metrics(manifest.task, reports)
+            for key in sorted(metrics.keys() | stored.keys()):
+                if metrics.get(key) != stored.get(key):  # JSON floats round-trip exactly
+                    problems.append(f"{run_dir}: summary does not match repeat files for {key}")
+            if manifest.task == "ner":
+                le, st = metrics["lenient_f1"], metrics["strict_f1"]
+                cell = format_cell(le["mean"], le["std"], st["mean"], st["std"])
+            else:
+                cell = "{mean:.3f}±{std:.3f}".format(**metrics["macro_f1"])
         lines.append((f"{manifest.task}/{manifest.scheme}", cell))
 
     width = max((len(name) for name, _ in lines), default=0)
@@ -386,8 +397,9 @@ def bench_inference(bundle_path: str | Path, data_path: str | Path, limit: int |
 def _llm_subset(cfg: ExperimentConfig, n: int, seed: int):
     if n < 1:
         raise ConfigError(f"--n must be >= 1, got {n}")
-    s = _setup(cfg)
-    return s.task, llm_bridge.sample_test_subset(s.test, n, seed)
+    bundle = build_data(cfg)
+    task = build_task(cfg, bundle.train)  # prompts and scores read only the test split
+    return task, llm_bridge.sample_test_subset(task.prepare(bundle.test), n, seed)
 
 
 def emit_prompts(

@@ -126,7 +126,8 @@ def run_federated(
     dev: Sequence,
     seed: int = 0,
 ) -> RunResult:
-    """T rounds of FedAvg (mu = 0) or FedProx (mu > 0) with full participation.
+    """T rounds of FedAvg (mu = 0) or FedProx (mu > 0) with full participation
+    of K = len(partitions) clients, client k training on ``partitions[k]``.
 
     ``seed`` fixes the initial weights and every client's shuffling.  Clients
     train and are aggregated in client-id order; each one shuffles with its
@@ -135,10 +136,8 @@ def run_federated(
     dev selection metric.  An error inside a client's round is re-raised
     prefixed with ``round R, client K:``.
     """
-    if cfg.clients != len(partitions):
-        raise ValueError(
-            f"config says {cfg.clients} clients but {len(partitions)} partitions given"
-        )
+    if not partitions:
+        raise ValueError("no partitions given")
     for i, part in enumerate(partitions):
         if not part:
             raise ValueError(f"partition {i} is empty")
@@ -196,5 +195,4 @@ def run_centralized(
     Implemented as the same round loop with a single client, so under sgd it
     is update-for-update identical to a one-client federated run.
     """
-    solo = replace(cfg, clients=1, mu=0.0)
-    return run_federated(task, solo, [pooled], dev, seed)
+    return run_federated(task, replace(cfg, mu=0.0), [pooled], dev, seed)

@@ -21,6 +21,7 @@ from .evaluation import EntitySpan, EvalReport, re_report, score_ner
 from .tasks import NerItem, ReItem
 
 ABSTAIN_LABEL = "<abstain>"
+TAG_NAME = re.compile(r"[A-Za-z][A-Za-z0-9]*")  # fullmatch: a usable highlight tag
 
 NER_TEMPLATE = (
     "Task: the task is to extract {etype} entities in a sentence\n"
@@ -75,7 +76,7 @@ class PromptSpec:
             raise ValueError(f"unknown task {self.task!r}")
         if not self.entity_type:
             raise ValueError("entity_type must be non-empty")
-        if self.task == "ner" and not re.fullmatch(r"[A-Za-z][A-Za-z0-9]*", self.tag):
+        if self.task == "ner" and not TAG_NAME.fullmatch(self.tag):
             raise ValueError(f"tag {self.tag!r} is not a usable HTML tag name")
         if self.shot not in ("zero", "one"):
             raise ValueError(f"shot must be 'zero' or 'one', got {self.shot!r}")

@@ -25,6 +25,10 @@ Padded positions carry zero gradient, so the result equals the per-item sum
 pads a chunk of sentences the same way and decodes the RNN's emissions with
 one batched Viterbi; when no row is padded, as for a single sentence, the
 backward direction reverses whole rows and the decode needs no mask.
+
+A batch is checked in the pass that pads it: ``_joined`` checks each kind of
+id (non-empty, 1-D, in range) as it joins them once for ``_pad``, and a
+tagger's token and label masks must agree.
 """
 from __future__ import annotations
 
@@ -179,18 +183,18 @@ def _check_weights(spec: ModelSpec, w: ParamVector) -> None:
         raise ValueError("weight layout does not match the model spec")
 
 
-def _check_token_ids(spec: ModelSpec, token_ids: Sequence[np.ndarray]) -> np.ndarray:
-    """Check that every item's ids are a non-empty 1-D array inside the
-    vocabulary, and return them joined end to end."""
-    if len(token_ids) == 0:
+def _joined(arrays: Sequence[np.ndarray], limit: int, what: str) -> np.ndarray:
+    """Check that there is at least one array and that each is a non-empty
+    1-D array of ``what``s in [0, limit), and return them joined end to end."""
+    if len(arrays) == 0:
         raise ValueError("no items given")
-    for ids in token_ids:
-        if ids.ndim != 1 or ids.size < 1:
-            raise ValueError("token_ids must be a non-empty 1-D array")
-    flat = np.concatenate(token_ids) if len(token_ids) > 1 else token_ids[0]
+    for a in arrays:
+        if a.ndim != 1 or a.size < 1:
+            raise ValueError(f"each item's {what}s must be a non-empty 1-D array")
+    flat = np.concatenate(arrays) if len(arrays) > 1 else arrays[0]
     # the ufuncs' own reductions: min() and max() cost a Python call more each
-    if np.minimum.reduce(flat) < 0 or np.maximum.reduce(flat) >= spec.vocab_size:
-        raise ValueError("token id out of range for the model vocabulary")
+    if np.minimum.reduce(flat) < 0 or np.maximum.reduce(flat) >= limit:
+        raise ValueError(f"{what} out of range [0, {limit})")
     return flat
 
 
@@ -200,13 +204,14 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _pad(arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack 1-D int arrays into a zero-padded (B, T) array and its (B, T)
-    prefix mask, T being the longest length."""
+def _pad(arrays: Sequence[np.ndarray], flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 1-D int ``arrays``, given joined end to end as ``flat``, as a
+    zero-padded (B, T) array and its (B, T) prefix mask, T being the longest
+    length."""
     lengths = np.array([a.size for a in arrays])
     mask = np.arange(lengths.max()) < lengths[:, None]
     padded = np.zeros(mask.shape, dtype=np.intp)
-    padded[mask] = np.concatenate(arrays)
+    padded[mask] = flat
     return padded, mask
 
 
@@ -364,14 +369,15 @@ def _check_span(span: tuple[int, int], T: int, which: str) -> None:
 
 
 def _relation_forward(
-    seg: Segments, batch: Sequence[RelationExample]
+    spec: ModelSpec, seg: Segments, batch: Sequence[RelationExample]
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     """(B, L) logits for a batch of relation instances."""
+    tokens = [item.token_ids for item in batch]
+    ids, mask = _pad(tokens, _joined(tokens, spec.vocab_size, "token id"))
     for item in batch:
         T = item.token_ids.size
         _check_span(item.span1, T, "span1")
         _check_span(item.span2, T, "span2")
-    ids, mask = _pad([item.token_ids for item in batch])
     spans = np.array([(item.span1, item.span2) for item in batch])  # (B, 2, 2)
     span_lens = spans[:, :, 1] - spans[:, :, 0] + 1
     n = mask.sum(axis=1)[:, None]
@@ -386,10 +392,13 @@ def _relation_forward(
     return logits, cache
 
 
-def _relation_loss_grad(seg: Segments, batch: Sequence[RelationExample], gs: Segments) -> float:
-    logits, c = _relation_forward(seg, batch)
+def _relation_loss_grad(
+    spec: ModelSpec, seg: Segments, batch: Sequence[RelationExample], gs: Segments
+) -> float:
+    logits, c = _relation_forward(spec, seg, batch)
+    gold_ids = _joined([np.array([item.label_id for item in batch])], spec.label_count, "label id")
     probs = _softmax_rows(logits)
-    gold = (np.arange(len(batch)), np.array([item.label_id for item in batch]))
+    gold = (np.arange(len(batch)), gold_ids)
     loss = float(-np.log(probs[gold]).sum())
 
     d_logits = probs
@@ -413,32 +422,13 @@ def _relation_loss_grad(seg: Segments, batch: Sequence[RelationExample], gs: Seg
 Batch = Sequence[TagExample] | Sequence[RelationExample]
 
 
-def _validate_batch(spec: ModelSpec, batch: Batch) -> None:
-    _check_token_ids(spec, [item.token_ids for item in batch])
-    for item in batch:
-        if spec.kind == "relation_classifier":
-            if not isinstance(item, RelationExample):
-                raise ValueError("relation_classifier expects RelationExample items")
-            if not 0 <= item.label_id < spec.label_count:
-                raise ValueError(f"label id {item.label_id} out of range")
-        else:
-            if not isinstance(item, TagExample):
-                raise ValueError(f"{spec.kind} expects TagExample items")
-            if item.label_ids.shape != item.token_ids.shape:
-                raise ValueError("token and label arrays differ in length")
-    if spec.kind != "relation_classifier":
-        labels = np.concatenate([item.label_ids for item in batch])
-        if labels.min() < 0 or labels.max() >= spec.label_count:
-            raise ValueError("label id out of range")
-
-
 def loss_and_grad(spec: ModelSpec, w: ParamVector, batch: Batch) -> LossGrad:
     """Mean per-item NLL over the batch and the matching exact gradient,
-    from one padded, masked pass over the whole batch."""
+    from one padded, masked pass over the whole batch, which also checks it."""
     _check_weights(spec, w)
-    if len(batch) == 0:
-        raise ValueError("batch must be non-empty")
-    _validate_batch(spec, batch)
+    item_type = RelationExample if spec.kind == "relation_classifier" else TagExample
+    if not all(isinstance(item, item_type) for item in batch):
+        raise ValueError(f"{spec.kind} expects {item_type.__name__} items")
     grad = w.zeros_like()
     seg, gs = _segments(spec, w), _segments(spec, grad)
     # Diverging weights can overflow here, and a saturated softmax can take
@@ -446,10 +436,14 @@ def loss_and_grad(spec: ModelSpec, w: ParamVector, batch: Batch) -> LossGrad:
     # failure, so numpy's warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if spec.kind == "relation_classifier":
-            total = _relation_loss_grad(seg, batch, gs)
+            total = _relation_loss_grad(spec, seg, batch, gs)
         else:
-            ids, mask = _pad([item.token_ids for item in batch])
-            labels, _ = _pad([item.label_ids for item in batch])
+            tokens = [item.token_ids for item in batch]
+            ids, mask = _pad(tokens, _joined(tokens, spec.vocab_size, "token id"))
+            label_ids = [item.label_ids for item in batch]
+            labels, label_mask = _pad(label_ids, _joined(label_ids, spec.label_count, "label id"))
+            if not np.array_equal(mask, label_mask):
+                raise ValueError("token and label arrays differ in length")
             tagger = _window_loss_grad if spec.kind == "window_tagger" else _rnn_crf_loss_grad
             total = tagger(spec, seg, ids, mask, labels, gs)
     grad.values /= len(batch)
@@ -462,10 +456,10 @@ def predict_tags(spec: ModelSpec, w: ParamVector, sentences: Sequence[np.ndarray
     _check_weights(spec, w)
     if spec.kind == "relation_classifier":
         raise ValueError(f"{spec.kind} does not tag sentences")
-    flat = _check_token_ids(spec, sentences)
+    flat = _joined(sentences, spec.vocab_size, "token id")
     lengths = [ids.size for ids in sentences]
     padded = min(lengths) < max(lengths)
-    ids, mask = _pad(sentences) if padded else (flat.reshape(len(lengths), -1), None)
+    ids, mask = _pad(sentences, flat) if padded else (flat.reshape(len(lengths), -1), None)
     seg = _segments(spec, w)
     if spec.kind == "window_tagger":
         X = seg["embed"][ids]
@@ -488,6 +482,5 @@ def predict_relations(spec: ModelSpec, w: ParamVector, items: Sequence[RelationE
     _check_weights(spec, w)
     if spec.kind != "relation_classifier":
         raise ValueError(f"{spec.kind} does not classify relations")
-    _check_token_ids(spec, [item.token_ids for item in items])
-    logits, _ = _relation_forward(_segments(spec, w), items)
+    logits, _ = _relation_forward(spec, _segments(spec, w), items)
     return logits.argmax(axis=1)

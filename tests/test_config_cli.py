@@ -1,13 +1,10 @@
 """Config parsing/validation, hashing, and the command-line surface."""
-import dataclasses
 import json
 import re
-from pathlib import Path
-from typing import get_type_hints
 
 import pytest
 
-from fedtext import config, experiments, llm_bridge
+from fedtext import experiments, llm_bridge, tasks
 from fedtext.cli import main
 from fedtext.config import (
     ConfigError,
@@ -17,8 +14,6 @@ from fedtext.config import (
     validate_config,
 )
 from oracles import segment
-
-README = Path(__file__).resolve().parent.parent / "README.md"
 
 BASE_CONFIG = """\
 [experiment]
@@ -173,24 +168,6 @@ def test_out_of_range_values_are_config_errors_naming_the_key(tmp_path, capsys,
     text = text.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n")
     assert main(["run", "-c", str(write_config(tmp_path, text=text))]) == 1
     assert f"[{section}] {key}" in capsys.readouterr().err
-
-
-_TYPE_NAMES = {int: "int", float: "float", str: "str", bool: "bool",
-               tuple[str, ...]: "list of str", tuple[int, ...]: "list of int"}
-
-
-def test_readme_config_reference_matches_the_schema():
-    rows = re.findall(r"^\| `\[(\w+)\] (\w+)` \| ([\w ]+?) \| (.+?) \|", README.read_text(), re.M)
-    documented = {(section, key) for section, key, _, _ in rows}
-    accepted = {(section, key) for section, keys in config._KEYS.items() for key in keys}
-    assert len(rows) == len(documented)
-    assert documented == accepted
-    for section, key, type_name, default in rows:
-        cls = config._SECTIONS[section]
-        assert type_name == _TYPE_NAMES[get_type_hints(cls)[key]], (section, key)
-        field = {f.name: f for f in dataclasses.fields(cls)}[key]
-        raw = "" if default == "(none)" else default.strip("`")
-        assert config._KEYS[section][key](raw) == field.default, (section, key)
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +456,52 @@ def test_score_llm_n_below_one_is_a_config_error(tmp_path, capsys, monkeypatch, 
     assert main(["score-llm", "-c", str(cfg_path), "--tag", "m", "--n", n,
                  "--emit-prompts", str(tmp_path / "prompts.jsonl")]) == 1
     assert capsys.readouterr().err == f"config error: --n must be >= 1, got {n}\n"
+
+
+def _no_data(cfg):
+    raise RuntimeError("the corpus was built")
+
+
+@pytest.mark.parametrize("flags", [[], ["--emit-prompts", "p.jsonl", "--responses", "r.jsonl"]],
+                         ids=["neither", "both"])
+def test_score_llm_takes_exactly_one_of_emit_prompts_and_responses(tmp_path, capsys, monkeypatch,
+                                                                   flags):
+    monkeypatch.setattr(experiments, "build_data", _no_data)
+    monkeypatch.chdir(tmp_path)
+    cfg_path = write_config(tmp_path, out=str(tmp_path / "out"))
+    assert main(["score-llm", "-c", str(cfg_path), "--tag", "m", *flags]) == 1
+    assert capsys.readouterr().err == (
+        "config error: score-llm takes exactly one of --emit-prompts and --responses\n")
+    assert not (tmp_path / "p.jsonl").exists()
+
+
+@pytest.mark.parametrize("mode", ["--emit-prompts", "--responses"])
+@pytest.mark.parametrize("tag", ["", "m x", "1m"], ids=["empty", "space", "digit first"])
+def test_score_llm_refuses_an_unusable_tag_as_a_config_error(tmp_path, capsys, monkeypatch,
+                                                             mode, tag):
+    # checked before the corpus is built, on either path; an empty tag's
+    # pattern would match <> and </>
+    monkeypatch.setattr(experiments, "build_data", _no_data)
+    cfg_path = write_config(tmp_path, out=str(tmp_path / "out"))
+    assert main(["score-llm", "-c", str(cfg_path), "--tag", tag, mode, str(tmp_path / "f")]) == 1
+    assert capsys.readouterr().err == f"config error: --tag {tag!r} is not a usable HTML tag name\n"
+
+
+def test_score_llm_encodes_only_the_test_split(tmp_path, capsys, monkeypatch):
+    cfg_path = write_config(tmp_path, out=str(tmp_path / "out"))
+    test_size = len(experiments.build_data(parse_config(cfg_path.read_text())).test)
+    encoded = []
+    prepare = tasks.Task.prepare
+
+    def counting_prepare(self, items):
+        encoded.append(len(items))
+        return prepare(self, items)
+
+    monkeypatch.setattr(tasks.Task, "prepare", counting_prepare)
+    assert main(["score-llm", "-c", str(cfg_path), "--tag", "m", "--n", "5",
+                 "--emit-prompts", str(tmp_path / "prompts.jsonl")]) == 0
+    assert encoded == [test_size]
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("task", ["ner", "re"])

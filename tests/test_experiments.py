@@ -1,5 +1,6 @@
 """Experiment drivers: scheme dispatch, output integrity, benchmarking."""
 import json
+import shutil
 from collections import Counter
 from dataclasses import replace
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from fedtext import experiments, tasks
+from fedtext.cli import main
 from fedtext.config import ConfigError, parse_config
 from fedtext.evaluation import EvalReport, TypeScore
 
@@ -174,6 +176,57 @@ def test_render_report_flags_tampered_summaries(tmp_path):
     flagged = experiments.render_report([out])
     assert "! " in flagged
     assert "does not match" in flagged
+
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    return experiments.run_experiment(cfg_for("fedavg"), tmp_path_factory.mktemp("done") / "run")
+
+
+@pytest.mark.parametrize("key", ["strict_f1", "macro_f1"],
+                         ids=["edited values entry", "extra metric key"])
+def test_render_report_compares_every_key_of_the_summary(tmp_path, finished_run, key):
+    run = shutil.copytree(finished_run, tmp_path / "run")
+    payload = json.loads((run / "summary.json").read_text())
+    metrics = payload["metrics"]
+    if key == "strict_f1":
+        metrics["strict_f1"]["values"][0] += 0.25  # its mean and std left as they were
+    else:
+        metrics["macro_f1"] = metrics["strict_f1"]  # a metric no NER repeat file gives
+    (run / "summary.json").write_text(json.dumps(payload))
+    lines = experiments.render_report([run]).splitlines()
+    assert lines[1:] == [f"! {run}: summary does not match repeat files for {key}"]
+
+
+@pytest.mark.parametrize("name, content, message", [
+    ("summary.json", None, "cannot read summary.json: [Errno 2]"),
+    ("summary.json", "{not json", "cannot read summary.json: Expecting property name"),
+    ("manifest.json", '{"config_hash": "x"}', "cannot read manifest.json: "),
+    ("repeat_1/report.json", "[1, 2", "cannot read repeat_1/report.json: "),
+    ("repeat_1/report.json", '{"seed": 1}', "cannot read repeat_1/report.json: 'strict_macro_f1'"),
+], ids=["no summary", "unparseable summary", "manifest without fields", "unparseable repeat",
+        "repeat without metrics"])
+def test_report_lists_an_unreadable_run_and_prints_the_others(tmp_path, capsys, finished_run,
+                                                              name, content, message):
+    bad = shutil.copytree(finished_run, tmp_path / "bad")
+    if content is None:
+        (bad / name).unlink()
+    else:
+        (bad / name).write_text(content)
+    good_row = experiments.render_report([finished_run]).splitlines()[0]
+    assert main(["report", str(finished_run), str(bad)]) == 0
+    *rows, problem = capsys.readouterr().out.splitlines()
+    assert problem.startswith(f"! {bad}: {message}")
+    # a run with an unreadable repeat file is listed as incomplete, others not at all
+    assert rows == [good_row] + (["ner/fedavg  incomplete"] if name.startswith("repeat_") else [])
+
+
+def test_render_report_marks_a_run_without_repeat_files_incomplete(tmp_path, finished_run):
+    run = shutil.copytree(finished_run, tmp_path / "run")
+    manifest = json.loads((run / "manifest.json").read_text())
+    manifest["repeat_files"] = []
+    (run / "manifest.json").write_text(json.dumps(manifest))
+    assert experiments.render_report([run]) == "ner/fedavg  incomplete\n"
 
 
 def test_render_report_notes_missing_runs(tmp_path):

@@ -146,14 +146,22 @@ def test_execution_order_does_not_change_the_result(ner_setup):
     assert weights_sha256(by_hand) == logged
 
 
-def test_partition_count_must_match_config(ner_setup):
+def test_the_round_loop_takes_k_from_its_partitions(ner_setup):
+    # [federation] clients tells partition_train how many shards to make;
+    # run_federated trains one client per partition whatever it says
     task, train, dev = ner_setup["task"], ner_setup["train"], ner_setup["dev"]
-    with pytest.raises(ValueError):
-        run_federated(task, fed_cfg(clients=3), [train, train], dev)
+    parts = corpus.partition_iid(train, 3, 11)
+    expect = run_federated(task, fed_cfg(clients=3), parts, dev).round_log
+    for clients in (1, 2, 5):
+        log = run_federated(task, fed_cfg(clients=clients), parts, dev).round_log
+        assert [r["weights_sha256"] for r in log] == [r["weights_sha256"] for r in expect]
+        assert [len(r["client_loss"]) for r in log] == [3] * len(expect)
 
 
 def test_empty_partition_and_empty_dev_rejected(ner_setup):
     task, train, dev = ner_setup["task"], ner_setup["train"], ner_setup["dev"]
+    with pytest.raises(ValueError, match="no partitions given"):
+        run_federated(task, fed_cfg(), [], dev)
     with pytest.raises(ValueError):
         run_federated(task, fed_cfg(), [train, []], dev)
     with pytest.raises(ValueError):

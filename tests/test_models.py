@@ -315,6 +315,79 @@ def test_loss_and_grad_validates_inputs():
         loss_and_grad(WINDOW, wrong_w, [TagExample(np.array([1]), np.array([0]))])
 
 
+def _tag(tokens, labels):
+    return TagExample(np.asarray(tokens), np.asarray(labels))
+
+
+def _rel(tokens, label_id=0):
+    return RelationExample(np.asarray(tokens), (0, 0), (0, 0), label_id)
+
+
+_EMPTY = np.array([], dtype=np.intp)
+_RANGE = r"out of range \[0, {limit}\)"
+
+# token id arrays every model kind refuses, in training and in prediction
+_BAD_TOKEN_IDS = {
+    "empty batch": ([], "no items given"),
+    "2-D ids": ([np.array([[1, 2]])], "each item's token ids must be a non-empty 1-D array"),
+    "empty ids": ([np.array([1]), _EMPTY], "each item's token ids must be a non-empty 1-D array"),
+    "id past the vocabulary": ([np.array([1, 99])], "token id " + _RANGE.format(limit="{V}")),
+    "negative id": ([np.array([-1, 1])], "token id " + _RANGE.format(limit="{V}")),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_TOKEN_IDS))
+@pytest.mark.parametrize("entry", ["loss_and_grad", "predict"])
+@pytest.mark.parametrize("spec", [WINDOW, RNN, REL], ids=lambda spec: spec.kind)
+def test_every_model_kind_names_bad_token_ids(spec, entry, case):
+    token_ids, message = _BAD_TOKEN_IDS[case]
+    w = init_params(spec, 0)
+    if spec.kind == "relation_classifier":
+        items = [_rel(ids) for ids in token_ids]
+    else:
+        items = [_tag(ids, np.zeros(ids.shape, dtype=np.intp)) for ids in token_ids]
+    with pytest.raises(ValueError, match=message.format(V=spec.vocab_size)):
+        if entry == "loss_and_grad":
+            loss_and_grad(spec, w, items)
+        elif spec.kind == "relation_classifier":
+            predict_relations(spec, w, items)
+        else:
+            predict_tags(spec, w, token_ids)
+
+
+# tagger batches with well-formed token ids that break one other rule
+_BAD_TAGGER_BATCHES = {
+    "wrong item type": ([_rel([1, 2])], "{kind} expects TagExample items"),
+    "2-D label ids": ([_tag([1, 2], [[0, 1]])], "each item's label ids must be a non-empty 1-D array"),
+    "empty label ids": ([_tag([1], [0]), _tag([2], _EMPTY)],
+                        "each item's label ids must be a non-empty 1-D array"),
+    "label id past the labels": ([_tag([1, 2], [0, 3])], "label id " + _RANGE.format(limit=3)),
+    "negative label id": ([_tag([1, 2], [-1, 0])], "label id " + _RANGE.format(limit=3)),
+    "fewer labels than tokens": ([_tag([1, 2], [0])], "token and label arrays differ in length"),
+    # the same totals, split differently between the items
+    "lengths swapped between items": ([_tag([1, 2], [0]), _tag([3], [0, 1])],
+                                      "token and label arrays differ in length"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_TAGGER_BATCHES))
+@pytest.mark.parametrize("spec", [WINDOW, RNN], ids=lambda spec: spec.kind)
+def test_a_tagger_batch_names_the_rule_it_breaks(spec, case):
+    batch, message = _BAD_TAGGER_BATCHES[case]
+    with pytest.raises(ValueError, match=message.format(kind=spec.kind)):
+        loss_and_grad(spec, init_params(spec, 0), batch)
+
+
+@pytest.mark.parametrize("batch, message", [
+    ([_tag([1, 2], [0, 1])], "relation_classifier expects RelationExample items"),
+    ([_rel([1, 2]), _rel([3], label_id=2)], "label id " + _RANGE.format(limit=2)),
+    ([_rel([1, 2], label_id=-1)], "label id " + _RANGE.format(limit=2)),
+], ids=["wrong item type", "label id past the labels", "negative label id"])
+def test_a_relation_batch_names_the_rule_it_breaks(batch, message):
+    with pytest.raises(ValueError, match=message):
+        loss_and_grad(REL, init_params(REL, 0), batch)
+
+
 def test_relation_span_bounds_checked():
     w = init_params(REL, 0)
     bad = RelationExample(np.array([1, 2, 3]), (2, 1), (0, 0), 0)
@@ -379,7 +452,8 @@ def test_one_loop_rnn_equals_the_two_loop_oracle_bit_for_bit(hidden_dim, lengths
     w = init_params(spec, 0)
     w.values[:] = rng.normal(size=w.size)
     seg = models._segments(spec, w)
-    ids, mask = models._pad([rng.integers(0, spec.vocab_size, size=n) for n in lengths])
+    sentences = [rng.integers(0, spec.vocab_size, size=n) for n in lengths]
+    ids, mask = models._pad(sentences, models._joined(sentences, spec.vocab_size, "token id"))
     X = seg["embed"][ids.T]
     runs = [(X, models._reversal(mask), mask.T)]
     if len(set(lengths)) == 1:

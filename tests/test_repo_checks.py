@@ -1,12 +1,18 @@
 """Checks on the repository itself: the pytest settings report a failing
-property test, and every source file parses as the declared minimum Python."""
+property test, every source file parses as the declared minimum Python, and
+README's config reference documents exactly the keys the config accepts."""
 import ast
+import dataclasses
+import re
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+from typing import get_type_hints
 
 import pytest
+
+from fedtext import config
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -45,3 +51,24 @@ def test_every_source_file_parses_as_python_3_10():
     assert files
     for path in files:
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
+
+
+_TYPE_NAMES = {int: "int", float: "float", str: "str", bool: "bool",
+               tuple[str, ...]: "list of str", tuple[int, ...]: "list of int"}
+
+
+def test_readme_config_reference_matches_the_schema():
+    # every `[section] key` row of the "Config reference" section, once each
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    reference = readme.split("\n## Config reference\n", 1)[1].split("\n## ", 1)[0]
+    keys = re.findall(r"^\| `\[(\w+)\] (\w+)` \|", reference, re.M)
+    accepted = [(section, key) for section, names in config._KEYS.items() for key in names]
+    assert sorted(keys) == sorted(accepted)
+    rows = re.findall(r"^\| `\[(\w+)\] (\w+)` \| ([\w ]+?) \| (.+?) \|", reference, re.M)
+    assert len(rows) == len(keys)
+    for section, key, type_name, default in rows:
+        cls = config._SECTIONS[section]
+        assert type_name == _TYPE_NAMES[get_type_hints(cls)[key]], (section, key)
+        field = {f.name: f for f in dataclasses.fields(cls)}[key]
+        raw = "" if default == "(none)" else default.strip("`")
+        assert config._KEYS[section][key](raw) == field.default, (section, key)
