@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from . import corpus as corpuslib
-from . import evaluation, experiments, llm_bridge
+from . import evaluation, experiments, llm_bridge, tasks
 from .config import ConfigError, load_config
 
 
@@ -132,15 +132,12 @@ def _cmd_gen_synth(args) -> int:
     cfg = load_config(args.config)
     if not cfg.data.synthetic:
         raise ConfigError("gen-synth needs [data] synthetic = true")
-    if cfg.task == "re":
-        serialize, suffix = corpuslib.serialize_relations, "tsv"
-    else:
-        serialize, suffix = corpuslib.serialize_conll, "conll"
+    kind = tasks.KINDS[cfg.task]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, items in experiments.build_sources(cfg):
-        path = out_dir / f"{name}.{suffix}"
-        path.write_text(serialize(items), encoding="utf-8")
+        path = out_dir / f"{name}.{kind.suffix}"
+        path.write_text(kind.serialize(items), encoding="utf-8")
         print(f"wrote {path}")
     return 0
 
@@ -149,7 +146,8 @@ def _cmd_score_llm(args) -> int:
     cfg = load_config(args.config)
     if bool(args.emit_prompts) == bool(args.responses):
         raise ConfigError("score-llm takes exactly one of --emit-prompts and --responses")
-    if cfg.task == "ner" and not llm_bridge.TAG_NAME.fullmatch(args.tag):
+    kind = tasks.KINDS[cfg.task]
+    if "{tag}" in kind.template and not llm_bridge.TAG_NAME.fullmatch(args.tag):
         raise ConfigError(f"--tag {args.tag!r} is not a usable HTML tag name")
     if args.responses:
         out = experiments.score_llm(
@@ -158,12 +156,10 @@ def _cmd_score_llm(args) -> int:
         )
         print(f"wrote {out}/llm_report.json")
         return 0
-    if args.shot == "one" and cfg.task == "re":
-        raise ConfigError("score-llm --shot one has no exemplar for task = re; use --shot zero")
-    exemplar = llm_bridge.default_ner_exemplar(args.tag) if args.shot == "one" else None
-    spec = llm_bridge.PromptSpec(
-        task=cfg.task, entity_type=args.entity_type, tag=args.tag, shot=args.shot, exemplar=exemplar
-    )
+    if args.shot == "one" and kind.exemplar is None:
+        raise ConfigError(f"score-llm --shot one has no exemplar for task = {cfg.task}; use --shot zero")
+    exemplar = kind.exemplar(args.tag) if args.shot == "one" else None
+    spec = llm_bridge.PromptSpec(kind.template, args.entity_type, args.tag, exemplar)
     out = experiments.emit_prompts(cfg, spec, args.n, args.subset_seed, args.emit_prompts)
     print(f"wrote {out}")
     return 0

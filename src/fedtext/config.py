@@ -19,8 +19,10 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import get_type_hints
 
+from .corpus import BIO_TAG
 from .models import MODEL_KINDS
 from .optim import OPTIMIZER_KINDS
+from .tasks import KINDS
 
 SCHEMES = ("centralized", "single", "fedavg", "fedprox")
 PARTITION_MODES = ("iid", "by_source")
@@ -54,12 +56,15 @@ class DataConfig:
 
     def __post_init__(self) -> None:
         _check("data", (
-            (bool(self.types) and all(self.types), "types must be non-empty names"),
+            (bool(self.types) and all(BIO_TAG.match(f"B-{t}") for t in self.types),
+             "types must be non-empty names without whitespace"),
+            (len(set(self.types)) == len(self.types), "types must be distinct"),
             (self.lexicon_size >= 1, "lexicon_size must be >= 1"),
             (bool(self.sentences) and min(self.sentences) >= 1, "sentences must be counts >= 1"),
             (self.sources >= 1, "sources must be >= 1"),
             (0 <= self.heterogeneity <= 1, "heterogeneity must lie in [0, 1]"),
             (0 <= self.cue_rate <= 1, "cue_rate must lie in [0, 1]"),
+            (self.data_seed >= 0, "data_seed must be >= 0"),
             (self.partition in PARTITION_MODES, f"partition must be one of {PARTITION_MODES}"),
             (self.max_tokens >= 1, "max_tokens must be >= 1"),
         ))
@@ -120,9 +125,10 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         _check("experiment", (
-            (self.task in ("ner", "re"), f"task must be ner or re, got {self.task!r}"),
+            (self.task in KINDS, f"task must be {' or '.join(KINDS)}, got {self.task!r}"),
             (self.scheme in SCHEMES, f"scheme must be one of {SCHEMES}, got {self.scheme!r}"),
             (self.repeats >= 1, "repeats must be >= 1"),
+            (self.base_seed >= 0, "base_seed must be >= 0"),
         ))
 
 
@@ -200,6 +206,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
 def validate_config(cfg: ExperimentConfig) -> None:
     """Rules that span fields or sections; each section's own ranges are
     checked when its dataclass is built."""
+    kind = KINDS[cfg.task]
     if cfg.scheme == "fedprox" and cfg.federation.mu <= 0:
         raise ConfigError("[federation] fedprox requires mu > 0")
     if cfg.scheme == "fedavg" and cfg.federation.mu != 0:
@@ -209,8 +216,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.data.synthetic:
         if len(cfg.data.sentences) not in (1, cfg.data.sources):
             raise ConfigError("[data] sentences must be one count or one per source")
-        if cfg.task == "re" and cfg.data.lexicon_size < 2:
-            raise ConfigError("[data] lexicon_size must be >= 2 for synthetic relations (task = re)")
+        if cfg.data.lexicon_size < kind.min_lexicon:
+            raise ConfigError(f"[data] lexicon_size must be >= {kind.min_lexicon} for task = {cfg.task}")
     elif not cfg.data.files:
         raise ConfigError("[data] either files or synthetic = true is required")
     if cfg.data.partition == "by_source":
@@ -219,10 +226,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError("[data] by_source partitioning needs at least two sources")
         if cfg.scheme in ("fedavg", "fedprox") and cfg.federation.clients != n_src:
             raise ConfigError("[federation] clients must equal the number of sources for by_source")
-    if cfg.task == "re" and cfg.model.kind != "relation_classifier":
-        raise ConfigError("[model] task = re requires kind = relation_classifier")
-    if cfg.task == "ner" and cfg.model.kind == "relation_classifier":
-        raise ConfigError("[model] task = ner requires a tagger model kind")
+    if cfg.model.kind not in kind.models:
+        raise ConfigError(f"[model] task = {cfg.task} takes a kind in {kind.models}")
 
 
 def config_hash(cfg: ExperimentConfig) -> str:

@@ -118,10 +118,6 @@ def parse_predictions(text: str | bytes) -> list[tuple[TaggedSentence, tuple[str
     return [(TaggedSentence(tokens, gold), pred) for tokens, gold, pred in blocks]
 
 
-def serialize_predictions(pairs: Iterable[tuple[TaggedSentence, Sequence[str]]]) -> str:
-    return _write_columns((sent.tokens, sent.labels, pred) for sent, pred in pairs)
-
-
 SPAN_FIELD = re.compile(r"^(\d+):(\d+)$")
 
 
@@ -217,14 +213,6 @@ def partition_by_source(named_corpora: Sequence[tuple[str, Sequence[T]]]) -> lis
         if not items:
             raise ValueError(f"source {name!r} is empty")
     return [list(items) for _, items in named_corpora]
-
-
-def truncate(sentence: TaggedSentence, max_tokens: int = 512) -> TaggedSentence:
-    if max_tokens < 1:
-        raise ValueError("max_tokens must be >= 1")
-    if len(sentence.tokens) <= max_tokens:
-        return sentence
-    return TaggedSentence(sentence.tokens[:max_tokens], sentence.labels[:max_tokens])
 
 
 # ---------------------------------------------------------------------------
@@ -430,14 +418,3 @@ class Vocab:
     def encode(self, tokens: Sequence[str]) -> np.ndarray:
         unk = 0
         return np.array([self.index.get(t, unk) for t in tokens], dtype=np.intp)
-
-
-def build_tag_index(sentences: Iterable[TaggedSentence]) -> list[str]:
-    """Deterministic tag list: 'O' first, remaining training tags sorted."""
-    tags = {tag for s in sentences for tag in s.labels}
-    tags.discard("O")
-    return ["O"] + sorted(tags)
-
-
-def build_relation_index(instances: Iterable[RelationInstance]) -> list[str]:
-    return sorted({inst.label for inst in instances})

@@ -196,15 +196,6 @@ def re_report(gold: Sequence[str], pred: Sequence[str]) -> EvalReport:
     return EvalReport(strict=scores, lenient=dict(scores), strict_macro_f1=macro, lenient_macro_f1=macro)
 
 
-def headline(task: str, report: Mapping[str, float]) -> dict[str, float]:
-    """The metrics a run reports per round and per repeat, from a report in
-    its ``as_dict`` (report.json) form: both macro-F1s for NER, one macro-F1
-    for RE, whose strict and lenient halves coincide."""
-    if task == "ner":
-        return {"strict_f1": report["strict_macro_f1"], "lenient_f1": report["lenient_macro_f1"]}
-    return {"macro_f1": report["strict_macro_f1"]}
-
-
 def aggregate_repeats(values: Sequence[float]) -> tuple[float, float]:
     """Mean and sample (n-1) std over repeated runs: std 0 for one, NaN for none."""
     if len(values) < 2:
@@ -226,14 +217,6 @@ def report_to_csv(report: EvalReport) -> str:
     writer.writerow(["strict", "MACRO", "", "", f"{report.strict_macro_f1:.6f}"])
     writer.writerow(["lenient", "MACRO", "", "", f"{report.lenient_macro_f1:.6f}"])
     return out.getvalue()
-
-
-def format_cell(lenient_mean: float, lenient_std: float, strict_mean: float, strict_std: float) -> str:
-    """Summary-table cell: lenient outside, strict in parentheses."""
-    return (
-        f"{lenient_mean:.3f}±{lenient_std:.3f} "
-        f"({strict_mean:.3f}±{strict_std:.3f})"
-    )
 
 
 def format_report_table(report: EvalReport) -> str:

@@ -28,7 +28,7 @@ from .config import (
     RunManifest,
     config_hash,
 )
-from .evaluation import EvalReport, TypeScore, aggregate_repeats, format_cell, headline
+from .evaluation import EvalReport, TypeScore, aggregate_repeats
 from .federation import RunResult
 
 
@@ -48,18 +48,10 @@ class DataBundle:
 
 def build_sources(cfg: ExperimentConfig) -> list[tuple[str, list]]:
     """The config's named corpora: one per file, or the synthetic generator's."""
-    d = cfg.data
-    if not d.synthetic:
-        parse = corpuslib.parse_relations if cfg.task == "re" else corpuslib.parse_conll
-        return [(Path(p).name, parse(Path(p).read_text(encoding="utf-8"))) for p in d.files]
-    if cfg.task == "re":
-        instances = corpuslib.generate_synthetic_relations(d.lexicon_size, sum(d.sentences), d.data_seed)
-        return [("relations", instances)]
-    counts = d.sentences if len(d.sentences) == d.sources else d.sentences * d.sources
-    profile = corpuslib.make_profile(
-        d.types, d.lexicon_size, counts, d.sources, d.heterogeneity, d.cue_rate
-    )
-    return corpuslib.generate_synthetic(profile, d.data_seed)
+    kind = tasks.KINDS[cfg.task]
+    if cfg.data.synthetic:
+        return kind.synthetic(cfg.data)
+    return [(Path(p).name, kind.parse(Path(p).read_text(encoding="utf-8"))) for p in cfg.data.files]
 
 
 def build_data(cfg: ExperimentConfig) -> DataBundle:
@@ -78,10 +70,7 @@ def build_data(cfg: ExperimentConfig) -> DataBundle:
 
 
 def build_task(cfg: ExperimentConfig, train: Sequence) -> tasks.Task:
-    m, max_tokens = cfg.model, cfg.data.max_tokens
-    if cfg.task == "re":
-        return tasks.build_re_task(train, m.embed_dim, m.hidden_dim, max_tokens)
-    return tasks.build_ner_task(train, **asdict(m), max_tokens=max_tokens)
+    return tasks.build_task(train, **asdict(cfg.model), max_tokens=cfg.data.max_tokens)
 
 
 def partition_train(cfg: ExperimentConfig, bundle: DataBundle, task: tasks.Task, n_clients: int):
@@ -91,6 +80,9 @@ def partition_train(cfg: ExperimentConfig, bundle: DataBundle, task: tasks.Task,
             for name, train in zip(bundle.source_names, bundle.source_trains)
         ]
         return corpuslib.partition_by_source(named)
+    if n_clients > len(bundle.train):
+        raise ConfigError(f"[federation] clients = {n_clients} is more than the "
+                          f"{len(bundle.train)} items of the pooled train split")
     pooled = task.prepare(bundle.train)
     return corpuslib.partition_iid(pooled, n_clients, cfg.data.data_seed)
 
@@ -163,12 +155,12 @@ def _write_rounds_log(path: Path, results: list[RunResult]) -> None:
                 fh.write(json.dumps({"run": i, **record}, sort_keys=True) + "\n")
 
 
-def _summary_metrics(task: str, reports: Sequence[dict]) -> dict[str, dict]:
+def _summary_metrics(kind: tasks.Kind, reports: Sequence[dict]) -> dict[str, dict]:
     """summary.json's ``metrics`` from one or more repeats' report.json dicts:
     the mean, std and per-repeat values of each headline metric."""
     metrics = {}
-    for key in headline(task, reports[0]):
-        values = [headline(task, report)[key] for report in reports]
+    for key, source in kind.headline.items():
+        values = [report[source] for report in reports]
         mean, std = aggregate_repeats(values)
         metrics[key] = {"mean": mean, "std": std, "values": values}
     return metrics
@@ -177,13 +169,16 @@ def _summary_metrics(task: str, reports: Sequence[dict]) -> dict[str, dict]:
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> Path:
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     s = _setup(cfg)
-    out.mkdir(parents=True, exist_ok=True)
     fed = cfg.federation
     # partitions depend on data_seed only, so every repeat trains on the same ones
     if cfg.scheme == "centralized":
         parts = [s.task.prepare(s.bundle.train)]
     else:
         parts = partition_train(cfg, s.bundle, s.task, fed.clients)
+    out.mkdir(parents=True, exist_ok=True)
+    # a run stopped partway must not leave an earlier run's manifest over its repeats
+    for name in ("manifest.json", "summary.json"):
+        (out / name).unlink(missing_ok=True)
 
     seeds = [cfg.base_seed + i for i in range(cfg.repeats)]
     repeat_files: list[str] = []
@@ -216,7 +211,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
                 tasks.save_bundle(fh, s.task, results[0].best_weights)
         repeat_files.append(f"{rep_dir.name}/report.json")
 
-    metrics = _summary_metrics(cfg.task, repeat_reports)
+    metrics = _summary_metrics(s.task.kind, repeat_reports)
     _write_json(out / "summary.json", {"scheme": cfg.scheme, "task": cfg.task, "metrics": metrics})
 
     # the manifest goes last: a run directory that has one is complete
@@ -315,9 +310,10 @@ def _read_run_file(run_dir: Path, name: str, make=dict):
 
 
 def render_report(run_dirs: Sequence[str | Path]) -> str:
-    """Summary table across run directories; cells are lenient (strict), from
-    the repeat files.  A file that is missing or unreadable, or a summary.json
-    that differs from what the repeat files give, adds a ``!`` line."""
+    """Summary table across run directories; cells are the headline metrics'
+    mean±std from the repeat files, last first: lenient (strict) for NER.  A
+    file that is missing or unreadable, a repeat of a seed the manifest does
+    not list there, or a summary.json that differs from them adds a ``!`` line."""
     lines = []
     problems = []
     for run_dir in map(Path, run_dirs):
@@ -325,33 +321,34 @@ def render_report(run_dirs: Sequence[str | Path]) -> str:
             problems.append(f"{run_dir}: no manifest.json")
             continue
         try:
-            manifest = _read_run_file(run_dir, "manifest.json", lambda data: RunManifest(**data))
+            manifest, kind = _read_run_file(run_dir, "manifest.json",
+                                            lambda d: (RunManifest(**d), tasks.KINDS[d["task"]]))
             stored = _read_run_file(run_dir, manifest.summary_file, lambda data: dict(data["metrics"]))
         except ValueError as exc:
             problems.append(f"{run_dir}: {exc}")
             continue
         reports = []
-        for name in manifest.repeat_files:
+        for name, seed in zip(manifest.repeat_files, manifest.seeds):
             if not (run_dir / name).exists():
                 problems.append(f"{run_dir}: missing repeat file {run_dir / name}")
                 continue
             try:  # a report without its headline metrics is unreadable too
-                reports.append(_read_run_file(run_dir, name, lambda d: headline(manifest.task, d) and d))
+                report = _read_run_file(run_dir, name, lambda d: kind.scores(d) and d)
+                if report.get("seed") != seed:
+                    raise ValueError(f"{name} has seed {report.get('seed')}, not the manifest's {seed}")
+                reports.append(report)
             except ValueError as exc:
                 problems.append(f"{run_dir}: {exc}")
 
         if not reports or len(reports) < len(manifest.repeat_files):
             cell = "incomplete"
         else:
-            metrics = _summary_metrics(manifest.task, reports)
+            metrics = _summary_metrics(kind, reports)
             for key in sorted(metrics.keys() | stored.keys()):
                 if metrics.get(key) != stored.get(key):  # JSON floats round-trip exactly
                     problems.append(f"{run_dir}: summary does not match repeat files for {key}")
-            if manifest.task == "ner":
-                le, st = metrics["lenient_f1"], metrics["strict_f1"]
-                cell = format_cell(le["mean"], le["std"], st["mean"], st["std"])
-            else:
-                cell = "{mean:.3f}±{std:.3f}".format(**metrics["macro_f1"])
+            last, *rest = ["{mean:.3f}±{std:.3f}".format(**metrics[key]) for key in reversed(metrics)]
+            cell = " ".join([last, *(f"({text})" for text in rest)])
         lines.append((f"{manifest.task}/{manifest.scheme}", cell))
 
     width = max((len(name) for name, _ in lines), default=0)
@@ -369,19 +366,17 @@ def bench_inference(bundle_path: str | Path, data_path: str | Path, limit: int |
     if limit is not None and limit < 1:
         raise ConfigError(f"--limit must be >= 1, got {limit}")
     task, weights = tasks.load_bundle(bundle_path)
-    parse = corpuslib.parse_conll if task.kind == "ner" else corpuslib.parse_relations
-    items = task.prepare(parse(Path(data_path).read_text(encoding="utf-8")))
+    items = task.prepare(task.kind.parse(Path(data_path).read_text(encoding="utf-8")))
     if limit is not None:
         items = items[:limit]
     if not items:
         raise ValueError("no instances to benchmark")
 
-    predict = task.predict_spans if task.kind == "ner" else task.predict_label
     for item in items[: min(20, len(items))]:
-        predict(weights, item)
+        task.predict(weights, [item])
     t0 = time.perf_counter()
     for item in items:
-        predict(weights, item)
+        task.predict(weights, [item])
     total = time.perf_counter() - t0
     return {
         "instances": len(items),
@@ -410,17 +405,8 @@ def emit_prompts(
     out.parent.mkdir(parents=True, exist_ok=True)
     with _replacing(out) as fh:
         for i, item in enumerate(subset):
-            if task.kind == "ner":
-                text = " ".join(item.sentence.tokens)
-            else:
-                inst = item.instance
-                m1 = " ".join(inst.tokens[inst.span1[0] : inst.span1[1] + 1])
-                m2 = " ".join(inst.tokens[inst.span2[0] : inst.span2[1] + 1])
-                text = f"{' '.join(inst.tokens)}\nEntity 1: {m1}\nEntity 2: {m2}"
-            fh.write(
-                json.dumps({"id": i, "prompt": llm_bridge.build_prompt(spec, text)}, sort_keys=True)
-                + "\n"
-            )
+            prompt = llm_bridge.build_prompt(spec, task.kind.prompt_input(item))
+            fh.write(json.dumps({"id": i, "prompt": prompt}, sort_keys=True) + "\n")
     return out
 
 
@@ -436,10 +422,7 @@ def score_llm(
 ) -> Path:
     task, subset = _llm_subset(cfg, n, seed)
     records = llm_bridge.read_responses(Path(responses_path).read_text(encoding="utf-8"))
-    if task.kind == "ner":
-        score = llm_bridge.score_ner_responses(subset, records, entity_label, tag, casefold=casefold)
-    else:
-        score = llm_bridge.score_re_responses(subset, records, task.label_names)
+    score = task.kind.score_responses(task, subset, records, entity_label, tag, casefold)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "llm_report.json", score.report.as_dict())

@@ -13,12 +13,14 @@ import json
 import re
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .evaluation import EntitySpan, EvalReport, re_report, score_ner
-from .tasks import NerItem, ReItem
+
+if TYPE_CHECKING:  # tasks imports this module for its templates and scorers
+    from .tasks import NerItem, ReItem
 
 ABSTAIN_LABEL = "<abstain>"
 TAG_NAME = re.compile(r"[A-Za-z][A-Za-z0-9]*")  # fullmatch: a usable highlight tag
@@ -32,7 +34,7 @@ NER_TEMPLATE = (
 )
 
 RE_TEMPLATE = (
-    "Task: the task is to determine the {domain} relation between two entities "
+    "Task: the task is to determine the {etype} relation between two entities "
     "in a sentence\n"
     "Input: the input is a sentence followed by the two entity mentions.\n"
     "Output: the output is the name of the relation between the two entities.\n"
@@ -57,42 +59,30 @@ def default_ner_exemplar(tag: str) -> tuple[str, str]:
 
 @dataclass(frozen=True)
 class PromptSpec:
-    """How to phrase one request.
+    """How to phrase one request: ``entity_type`` fills the template's
+    ``{etype}``, the entity noun ("disease") or the relation domain
+    ("gene-disease"); ``tag`` is the HTML tag name a response must use, spelled
+    out in a template that names it; an ``exemplar`` (input, output) pair
+    makes the prompt one-shot."""
 
-    ``entity_type`` is the entity noun for tagging prompts ("disease") and
-    the relation domain for relation prompts ("gene-disease"); ``tag`` is the
-    HTML tag name the response must use, always spelled explicitly in the
-    prompt because it has no meaningful default.
-    """
-
-    task: str  # "ner" or "re"
+    template: str
     entity_type: str
     tag: str
-    shot: str = "zero"  # "zero" or "one"
     exemplar: tuple[str, str] | None = None
 
     def __post_init__(self) -> None:
-        if self.task not in ("ner", "re"):
-            raise ValueError(f"unknown task {self.task!r}")
         if not self.entity_type:
             raise ValueError("entity_type must be non-empty")
-        if self.task == "ner" and not TAG_NAME.fullmatch(self.tag):
+        if "{tag}" in self.template and not TAG_NAME.fullmatch(self.tag):
             raise ValueError(f"tag {self.tag!r} is not a usable HTML tag name")
-        if self.shot not in ("zero", "one"):
-            raise ValueError(f"shot must be 'zero' or 'one', got {self.shot!r}")
-        if self.shot == "one" and self.exemplar is None:
-            raise ValueError("one-shot prompts need an exemplar")
 
 
 def build_prompt(spec: PromptSpec, text: str) -> str:
     """Template lines, the optional Example block, then the query input."""
     if not text:
         raise ValueError("empty input text")
-    if spec.task == "ner":
-        prompt = NER_TEMPLATE.format(etype=spec.entity_type, tag=spec.tag)
-    else:
-        prompt = RE_TEMPLATE.format(domain=spec.entity_type)
-    if spec.shot == "one":
+    prompt = spec.template.format(etype=spec.entity_type, tag=spec.tag)
+    if spec.exemplar is not None:
         ex_in, ex_out = spec.exemplar
         prompt += f"Example:\nInput: {ex_in}\nOutput: {ex_out}\n"
     return prompt + f"Input: {text}"
@@ -162,8 +152,11 @@ def parse_highlights(
     by its longest contiguous token run that appears there, searching left to
     right past the previous match; regions with no token match are dropped
     and counted.  ``casefold`` switches to case-insensitive alignment (off by
-    default; kept for sensitivity checks).
+    default; kept for sensitivity checks).  A ``tag`` TAG_NAME does not match
+    is refused: an empty one would read ``<>`` and ``</>`` as highlights.
     """
+    if not TAG_NAME.fullmatch(tag):
+        raise ValueError(f"tag {tag!r} is not a usable HTML tag name")
     diag = diagnostics if diagnostics is not None else HighlightDiagnostics()
     haystack = [t.casefold() for t in tokens] if casefold else list(tokens)
     marker = re.compile(rf"</?{re.escape(tag)}>")
@@ -190,21 +183,6 @@ def parse_highlights(
     return spans
 
 
-def render_highlights(tokens: Sequence[str], spans: Sequence[EntitySpan], tag: str) -> str:
-    """Echo the sentence with span tokens wrapped in <tag>...</tag>."""
-    opens = {s.start: s for s in spans}
-    closes = {s.end for s in spans}
-    parts = []
-    for i, tok in enumerate(tokens):
-        piece = tok
-        if i in opens:
-            piece = f"<{tag}>{piece}"
-        if i in closes:
-            piece = f"{piece}</{tag}>"
-        parts.append(piece)
-    return " ".join(parts)
-
-
 def sample_test_subset(items: Sequence, n: int, seed: int) -> list:
     """Uniform sample without replacement; n equal to the set size shuffles."""
     if n < 1:
@@ -219,13 +197,6 @@ def sample_test_subset(items: Sequence, n: int, seed: int) -> list:
 class ResponseRecord:
     id: int
     response: str
-
-
-def write_responses(records: Iterable[ResponseRecord]) -> str:
-    return "".join(
-        json.dumps({"id": r.id, "response": r.response}, sort_keys=True) + "\n"
-        for r in records
-    )
 
 
 def read_responses(text: str | bytes) -> list[ResponseRecord]:

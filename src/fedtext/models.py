@@ -482,5 +482,7 @@ def predict_relations(spec: ModelSpec, w: ParamVector, items: Sequence[RelationE
     _check_weights(spec, w)
     if spec.kind != "relation_classifier":
         raise ValueError(f"{spec.kind} does not classify relations")
+    if not all(isinstance(item, RelationExample) for item in items):
+        raise ValueError(f"{spec.kind} expects RelationExample items")
     logits, _ = _relation_forward(spec, _segments(spec, w), items)
     return logits.argmax(axis=1)

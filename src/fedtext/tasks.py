@@ -1,26 +1,22 @@
 """Glue between corpora, models, and scoring.
 
-A Task owns the model spec plus the vocabularies built from the training
-split, pre-encodes items once, and exposes the loss/predict/score calls the
-federation loop needs without knowing about tags or spans itself.
+One ``Kind`` record per task family, tagging (NER) and relation
+classification (RE), states everything that differs between the two; other
+modules read it instead of testing a name.  A Task owns the model spec plus
+the vocabularies built from the training split, pre-encodes items once, and
+exposes the loss/predict/score calls the federation loop needs.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Sequence
+from operator import attrgetter
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from . import evaluation, models
-from .corpus import (
-    RelationInstance,
-    TaggedSentence,
-    Vocab,
-    build_relation_index,
-    build_tag_index,
-    truncate,
-)
+from . import corpus, evaluation, llm_bridge, models
+from .corpus import RelationInstance, TaggedSentence, Vocab
 from .evaluation import EvalReport, decode_bio
 from .models import ModelSpec, RelationExample, TagExample
 from .params import ParamVector
@@ -44,6 +40,34 @@ class ReItem:
     enc: RelationExample
 
 
+@dataclass(frozen=True)
+class Kind:
+    """What differs between the task families.  A field that calls another
+    module's function does so through a lambda, which looks the function up
+    when it runs, so rebinding the module's attribute reaches the call."""
+
+    models: tuple[str, ...]  # the model kinds that serve this family
+    suffix: str  # corpus file suffix
+    parse: Callable[[str], list]
+    serialize: Callable[[Sequence], str]
+    synthetic: Callable  # [data] config -> [(source name, items)]
+    min_lexicon: int  # smallest [data] lexicon_size the synthetic source draws from
+    label_index: Callable[[Sequence], list[str]]  # train split -> label names, by id
+    encode: Callable  # (task, corpus item) -> its NerItem or ReItem
+    predict: Callable  # (task, weights, items) -> one prediction per item, from one pass
+    gold: Callable  # item -> the value its prediction is scored against
+    score: Callable[[list, list], EvalReport]  # (gold values, predictions)
+    headline: Mapping[str, str]  # {metric: report.json key}; the first selects the best round
+    template: str  # the prompt's task lines
+    prompt_input: Callable  # item -> the prompt's query input
+    exemplar: Callable[[str], tuple[str, str]] | None  # tag -> one-shot (input, output)
+    score_responses: Callable  # (task, subset, records, entity label, tag, casefold) -> LlmScore
+
+    def scores(self, report: Mapping) -> dict[str, float]:
+        """The headline metrics of a report in its as_dict (report.json) form."""
+        return {metric: report[key] for metric, key in self.headline.items()}
+
+
 @dataclass
 class Task:
     spec: ModelSpec
@@ -52,39 +76,18 @@ class Task:
     max_tokens: int = 512
 
     @property
-    def kind(self) -> str:
-        """Task family: "re" for the relation classifier, "ner" for the taggers."""
-        return "re" if self.spec.kind == "relation_classifier" else "ner"
+    def kind(self) -> Kind:
+        """The task family the model kind serves."""
+        return _KIND_OF_MODEL[self.spec.kind]
 
     @property
     def selection_metric(self) -> str:
         """Dev metric used to pick the best round."""
-        return "strict_f1" if self.kind == "ner" else "macro_f1"
+        return next(iter(self.kind.headline))
 
-    # -- encoding ----------------------------------------------------------
     def prepare(self, items: Sequence[TaggedSentence] | Sequence[RelationInstance]) -> list:
-        if self.kind == "ner":
-            return [self._prepare_sentence(s) for s in items]
-        return [self._prepare_instance(r) for r in items]
-
-    def _prepare_sentence(self, sent: TaggedSentence) -> NerItem:
-        sent = truncate(sent, self.max_tokens)
-        label_ids = np.array(
-            [self._label_id(tag) for tag in sent.labels], dtype=np.intp
-        )
-        enc = TagExample(self.vocab.encode(sent.tokens), label_ids)
-        return NerItem(sent, enc, tuple(decode_bio(sent.labels)))
-
-    def _prepare_instance(self, inst: RelationInstance) -> ReItem:
-        if max(inst.span1[1], inst.span2[1]) >= self.max_tokens:
-            raise ValueError("entity span falls outside the token limit")
-        kept = RelationInstance(
-            inst.tokens[: self.max_tokens], inst.span1, inst.span2, inst.label
-        )
-        enc = RelationExample(
-            self.vocab.encode(kept.tokens), kept.span1, kept.span2, self._label_id(kept.label)
-        )
-        return ReItem(kept, enc)
+        encode = self.kind.encode
+        return [encode(self, item) for item in items]
 
     def _label_id(self, name: str) -> int:
         try:
@@ -99,81 +102,131 @@ class Task:
     def loss_and_grad(self, w: ParamVector, items: Sequence) -> models.LossGrad:
         return models.loss_and_grad(self.spec, w, [it.enc for it in items])
 
+    def predict(self, w: ParamVector, items: Sequence) -> list:
+        """Each item's prediction in the form the kind scores (a span list
+        or a label), from one padded pass."""
+        return self.kind.predict(self, w, items)
+
     def predict_spans(self, w: ParamVector, item: NerItem) -> list[evaluation.EntitySpan]:
-        return decode_bio(self.predict_tag_names(w, item))
-
-    def predict_label(self, w: ParamVector, item: ReItem) -> str:
-        return self._labels(w, [item])[0]
-
-    def predict_tag_names(self, w: ParamVector, item: NerItem) -> list[str]:
-        return self._tag_names(w, [item])[0]
-
-    def _tag_names(self, w: ParamVector, items: Sequence[NerItem]) -> list[list[str]]:
-        tags = models.predict_tags(self.spec, w, [it.enc.token_ids for it in items])
-        return [[self.label_names[i] for i in ids.tolist()] for ids in tags]
-
-    def _labels(self, w: ParamVector, items: Sequence[ReItem]) -> list[str]:
-        ids = models.predict_relations(self.spec, w, [it.enc for it in items])
-        return [self.label_names[i] for i in ids.tolist()]
+        return _predict_spans(self, w, [item])[0]
 
     def evaluate(self, w: ParamVector, items: Sequence) -> EvalReport:
         """Scores of the predictions for ``items``, made PREDICT_CHUNK items
-        per padded pass; they equal predict_spans/predict_label per item."""
-        chunks = [items[i : i + PREDICT_CHUNK] for i in range(0, len(items), PREDICT_CHUNK)]
-        if self.kind == "ner":
-            gold = [list(it.gold_spans) for it in items]
-            pred = [decode_bio(names) for chunk in chunks for names in self._tag_names(w, chunk)]
-            return evaluation.score_ner(gold, pred)
-        gold = [it.instance.label for it in items]
-        pred = [label for chunk in chunks for label in self._labels(w, chunk)]
-        return evaluation.re_report(gold, pred)
+        per padded pass; they equal predict's per item."""
+        kind = self.kind
+        chunks = (items[i : i + PREDICT_CHUNK] for i in range(0, len(items), PREDICT_CHUNK))
+        pred = [p for chunk in chunks for p in kind.predict(self, w, chunk)]
+        return kind.score(list(map(kind.gold, items)), pred)
 
     def dev_scores(self, w: ParamVector, items: Sequence) -> dict[str, float]:
-        report = self.evaluate(w, items)
-        return evaluation.headline(self.kind, report.as_dict())
+        return self.kind.scores(self.evaluate(w, items).as_dict())
 
 
-def build_ner_task(
-    train: Sequence[TaggedSentence],
-    kind: str = "rnn_crf_tagger",
-    embed_dim: int = 16,
-    hidden_dim: int = 24,
-    window_radius: int = 0,
-    max_tokens: int = 512,
-) -> Task:
+def build_task(train: Sequence, kind: str = "rnn_crf_tagger", embed_dim: int = 16, hidden_dim: int = 24,
+               window_radius: int = 0, max_tokens: int = 512) -> Task:
+    """A task for the model ``kind``, with the vocabulary and the label index
+    of the training split ``train`` (tagged sentences or relation instances)."""
     if not train:
         raise ValueError("cannot build a task from an empty training split")
-    vocab = Vocab.build(s.tokens for s in train)
-    labels = build_tag_index(train)
-    spec = ModelSpec(
-        kind=kind,
-        vocab_size=len(vocab),
-        label_count=len(labels),
-        embed_dim=embed_dim,
-        hidden_dim=hidden_dim,
-        window_radius=window_radius,
-    )
+    if kind not in _KIND_OF_MODEL:
+        raise ValueError(f"unknown model kind {kind!r}")
+    family = _KIND_OF_MODEL[kind]
+    vocab = Vocab.build(item.tokens for item in train)
+    labels = family.label_index(train)
+    # the relation classifier has no window: its spec keeps radius 0
+    radius = 0 if family is RE else window_radius
+    spec = ModelSpec(kind, len(vocab), len(labels), embed_dim, hidden_dim, radius)
     return Task(spec=spec, vocab=vocab, label_names=labels, max_tokens=max_tokens)
 
 
-def build_re_task(
-    train: Sequence[RelationInstance],
-    embed_dim: int = 16,
-    hidden_dim: int = 16,
-    max_tokens: int = 512,
-) -> Task:
-    if not train:
-        raise ValueError("cannot build a task from an empty training split")
-    vocab = Vocab.build(r.tokens for r in train)
-    labels = build_relation_index(train)
-    spec = ModelSpec(
-        kind="relation_classifier",
-        vocab_size=len(vocab),
-        label_count=len(labels),
-        embed_dim=embed_dim,
-        hidden_dim=hidden_dim,
+# ---------------------------------------------------------------------------
+# the two families
+
+def _encode_sentence(task: Task, sent: TaggedSentence) -> NerItem:
+    if len(sent.tokens) > task.max_tokens:
+        sent = TaggedSentence(sent.tokens[: task.max_tokens], sent.labels[: task.max_tokens])
+    label_ids = np.array([task._label_id(tag) for tag in sent.labels], dtype=np.intp)
+    enc = TagExample(task.vocab.encode(sent.tokens), label_ids)
+    return NerItem(sent, enc, tuple(decode_bio(sent.labels)))
+
+
+def _encode_instance(task: Task, inst: RelationInstance) -> ReItem:
+    if max(inst.span1[1], inst.span2[1]) >= task.max_tokens:
+        raise ValueError("entity span falls outside the token limit")
+    kept = RelationInstance(inst.tokens[: task.max_tokens], inst.span1, inst.span2, inst.label)
+    ids = task.vocab.encode(kept.tokens)
+    return ReItem(kept, RelationExample(ids, kept.span1, kept.span2, task._label_id(kept.label)))
+
+
+def _predict_spans(task: Task, w: ParamVector, items: Sequence[NerItem]) -> list:
+    tags = models.predict_tags(task.spec, w, [it.enc.token_ids for it in items])
+    names = task.label_names
+    return [decode_bio([names[i] for i in ids.tolist()]) for ids in tags]
+
+
+def _predict_labels(task: Task, w: ParamVector, items: Sequence[ReItem]) -> list[str]:
+    ids = models.predict_relations(task.spec, w, [it.enc for it in items])
+    return [task.label_names[i] for i in ids.tolist()]
+
+
+def _synthetic_sentences(d) -> list[tuple[str, list[TaggedSentence]]]:
+    counts = d.sentences if len(d.sentences) == d.sources else d.sentences * d.sources
+    profile = corpus.make_profile(
+        d.types, d.lexicon_size, counts, d.sources, d.heterogeneity, d.cue_rate
     )
-    return Task(spec=spec, vocab=vocab, label_names=labels, max_tokens=max_tokens)
+    return corpus.generate_synthetic(profile, d.data_seed)
+
+
+def _relation_prompt_input(item: ReItem) -> str:
+    inst = item.instance
+    m1 = " ".join(inst.tokens[inst.span1[0] : inst.span1[1] + 1])
+    m2 = " ".join(inst.tokens[inst.span2[0] : inst.span2[1] + 1])
+    return f"{' '.join(inst.tokens)}\nEntity 1: {m1}\nEntity 2: {m2}"
+
+
+NER = Kind(
+    models=("window_tagger", "rnn_crf_tagger"),
+    suffix="conll",
+    parse=lambda text: corpus.parse_conll(text),
+    serialize=lambda items: corpus.serialize_conll(items),
+    synthetic=_synthetic_sentences,
+    min_lexicon=1,
+    label_index=lambda items: ["O", *sorted({tag for s in items for tag in s.labels} - {"O"})],
+    encode=_encode_sentence,
+    predict=_predict_spans,
+    gold=attrgetter("gold_spans"),
+    score=lambda gold, pred: evaluation.score_ner(gold, pred),
+    headline={"strict_f1": "strict_macro_f1", "lenient_f1": "lenient_macro_f1"},
+    template=llm_bridge.NER_TEMPLATE,
+    prompt_input=lambda item: " ".join(item.sentence.tokens),
+    exemplar=lambda tag: llm_bridge.default_ner_exemplar(tag),
+    score_responses=lambda task, subset, records, label, tag, casefold: (
+        llm_bridge.score_ner_responses(subset, records, label, tag, casefold=casefold)),
+)
+
+RE = Kind(
+    models=("relation_classifier",),
+    suffix="tsv",
+    parse=lambda text: corpus.parse_relations(text),
+    serialize=lambda items: corpus.serialize_relations(items),
+    synthetic=lambda d: [("relations", corpus.generate_synthetic_relations(
+        d.lexicon_size, sum(d.sentences), d.data_seed))],
+    min_lexicon=2,  # a relation's label depends on which half of a lexicon it draws from
+    label_index=lambda items: sorted({inst.label for inst in items}),
+    encode=_encode_instance,
+    predict=_predict_labels,
+    gold=attrgetter("instance.label"),
+    score=lambda gold, pred: evaluation.re_report(gold, pred),
+    headline={"macro_f1": "strict_macro_f1"},  # strict and lenient coincide
+    template=llm_bridge.RE_TEMPLATE,
+    prompt_input=_relation_prompt_input,
+    exemplar=None,
+    score_responses=lambda task, subset, records, *_: (
+        llm_bridge.score_re_responses(subset, records, task.label_names)),
+)
+
+KINDS = {"ner": NER, "re": RE}  # by [experiment] task
+_KIND_OF_MODEL = {model: kind for kind in KINDS.values() for model in kind.models}
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,17 @@ batched decoding must give exactly the per-sentence paths.  The two-loop
 bidirectional RNN pass and the functional optimizer step are the ones the
 one-loop pass in ``fedtext.models`` and the in-place ``fedtext.optim`` step
 replaced, which must match them bit for bit.
+
+The writers at the end make the files the package reads (highlighted
+responses, response records, prediction files); only tests need them.
 """
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
+from fedtext.corpus import _write_columns
 from fedtext.crf import _check_scores
 from fedtext.models import segment_shapes
 
@@ -314,3 +320,35 @@ def optimizer_step(kind, m, v, step_count, w, grad, lr, mu=0.0, anchor=None):
     m_hat = m / (1.0 - beta1**t)
     v_hat = v / (1.0 - beta2**t)
     return m, v, t, w - lr * m_hat / (np.sqrt(v_hat) + eps), penalty
+
+
+# ---------------------------------------------------------------------------
+# writers of the files the package reads
+
+def render_highlights(tokens, spans, tag):
+    """Echo the sentence with span tokens wrapped in <tag>...</tag>."""
+    opens = {s.start: s for s in spans}
+    closes = {s.end for s in spans}
+    parts = []
+    for i, tok in enumerate(tokens):
+        piece = tok
+        if i in opens:
+            piece = f"<{tag}>{piece}"
+        if i in closes:
+            piece = f"{piece}</{tag}>"
+        parts.append(piece)
+    return " ".join(parts)
+
+
+def write_responses(records):
+    """Response records as the JSON lines llm_bridge.read_responses reads."""
+    return "".join(
+        json.dumps({"id": r.id, "response": r.response}, sort_keys=True) + "\n"
+        for r in records
+    )
+
+
+def serialize_predictions(pairs):
+    """(gold sentence, predicted tags) pairs as the three-column file
+    corpus.parse_predictions reads."""
+    return _write_columns((sent.tokens, sent.labels, pred) for sent, pred in pairs)

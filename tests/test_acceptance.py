@@ -35,7 +35,7 @@ from fedtext.models import (
 )
 from fedtext.optim import Schedule, lr_at
 from fedtext.params import ParamVector
-from oracles import log_partition
+from oracles import log_partition, render_highlights
 
 ARTIFACTS = Path(__file__).resolve().parent.parent / "test-artifacts"
 
@@ -80,7 +80,7 @@ def build_split_corpus(lexicon, sentences, cue_rate, types=("GENE", "DIS")):
 def test_degenerate_federation_matches_centralized():
     t0 = time.perf_counter()
     split = build_split_corpus(lexicon=20, sentences=500, cue_rate=0.5)
-    task = tasks.build_ner_task(split.train, kind="rnn_crf_tagger",
+    task = tasks.build_task(split.train, kind="rnn_crf_tagger",
                                 embed_dim=16, hidden_dim=24)
     train, dev = task.prepare(split.train), task.prepare(split.dev)
     cfg = FederationConfig(clients=1, rounds=2, batch_size=16,
@@ -100,7 +100,7 @@ def test_degenerate_federation_matches_centralized():
 
 def test_fedprox_reverts_to_fedavg():
     split = build_split_corpus(lexicon=15, sentences=200, cue_rate=0.5)
-    task = tasks.build_ner_task(split.train, kind="window_tagger", embed_dim=8)
+    task = tasks.build_task(split.train, kind="window_tagger", embed_dim=8)
     train, dev = task.prepare(split.train), task.prepare(split.dev)
     parts = corpus.partition_iid(train, 2, 7)
 
@@ -274,7 +274,7 @@ def _evaluate_best(task, result, test_items):
 def test_claim_federated_beats_isolation_approaches_centralized():
     t0 = time.perf_counter()
     split = build_split_corpus(lexicon=100, sentences=2000, cue_rate=0.5)
-    task = tasks.build_ner_task(split.train, kind="rnn_crf_tagger",
+    task = tasks.build_task(split.train, kind="rnn_crf_tagger",
                                 embed_dim=16, hidden_dim=24)
     train = task.prepare(split.train)
     dev, test = task.prepare(split.dev), task.prepare(split.test)
@@ -308,7 +308,7 @@ def test_claim_small_models_degrade_faster_with_more_clients():
     medians = {}
     for kind, dims in (("window_tagger", dict(embed_dim=16)),
                        ("rnn_crf_tagger", dict(embed_dim=16, hidden_dim=24))):
-        task = tasks.build_ner_task(split.train, kind=kind, **dims)
+        task = tasks.build_task(split.train, kind=kind, **dims)
         train = task.prepare(split.train)
         dev, test = task.prepare(split.dev), task.prepare(split.test)
         for k in (2, 10):
@@ -351,7 +351,7 @@ def test_claim_small_mu_helps_on_heterogeneous_sources():
     dev = [x for sp in splits for x in sp.dev]
     test = [x for sp in splits for x in sp.test]
 
-    task = tasks.build_ner_task(train, kind="window_tagger", embed_dim=16)
+    task = tasks.build_task(train, kind="window_tagger", embed_dim=16)
     parts = [task.prepare(sp.train) for sp in splits]
     dev_p, test_p = task.prepare(dev), task.prepare(test)
 
@@ -391,7 +391,7 @@ def test_split_sizes_match_published_counts():
 
 def test_highlight_round_trip_reproduces_direct_scores():
     split = build_split_corpus(lexicon=30, sentences=400, cue_rate=0.5)
-    task = tasks.build_ner_task(split.train, kind="window_tagger", embed_dim=16)
+    task = tasks.build_task(split.train, kind="window_tagger", embed_dim=16)
     train = task.prepare(split.train)
     dev, test = task.prepare(split.dev), task.prepare(split.test)
     cfg = FederationConfig(clients=1, rounds=8, batch_size=16,
@@ -407,7 +407,7 @@ def test_highlight_round_trip_reproduces_direct_scores():
         gold.append([EntitySpan(entity, s.start, s.end) for s in item.gold_spans])
         pred.append(flat)
         records.append(llm_bridge.ResponseRecord(
-            i, llm_bridge.render_highlights(item.sentence.tokens, flat, tag)))
+            i, render_highlights(item.sentence.tokens, flat, tag)))
 
     direct = score_ner(gold, pred)
     parsed = llm_bridge.score_ner_responses(subset, records, entity, tag)

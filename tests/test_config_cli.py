@@ -13,7 +13,7 @@ from fedtext.config import (
     parse_config,
     validate_config,
 )
-from oracles import segment
+from oracles import render_highlights, segment, write_responses
 
 BASE_CONFIG = """\
 [experiment]
@@ -147,6 +147,10 @@ def test_config_hash_of_the_base_config_is_pinned():
 @pytest.mark.parametrize("section, key, value", [
     ("experiment", "task", "pos"),
     ("experiment", "repeats", "0"),
+    ("experiment", "base_seed", "-1"),
+    ("data", "data_seed", "-1"),
+    ("data", "types", "a b"),
+    ("data", "types", "GENE,GENE"),
     ("data", "heterogeneity", "2"),
     ("data", "cue_rate", "-0.5"),
     ("data", "max_tokens", "0"),
@@ -158,6 +162,7 @@ def test_config_hash_of_the_base_config_is_pinned():
     ("model", "embed_dim", "0"),
     ("model", "window_radius", "-1"),
     ("federation", "batch_size", "0"),
+    ("federation", "clients", "100"),  # more than the pooled train split's items
     ("federation", "base_lr", "0"),
     ("federation", "base_lr", "inf"),
 ])
@@ -364,12 +369,12 @@ def test_score_llm_round_trip(tmp_path, capsys):
     subset = llm_bridge.sample_test_subset(task.prepare(bundle.test), 5, 0)
     records = [
         llm_bridge.ResponseRecord(
-            i, llm_bridge.render_highlights(item.sentence.tokens, item.gold_spans, "m")
+            i, render_highlights(item.sentence.tokens, item.gold_spans, "m")
         )
         for i, item in enumerate(subset)
     ]
     resp_path = tmp_path / "responses.jsonl"
-    resp_path.write_text(llm_bridge.write_responses(records))
+    resp_path.write_text(write_responses(records))
 
     out_dir = tmp_path / "llm_eval"
     assert main(["score-llm", "-c", str(cfg_path), "--tag", "m", "--n", "5",

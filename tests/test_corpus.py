@@ -9,8 +9,6 @@ from fedtext.corpus import (
     RelationInstance,
     TaggedSentence,
     Vocab,
-    build_relation_index,
-    build_tag_index,
     dedup,
     generate_synthetic,
     generate_synthetic_relations,
@@ -21,11 +19,11 @@ from fedtext.corpus import (
     partition_by_source,
     partition_iid,
     serialize_conll,
-    serialize_predictions,
     serialize_relations,
     split_80_10_10,
-    truncate,
 )
+from fedtext.tasks import NER, RE
+from oracles import serialize_predictions
 
 SAMPLE = "the\tO\nbrca1\tB-GENE\ngene\tO\n\nwilson\tB-DIS\ndisease\tI-DIS\n"
 
@@ -204,14 +202,6 @@ def test_partition_by_source():
         partition_by_source([("a", [1]), ("empty", [])])
 
 
-def test_truncate():
-    s = TaggedSentence(tuple("abcde"), ("O",) * 5)
-    assert truncate(s, 3).tokens == ("a", "b", "c")
-    assert truncate(s, 10) is s
-    with pytest.raises(ValueError):
-        truncate(s, 0)
-
-
 # ---------------------------------------------------------------------------
 # synthetic corpora
 
@@ -328,7 +318,7 @@ def test_vocab_encodes_unknown_tokens_as_unk():
 
 def test_build_tag_index_puts_outside_first():
     sents = parse_conll(SAMPLE)
-    tags = build_tag_index(sents)
+    tags = NER.label_index(sents)
     assert tags[0] == "O"
     assert tags == ["O"] + sorted(t for t in tags if t != "O")
     assert set(tags) == {"O", "B-GENE", "B-DIS", "I-DIS"}
@@ -339,4 +329,4 @@ def test_build_relation_index_is_sorted():
         RelationInstance(("a", "b"), (0, 0), (1, 1), "none"),
         RelationInstance(("a", "b"), (0, 0), (1, 1), "assoc"),
     ]
-    assert build_relation_index(insts) == ["assoc", "none"]
+    assert RE.label_index(insts) == ["assoc", "none"]

@@ -15,7 +15,6 @@ from fedtext.evaluation import (
     MatchCounts,
     aggregate_repeats,
     decode_bio,
-    format_cell,
     format_report_table,
     macro_average,
     match_lenient,
@@ -326,10 +325,6 @@ def test_report_csv_layout():
     macro_rows = [r for r in rows if r[1] == "MACRO"]
     assert len(macro_rows) == 2
     assert all(r[4] == "1.000000" for r in macro_rows)
-
-
-def test_format_cell_layout():
-    assert format_cell(0.9, 0.1, 0.8, 0.05) == "0.900±0.100 (0.800±0.050)"
 
 
 def test_format_report_table_contains_macro_row():

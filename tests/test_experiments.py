@@ -229,6 +229,76 @@ def test_render_report_marks_a_run_without_repeat_files_incomplete(tmp_path, fin
     assert experiments.render_report([run]) == "ner/fedavg  incomplete\n"
 
 
+def _write_run(run_dir, task, metrics_by_seed):
+    """A finished run directory by hand: one report.json per seed with the
+    given report keys, its summary, and a manifest."""
+    run_dir.mkdir()
+    reports = [{"seed": seed, "strict": {}, "lenient": {}, **values}
+               for seed, values in metrics_by_seed.items()]
+    names = []
+    for i, report in enumerate(reports):
+        (run_dir / f"repeat_{i}").mkdir()
+        (run_dir / f"repeat_{i}" / "report.json").write_text(json.dumps(report))
+        names.append(f"repeat_{i}/report.json")
+    metrics = experiments._summary_metrics(tasks.KINDS[task], reports)
+    (run_dir / "summary.json").write_text(json.dumps({"metrics": metrics}))
+    manifest = {"config_hash": "x", "seeds": list(metrics_by_seed), "package_version": "0",
+                "scheme": "fedavg", "task": task, "repeat_files": names,
+                "summary_file": "summary.json", "wall_times": [0.0] * len(names)}
+    (run_dir / "manifest.json").write_text(json.dumps(manifest))
+    return run_dir
+
+
+def test_render_report_cells_read_lenient_strict_for_ner_and_macro_for_re(tmp_path):
+    ner = _write_run(tmp_path / "ner", "ner", {
+        0: {"strict_macro_f1": 0.75, "lenient_macro_f1": 0.875},
+        1: {"strict_macro_f1": 0.85, "lenient_macro_f1": 0.925},
+    })
+    re_run = _write_run(tmp_path / "re", "re", {
+        0: {"strict_macro_f1": 0.5, "lenient_macro_f1": 0.5},
+        1: {"strict_macro_f1": 0.7, "lenient_macro_f1": 0.7},
+    })
+    assert experiments.render_report([ner, re_run]) == (
+        "ner/fedavg  0.900±0.035 (0.800±0.071)\n"
+        "re/fedavg   0.600±0.141\n"
+    )
+
+
+def test_render_report_flags_a_repeat_of_another_seed(tmp_path):
+    run = _write_run(tmp_path / "run", "ner", {
+        0: {"strict_macro_f1": 0.75, "lenient_macro_f1": 0.875},
+        1: {"strict_macro_f1": 0.85, "lenient_macro_f1": 0.925},
+    })
+    report = json.loads((run / "repeat_0" / "report.json").read_text())
+    (run / "repeat_0" / "report.json").write_text(json.dumps(dict(report, seed=7)))
+    assert experiments.render_report([run]).splitlines() == [
+        "ner/fedavg  incomplete",
+        f"! {run}: repeat_0/report.json has seed 7, not the manifest's 0",
+    ]
+
+
+def test_an_interrupted_rerun_leaves_no_manifest_over_its_repeats(tmp_path, monkeypatch):
+    from fedtext import federation
+
+    out = experiments.run_experiment(cfg_for("fedavg"), tmp_path / "run")
+    train = federation.run_federated
+    calls = []
+
+    def stop_in_the_second_repeat(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise RuntimeError("stopped")
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(federation, "run_federated", stop_in_the_second_repeat)
+    with pytest.raises(RuntimeError, match="stopped"):
+        experiments.run_experiment(replace(cfg_for("fedavg"), base_seed=7), out)
+    assert json.loads((out / "repeat_0" / "report.json").read_text())["seed"] == 7
+    assert not (out / "manifest.json").exists()
+    assert not (out / "summary.json").exists()
+    assert experiments.render_report([out]) == f"\n! {out}: no manifest.json\n"
+
+
 def test_render_report_notes_missing_runs(tmp_path):
     report = experiments.render_report([tmp_path / "nowhere"])
     assert "no manifest.json" in report

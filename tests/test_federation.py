@@ -31,7 +31,7 @@ def ner_setup():
     profile = corpus.make_profile(["GENE", "DIS"], lexicon_size=12, sentences=120)
     sents = corpus.generate_synthetic(profile, 6)[0][1]
     split = corpus.split_80_10_10(sents, 3)
-    task = tasks.build_ner_task(split.train, kind="window_tagger", embed_dim=8)
+    task = tasks.build_task(split.train, kind="window_tagger", embed_dim=8)
     return {
         "task": task,
         "train": task.prepare(split.train),

@@ -17,14 +17,13 @@ from fedtext.llm_bridge import (
     map_relation_response,
     parse_highlights,
     read_responses,
-    render_highlights,
     sample_test_subset,
     score_ner_responses,
     score_re_responses,
-    write_responses,
 )
 from fedtext.models import RelationExample, TagExample
-from fedtext.tasks import NerItem, ReItem
+from fedtext.tasks import NER, RE, NerItem, ReItem
+from oracles import render_highlights, write_responses
 
 
 def ner_item(tokens, labels):
@@ -37,7 +36,7 @@ def ner_item(tokens, labels):
 # prompt construction
 
 def test_zero_shot_ner_prompt_is_exact():
-    spec = PromptSpec(task="ner", entity_type="disease", tag="span")
+    spec = PromptSpec(NER.template, entity_type="disease", tag="span")
     expect = (
         "Task: the task is to extract disease entities in a sentence\n"
         "Input: the input is a sentence.\n"
@@ -51,8 +50,7 @@ def test_zero_shot_ner_prompt_is_exact():
 
 def test_one_shot_ner_prompt_inserts_the_example_block():
     exemplar = default_ner_exemplar("mark")
-    spec = PromptSpec(task="ner", entity_type="disease", tag="mark",
-                      shot="one", exemplar=exemplar)
+    spec = PromptSpec(NER.template, entity_type="disease", tag="mark", exemplar=exemplar)
     prompt = build_prompt(spec, "query text")
     assert prompt.endswith("Input: query text")
     block = f"Example:\nInput: {EXEMPLAR_SENTENCE}\nOutput: "
@@ -64,7 +62,7 @@ def test_one_shot_ner_prompt_inserts_the_example_block():
 
 
 def test_re_prompt_uses_the_domain_string():
-    spec = PromptSpec(task="re", entity_type="gene-disease", tag="x")
+    spec = PromptSpec(RE.template, entity_type="gene-disease", tag="x")
     prompt = build_prompt(spec, "sent GENE DIS")
     assert "determine the gene-disease relation" in prompt
     assert prompt.endswith("Input: sent GENE DIS")
@@ -73,27 +71,22 @@ def test_re_prompt_uses_the_domain_string():
 
 def test_prompts_differ_across_settings():
     texts = set()
-    for task, shot in (("ner", "zero"), ("ner", "one"), ("re", "zero")):
+    for kind, shot in ((NER, "zero"), (NER, "one"), (RE, "zero")):
         exemplar = default_ner_exemplar("t") if shot == "one" else None
-        spec = PromptSpec(task=task, entity_type="disease", tag="t",
-                          shot=shot, exemplar=exemplar)
+        spec = PromptSpec(kind.template, entity_type="disease", tag="t", exemplar=exemplar)
         texts.add(build_prompt(spec, "same input"))
     assert len(texts) == 3
 
 
 def test_prompt_spec_validation():
     with pytest.raises(ValueError):
-        PromptSpec(task="qa", entity_type="disease", tag="t")
+        PromptSpec(NER.template, entity_type="", tag="t")
     with pytest.raises(ValueError):
-        PromptSpec(task="ner", entity_type="", tag="t")
+        PromptSpec(NER.template, entity_type="disease", tag="<b>")
     with pytest.raises(ValueError):
-        PromptSpec(task="ner", entity_type="disease", tag="<b>")
-    with pytest.raises(ValueError):
-        PromptSpec(task="ner", entity_type="disease", tag="t", shot="five")
-    with pytest.raises(ValueError):
-        PromptSpec(task="ner", entity_type="disease", tag="t", shot="one")
-    with pytest.raises(ValueError):
-        build_prompt(PromptSpec(task="ner", entity_type="disease", tag="t"), "")
+        build_prompt(PromptSpec(NER.template, entity_type="disease", tag="t"), "")
+    # a relation prompt names no tag, so its tag goes unchecked
+    PromptSpec(RE.template, entity_type="gene-disease", tag="<b>")
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +168,13 @@ def test_parse_casefold_option():
     assert parse_highlights(response, TOKENS, "GENE", "m") == []
     spans = parse_highlights(response, TOKENS, "GENE", "m", casefold=True)
     assert spans == [EntitySpan("GENE", 1, 1)]
+
+
+@pytest.mark.parametrize("tag", ["", "m x", "1m", "m>"])
+def test_parse_refuses_a_tag_that_is_not_a_usable_name(tag):
+    # an empty tag would read "<>" and "</>" as a highlight
+    with pytest.raises(ValueError, match="not a usable HTML tag name"):
+        parse_highlights("a <>b</> c", ["a", "b", "c"], "E", tag=tag)
 
 
 def test_render_highlights():

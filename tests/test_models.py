@@ -388,6 +388,11 @@ def test_a_relation_batch_names_the_rule_it_breaks(batch, message):
         loss_and_grad(REL, init_params(REL, 0), batch)
 
 
+def test_predict_relations_names_a_wrong_item_type():
+    with pytest.raises(ValueError, match="relation_classifier expects RelationExample items"):
+        predict_relations(REL, init_params(REL, 0), [_tag([1, 2], [0, 1])])
+
+
 def test_relation_span_bounds_checked():
     w = init_params(REL, 0)
     bad = RelationExample(np.array([1, 2, 3]), (2, 1), (0, 0), 0)

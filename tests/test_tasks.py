@@ -5,12 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fedtext import corpus, evaluation, tasks
+from fedtext import corpus, evaluation, models, tasks
 from fedtext.cli import main
 from fedtext.evaluation import decode_bio
 from fedtext.models import param_layout
 from fedtext.params import ParamVector
-from fedtext.tasks import build_ner_task, build_re_task, load_bundle, save_bundle
+from fedtext.tasks import NER, RE, build_task, load_bundle, save_bundle
 
 TRAIN = [
     corpus.TaggedSentence(("the", "brca1", "gene"), ("O", "B-GENE", "O")),
@@ -19,20 +19,22 @@ TRAIN = [
 ]
 
 
-def test_build_ner_task_shapes():
-    task = build_ner_task(TRAIN, kind="window_tagger", embed_dim=4)
-    assert task.kind == "ner"
+def test_build_task_shapes():
+    task = build_task(TRAIN, kind="window_tagger", embed_dim=4)
+    assert task.kind is NER
     assert task.selection_metric == "strict_f1"
     assert task.label_names[0] == "O"
     assert set(task.label_names) == {"O", "B-GENE", "B-DIS", "I-DIS"}
     assert task.spec.vocab_size == len(task.vocab)
     assert task.spec.label_count == len(task.label_names)
     with pytest.raises(ValueError):
-        build_ner_task([])
+        build_task([])
+    with pytest.raises(ValueError, match="unknown model kind 'lstm'"):
+        build_task(TRAIN, kind="lstm")
 
 
 def test_prepare_encodes_and_keeps_gold_spans():
-    task = build_ner_task(TRAIN, kind="window_tagger", embed_dim=4)
+    task = build_task(TRAIN, kind="window_tagger", embed_dim=4)
     items = task.prepare(TRAIN)
     assert [list(i.gold_spans) for i in items] == [
         decode_bio(list(s.labels)) for s in TRAIN
@@ -45,7 +47,7 @@ def test_prepare_encodes_and_keeps_gold_spans():
 
 
 def test_prepare_truncates_long_sentences():
-    task = build_ner_task(TRAIN, kind="window_tagger", embed_dim=4, max_tokens=2)
+    task = build_task(TRAIN, kind="window_tagger", embed_dim=4, max_tokens=2)
     items = task.prepare(TRAIN)
     assert all(i.enc.token_ids.size == 2 for i in items)
     # gold spans re-derived from the truncated sentence
@@ -53,17 +55,18 @@ def test_prepare_truncates_long_sentences():
 
 
 def test_predict_round_trip_names_and_spans():
-    task = build_ner_task(TRAIN, kind="rnn_crf_tagger", embed_dim=4, hidden_dim=3)
+    task = build_task(TRAIN, kind="rnn_crf_tagger", embed_dim=4, hidden_dim=3)
     w = task.init_params(0)
     item = task.prepare(TRAIN)[0]
-    names = task.predict_tag_names(w, item)
+    (ids,) = models.predict_tags(task.spec, w, [item.enc.token_ids])
+    names = [task.label_names[i] for i in ids]
     assert len(names) == 3
-    assert all(n in task.label_names for n in names)
     assert task.predict_spans(w, item) == decode_bio(names)
+    assert task.predict(w, [item]) == [decode_bio(names)]
 
 
 def test_evaluate_and_dev_scores_ner():
-    task = build_ner_task(TRAIN, kind="window_tagger", embed_dim=4)
+    task = build_task(TRAIN, kind="window_tagger", embed_dim=4)
     w = task.init_params(0)
     items = task.prepare(TRAIN)
     report = task.evaluate(w, items)
@@ -82,7 +85,7 @@ def test_evaluate_equals_per_item_prediction(kind, radius, monkeypatch):
     n = tasks.PREDICT_CHUNK + 30
     if kind == "re":
         data = corpus.generate_synthetic_relations(lexicon_size=6, sentences=n, seed=0)
-        task = build_re_task(data, embed_dim=4, hidden_dim=4)
+        task = build_task(data, "relation_classifier", embed_dim=4, hidden_dim=4)
     else:
         profile = corpus.make_profile(["GENE", "DIS"], lexicon_size=8, sentences=n + 40)
         sents = corpus.generate_synthetic(profile, 3)[0][1]
@@ -93,13 +96,13 @@ def test_evaluate_equals_per_item_prediction(kind, radius, monkeypatch):
             corpus.TaggedSentence(("brca1",), ("B-GENE",)),
             corpus.TaggedSentence(("wilson", "disease"), ("B-DIS", "I-DIS")),
         ] + long[4:]
-        task = build_ner_task(data, kind=kind, embed_dim=4, hidden_dim=3, window_radius=radius)
+        task = build_task(data, kind=kind, embed_dim=4, hidden_dim=3, window_radius=radius)
     items = task.prepare(data)
     assert len(items) > tasks.PREDICT_CHUNK
     w = task.init_params(0)
     w.values[:] = np.random.default_rng(1).normal(size=w.size) * 2.0  # CRF transitions too
 
-    scorer = "score_ner" if task.kind == "ner" else "re_report"
+    scorer = "re_report" if task.kind is RE else "score_ner"
     seen = []
     score = getattr(evaluation, scorer)
 
@@ -109,30 +112,32 @@ def test_evaluate_equals_per_item_prediction(kind, radius, monkeypatch):
 
     monkeypatch.setattr(evaluation, scorer, recording)
     report = task.evaluate(w, items)
-    per_item = task.predict_spans if task.kind == "ner" else task.predict_label
-    expect = [per_item(w, it) for it in items]
+    expect = [task.predict(w, [it])[0] for it in items]
+    if task.kind is NER:
+        assert expect == [task.predict_spans(w, it) for it in items]
     assert seen == [expect]
     assert len(set(map(str, expect))) > 1
-    gold = [list(it.gold_spans) for it in items] if task.kind == "ner" else [it.instance.label for it in items]
+    gold = [it.instance.label for it in items] if task.kind is RE else [list(it.gold_spans) for it in items]
     assert report == score(gold, expect)
 
 
 def test_re_task_end_to_end():
     insts = corpus.generate_synthetic_relations(lexicon_size=6, sentences=30, seed=0)
-    task = build_re_task(insts, embed_dim=4, hidden_dim=4)
-    assert task.kind == "re"
+    task = build_task(insts, "relation_classifier", embed_dim=4, hidden_dim=4, window_radius=2)
+    assert task.kind is RE
+    assert task.spec.window_radius == 0  # the classifier has no window; bundles keep saying 0
     assert task.selection_metric == "macro_f1"
     assert task.label_names == ["assoc", "none"]
     items = task.prepare(insts)
     w = task.init_params(1)
-    label = task.predict_label(w, items[0])
+    (label,) = task.predict(w, items[:1])
     assert label in task.label_names
     scores = task.dev_scores(w, items)
     assert set(scores) == {"macro_f1"}
 
 
 def test_bundle_round_trip(tmp_path):
-    task = build_ner_task(TRAIN, kind="rnn_crf_tagger", embed_dim=4, hidden_dim=3)
+    task = build_task(TRAIN, kind="rnn_crf_tagger", embed_dim=4, hidden_dim=3)
     w = task.init_params(3)
     path = tmp_path / "model.npz"
     save_bundle(path, task, w)
@@ -143,11 +148,11 @@ def test_bundle_round_trip(tmp_path):
     assert task2.spec == task.spec
     item = task.prepare(TRAIN)[1]
     item2 = task2.prepare(TRAIN)[1]
-    assert task.predict_tag_names(w, item) == task2.predict_tag_names(w2, item2)
+    assert task.predict(w, [item]) == task2.predict(w2, [item2])
 
 
 def test_bundle_with_an_object_array_is_refused(tmp_path):
-    task = build_ner_task(TRAIN, kind="window_tagger", embed_dim=4)
+    task = build_task(TRAIN, kind="window_tagger", embed_dim=4)
     path = tmp_path / "model.npz"
     save_bundle(path, task, task.init_params(0))
     with np.load(path) as data:
@@ -181,7 +186,7 @@ def _rewrite_bundle(src, dst, **changes):
 
 @pytest.mark.parametrize("field, delta", [("vocab_size", 1), ("label_count", -1)])
 def test_bundle_whose_spec_disagrees_with_its_contents_is_refused(tmp_path, field, delta):
-    task = build_ner_task(TRAIN, kind="rnn_crf_tagger", embed_dim=4, hidden_dim=3)
+    task = build_task(TRAIN, kind="rnn_crf_tagger", embed_dim=4, hidden_dim=3)
     path = tmp_path / "model.npz"
     save_bundle(path, task, task.init_params(0))
     spec = dict(task.spec.__dict__, **{field: getattr(task.spec, field) + delta})
@@ -195,7 +200,7 @@ def test_bundle_whose_spec_disagrees_with_its_contents_is_refused(tmp_path, fiel
 
 
 def test_bundle_with_the_wrong_number_of_values_is_refused(tmp_path):
-    task = build_ner_task(TRAIN, kind="window_tagger", embed_dim=4)
+    task = build_task(TRAIN, kind="window_tagger", embed_dim=4)
     path = tmp_path / "model.npz"
     save_bundle(path, task, task.init_params(0))
     with np.load(path) as data:
@@ -208,7 +213,7 @@ def test_bundle_with_the_wrong_number_of_values_is_refused(tmp_path):
 
 
 def test_save_bundle_refuses_weights_of_another_layout(tmp_path):
-    task = build_ner_task(TRAIN, kind="window_tagger", embed_dim=4)
+    task = build_task(TRAIN, kind="window_tagger", embed_dim=4)
     other = replace(task.spec, embed_dim=5)
     w = ParamVector(np.zeros(sum(n for _, n in param_layout(other).values())), param_layout(other))
     with pytest.raises(ValueError, match="layout"):
@@ -218,7 +223,7 @@ def test_save_bundle_refuses_weights_of_another_layout(tmp_path):
 
 def test_bundle_in_the_older_format_still_loads(tmp_path):
     # earlier bundles also stored the task kind and the (key-sorted) layout
-    task = build_ner_task(TRAIN, kind="rnn_crf_tagger", embed_dim=4, hidden_dim=3)
+    task = build_task(TRAIN, kind="rnn_crf_tagger", embed_dim=4, hidden_dim=3)
     w = task.init_params(5)
     path = tmp_path / "model.npz"
     save_bundle(path, task, w)
@@ -227,7 +232,7 @@ def test_bundle_in_the_older_format_still_loads(tmp_path):
     with np.load(old) as data:
         assert set(json.loads(str(data["meta"]))) == {"kind", "layout", "labels", "max_tokens", "spec"}
     task2, w2 = load_bundle(old)
-    assert task2.kind == "ner"
+    assert task2.kind is NER
     assert np.array_equal(w2.values, w.values)
     for a, b in zip(task.prepare(TRAIN), task2.prepare(TRAIN)):
         assert task.predict_spans(w, a) == task2.predict_spans(w2, b)

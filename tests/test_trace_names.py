@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from fedtext import corpus, models, tasks
+from fedtext import corpus, experiments, models, tasks
 from fedtext.config import FederationConfig
 from fedtext.federation import ClientState, client_rng, local_update
 from fedtext.models import ModelSpec, TagExample
@@ -52,7 +52,7 @@ def test_batched_training_step_is_traced():
 def test_a_dev_pass_is_one_batched_prediction():
     profile = corpus.make_profile(["GENE"], lexicon_size=8, sentences=20)
     sents = corpus.generate_synthetic(profile, 2)[0][1]
-    task = tasks.build_ner_task(sents, kind="rnn_crf_tagger", embed_dim=3, hidden_dim=3)
+    task = tasks.build_task(sents, kind="rnn_crf_tagger", embed_dim=3, hidden_dim=3)
     items = task.prepare(sents)
     assert 1 < len(items) < tasks.PREDICT_CHUNK
     w = task.init_params(0)
@@ -63,10 +63,36 @@ def test_a_dev_pass_is_one_batched_prediction():
     assert tracer.calls["crf.viterbi"] == 1
 
 
+def test_a_dev_pass_scores_and_decodes_through_evaluation():
+    # the task kind's scorer and predictor reach evaluation.score_ner and
+    # evaluation.decode_bio through the module, where the tracer rebinds them
+    profile = corpus.make_profile(["GENE"], lexicon_size=8, sentences=20)
+    sents = corpus.generate_synthetic(profile, 2)[0][1]
+    task = tasks.build_task(sents, kind="window_tagger", embed_dim=3)
+    items = task.prepare(sents)
+    with load_layertrace().Tracer() as tracer:
+        task.dev_scores(task.init_params(0), items)
+    assert tracer.calls["evaluation.score_ner"] == 1
+    assert tracer.calls["evaluation.decode_bio"] == len(items)
+
+
+def test_bench_inference_on_a_conll_file_parses_it_with_parse_conll(tmp_path):
+    profile = corpus.make_profile(["GENE"], lexicon_size=8, sentences=20)
+    sents = corpus.generate_synthetic(profile, 2)[0][1]
+    task = tasks.build_task(sents, kind="window_tagger", embed_dim=3)
+    tasks.save_bundle(tmp_path / "model.npz", task, task.init_params(0))
+    (tmp_path / "data.conll").write_text(corpus.serialize_conll(sents))
+    with load_layertrace().Tracer() as tracer:
+        experiments.bench_inference(tmp_path / "model.npz", tmp_path / "data.conll", limit=3)
+    assert tracer.calls["tasks.load_bundle"] == 1
+    assert tracer.calls["corpus.parse_conll"] == 1
+    assert tracer.calls["tasks.Task.prepare"] == 1
+
+
 def test_a_fedprox_local_step_allocates_only_its_gradient():
     profile = corpus.make_profile(["GENE"], lexicon_size=8, sentences=40)
     sents = corpus.generate_synthetic(profile, 2)[0][1]
-    task = tasks.build_ner_task(sents, kind="window_tagger", embed_dim=4)
+    task = tasks.build_task(sents, kind="window_tagger", embed_dim=4)
     data = task.prepare(sents)
     cfg = FederationConfig(clients=1, rounds=1, batch_size=8, local_epochs=2,
                            mu=0.1, optimizer="adam")
