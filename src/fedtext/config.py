@@ -240,8 +240,8 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 @dataclass
 class RunManifest:
-    """Everything needed to trace one cmd-run invocation; wall times live
-    here so the metric files themselves stay byte-stable."""
+    """Everything needed to trace one cmd-run invocation; ``created_unix`` is
+    its one clock reading, kept here so the metric files stay byte-stable."""
 
     config_hash: str
     seeds: list[int]
@@ -250,10 +250,4 @@ class RunManifest:
     task: str
     repeat_files: list[str]
     summary_file: str
-    wall_times: list[float]
     created_unix: float = field(default_factory=time.time)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "RunManifest":
-        data = json.loads(Path(path).read_text())
-        return cls(**data)

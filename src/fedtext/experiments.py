@@ -2,9 +2,8 @@
 
 Builds corpora from files or the synthetic generator, runs the configured
 training scheme over repeated seeds, and writes deterministic metric files
-(JSON/CSV/JSONL) plus a manifest.  Wall-clock numbers only ever land in the
-manifest, so rerunning an identical config reproduces the metric files byte
-for byte.
+(JSON/CSV/JSONL) plus a manifest.  No clock reading lands in the metric
+files, so rerunning an identical config reproduces them byte for byte.
 """
 from __future__ import annotations
 
@@ -29,7 +28,6 @@ from .config import (
     config_hash,
 )
 from .evaluation import EvalReport, TypeScore, aggregate_repeats
-from .federation import RunResult
 
 
 # ---------------------------------------------------------------------------
@@ -47,17 +45,29 @@ class DataBundle:
 
 
 def build_sources(cfg: ExperimentConfig) -> list[tuple[str, list]]:
-    """The config's named corpora: one per file, or the synthetic generator's."""
+    """The config's named corpora: one per file, or the synthetic generator's.
+    A file that cannot be decoded or parsed is named in the error."""
     kind = tasks.KINDS[cfg.task]
     if cfg.data.synthetic:
         return kind.synthetic(cfg.data)
-    return [(Path(p).name, kind.parse(Path(p).read_text(encoding="utf-8"))) for p in cfg.data.files]
+    sources = []
+    for path in map(Path, cfg.data.files):
+        try:  # a missing file's OSError names it already
+            sources.append((path.name, kind.parse(path.read_text(encoding="utf-8"))))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+    return sources
 
 
 def build_data(cfg: ExperimentConfig) -> DataBundle:
     names, trains, dev, test = [], [], [], []
     for i, (name, items) in enumerate(build_sources(cfg)):
-        split = corpuslib.split_80_10_10(corpuslib.dedup(items), cfg.data.data_seed + i)
+        items = corpuslib.dedup(items)
+        if len(items) < 3:
+            where = f"sentences: source {name!r}" if cfg.data.synthetic else f"files: {cfg.data.files[i]}"
+            raise ConfigError(f"[data] {where} is left with {len(items)} after dedup, and a "
+                              f"train/dev/test split needs at least 3 items")
+        split = corpuslib.split_80_10_10(items, cfg.data.data_seed + i)
         names.append(name)
         trains.append(split.train)
         dev.extend(split.dev)
@@ -148,11 +158,12 @@ def _write_json(path: Path, payload) -> None:
     _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_rounds_log(path: Path, results: list[RunResult]) -> None:
-    with _replacing(path) as fh:
-        for i, result in enumerate(results):
-            for record in result.round_log:
-                fh.write(json.dumps({"run": i, **record}, sort_keys=True) + "\n")
+def _logged(fh, run: int, stream):
+    """``stream`` passed through, each record written to ``fh`` as it arrives,
+    as a rounds.jsonl line of training run ``run``."""
+    for record, server in stream:
+        fh.write(json.dumps({"run": run, **record}, sort_keys=True) + "\n")
+        yield record, server
 
 
 def _summary_metrics(kind: tasks.Kind, reports: Sequence[dict]) -> dict[str, dict]:
@@ -175,6 +186,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
         parts = [s.task.prepare(s.bundle.train)]
     else:
         parts = partition_train(cfg, s.bundle, s.task, fed.clients)
+    # one round loop per group of shards: single trains each shard on its own
+    groups = [[part] for part in parts] if cfg.scheme == "single" else [parts]
     out.mkdir(parents=True, exist_ok=True)
     # a run stopped partway must not leave an earlier run's manifest over its repeats
     for name in ("manifest.json", "summary.json"):
@@ -182,26 +195,22 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
 
     seeds = [cfg.base_seed + i for i in range(cfg.repeats)]
     repeat_files: list[str] = []
-    wall_times: list[float] = []
     repeat_reports: list[dict] = []
 
     for i, seed in enumerate(seeds):
-        t0 = time.perf_counter()
-        if cfg.scheme in ("single", "centralized"):
-            results = [federation.run_centralized(s.task, fed, part, s.dev, seed) for part in parts]
-        else:
-            results = [federation.run_federated(s.task, fed, parts, s.dev, seed)]
-        reports = [s.task.evaluate(r.best_weights, s.test) for r in results]
-        wall_times.append(time.perf_counter() - t0)
-
         rep_dir = out / f"repeat_{i}"
         rep_dir.mkdir(exist_ok=True)
+        with _replacing(rep_dir / "rounds.jsonl") as fh:
+            results = []
+            for run, group in enumerate(groups):
+                stream = federation.rounds(s.task, fed, group, s.dev, seed)
+                results.append(federation.collect(s.task, _logged(fh, run, stream)))
+        reports = [s.task.evaluate(r.best_weights, s.test) for r in results]
         report = _mean_reports(reports) if cfg.scheme == "single" else reports[0]
         repeat_reports.append({"seed": seed, **report.as_dict()})
         _write_json(rep_dir / "report.json", repeat_reports[-1])
         _write_text(rep_dir / "report.csv", evaluation.report_to_csv(report))
         _write_text(rep_dir / "table.txt", evaluation.format_report_table(report))
-        _write_rounds_log(rep_dir / "rounds.jsonl", results)
         if cfg.scheme == "single":
             for k, rep in enumerate(reports):
                 _write_json(rep_dir / f"client_{k}_report.json", rep.as_dict())
@@ -223,7 +232,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
         task=cfg.task,
         repeat_files=repeat_files,
         summary_file="summary.json",
-        wall_times=wall_times,
     )
     _write_json(out / "manifest.json", manifest.__dict__)
     return out
@@ -309,6 +317,12 @@ def _read_run_file(run_dir: Path, name: str, make=dict):
         raise ValueError(f"cannot read {name}: {exc}") from None
 
 
+def _manifest_and_kind(data: dict) -> tuple[RunManifest, tasks.Kind]:
+    """A manifest and its task's kind; an older manifest's ``wall_times`` are ignored."""
+    manifest = RunManifest(**{k: v for k, v in data.items() if k != "wall_times"})
+    return manifest, tasks.KINDS[manifest.task]
+
+
 def render_report(run_dirs: Sequence[str | Path]) -> str:
     """Summary table across run directories; cells are the headline metrics'
     mean±std from the repeat files, last first: lenient (strict) for NER.  A
@@ -321,8 +335,7 @@ def render_report(run_dirs: Sequence[str | Path]) -> str:
             problems.append(f"{run_dir}: no manifest.json")
             continue
         try:
-            manifest, kind = _read_run_file(run_dir, "manifest.json",
-                                            lambda d: (RunManifest(**d), tasks.KINDS[d["task"]]))
+            manifest, kind = _read_run_file(run_dir, "manifest.json", _manifest_and_kind)
             stored = _read_run_file(run_dir, manifest.summary_file, lambda data: dict(data["metrics"]))
         except ValueError as exc:
             problems.append(f"{run_dir}: {exc}")
@@ -366,9 +379,7 @@ def bench_inference(bundle_path: str | Path, data_path: str | Path, limit: int |
     if limit is not None and limit < 1:
         raise ConfigError(f"--limit must be >= 1, got {limit}")
     task, weights = tasks.load_bundle(bundle_path)
-    items = task.prepare(task.kind.parse(Path(data_path).read_text(encoding="utf-8")))
-    if limit is not None:
-        items = items[:limit]
+    items = task.prepare(task.kind.parse(Path(data_path).read_text(encoding="utf-8"))[:limit])
     if not items:
         raise ValueError("no instances to benchmark")
 

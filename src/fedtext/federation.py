@@ -5,16 +5,17 @@ mini-batch updates on its own shard (optionally with the proximal penalty
 anchored at the round-start weights), and the server takes the data-weighted
 average of the results.  Client work depends only on the server weights, its
 shard and its ``client_rng`` stream, keyed by (seed, client, round), so the
-order clients run in cannot change the result.  The baseline reuses the same
-loop with a single client, which makes the K=1 / centralized equivalence hold
-bit for bit; a single-client scheme is one baseline run per shard.
+order clients run in cannot change the result.  ``rounds`` yields each
+round's record as the round ends and ``collect`` folds the stream into a
+RunResult.  The baseline is the same loop with a single client, which makes
+the K=1 / centralized equivalence hold bit for bit.
 """
 from __future__ import annotations
 
 import hashlib
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -119,21 +120,17 @@ def local_update(
     return weights, epoch_losses
 
 
-def run_federated(
-    task: Task,
-    cfg: FederationConfig,
-    partitions: Sequence[Sequence],
-    dev: Sequence,
-    seed: int = 0,
-) -> RunResult:
+def rounds(
+    task: Task, cfg: FederationConfig, partitions: Sequence[Sequence], dev: Sequence, seed: int = 0
+) -> Iterator[tuple[dict, ParamVector]]:
     """T rounds of FedAvg (mu = 0) or FedProx (mu > 0) with full participation
-    of K = len(partitions) clients, client k training on ``partitions[k]``.
+    of K = len(partitions) clients, client k training on ``partitions[k]``;
+    yields each round's record and the server weights as the round ends.
 
     ``seed`` fixes the initial weights and every client's shuffling.  Clients
     train and are aggregated in client-id order; each one shuffles with its
     own ``client_rng`` stream, so running them in another order would give
-    the same weights.  The best round is the earliest one with the highest
-    dev selection metric.  An error inside a client's round is re-raised
+    the same weights.  An error inside a client's round is re-raised
     prefixed with ``round R, client K:``.
     """
     if not partitions:
@@ -154,10 +151,6 @@ def run_federated(
         )
         for i, part in enumerate(partitions)
     ]
-    metric = task.selection_metric
-    round_log: list[dict] = []
-    best_round, best_weights = -1, server
-
     for t in range(cfg.rounds):
         updates = []
         for c in clients:
@@ -167,24 +160,32 @@ def run_federated(
                 raise ValueError(f"round {t + 1}, client {c.id}: {exc}") from exc
         weights, losses = zip(*updates)
         server = aggregate([(w, c.n) for w, c in zip(weights, clients)])
-        scores = task.dev_scores(server, dev)
-        round_log.append(
-            {
-                "round": t + 1,
-                "client_loss": [float(np.mean(per_epoch)) for per_epoch in losses],
-                **scores,
-                "weights_sha256": weights_sha256(server),
-            }
-        )
-        if best_round < 0 or scores[metric] > round_log[best_round][metric]:
-            best_round, best_weights = t, server
+        yield {
+            "round": t + 1,
+            "client_loss": [float(np.mean(per_epoch)) for per_epoch in losses],
+            **task.dev_scores(server, dev),
+            "weights_sha256": weights_sha256(server),
+        }, server
 
-    return RunResult(
-        best_weights=best_weights,
-        final_weights=server,
-        best_round=best_round,
-        round_log=round_log,
-    )
+
+def collect(task: Task, stream: Iterable[tuple[dict, ParamVector]]) -> RunResult:
+    """Fold a stream of round records and server weights into a RunResult;
+    the best round is the earliest one with the highest dev selection metric."""
+    metric = task.selection_metric
+    round_log: list[dict] = []
+    best_round, best_weights = -1, None
+    for record, server in stream:
+        round_log.append(record)
+        if best_round < 0 or record[metric] > round_log[best_round][metric]:
+            best_round, best_weights = len(round_log) - 1, server
+    return RunResult(best_weights, server, best_round, round_log)
+
+
+def run_federated(
+    task: Task, cfg: FederationConfig, partitions: Sequence[Sequence], dev: Sequence, seed: int = 0
+) -> RunResult:
+    """The collected result of ``rounds(task, cfg, partitions, dev, seed)``."""
+    return collect(task, rounds(task, cfg, partitions, dev, seed))
 
 
 def run_centralized(

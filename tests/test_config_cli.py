@@ -195,8 +195,8 @@ def test_run_writes_reports_and_is_reproducible(tmp_path, capsys):
                 "repeat_1/report.json", "repeat_0/rounds.jsonl"):
         assert (out_a / rel).read_bytes() == (out_b / rel).read_bytes(), rel
 
-    ma = RunManifest.load(out_a / "manifest.json")
-    mb = RunManifest.load(out_b / "manifest.json")
+    ma = RunManifest(**json.loads((out_a / "manifest.json").read_text()))
+    mb = RunManifest(**json.loads((out_b / "manifest.json").read_text()))
     assert ma.config_hash == mb.config_hash
     assert ma.seeds == [0, 1]
 
@@ -222,7 +222,7 @@ def test_report_works_from_another_directory(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg_path = write_config(tmp_path, out="runs/rel")
     assert main(["run", "-c", str(cfg_path)]) == 0
-    manifest = RunManifest.load(tmp_path / "runs/rel/manifest.json")
+    manifest = RunManifest(**json.loads((tmp_path / "runs/rel/manifest.json").read_text()))
     assert manifest.repeat_files == ["repeat_0/report.json", "repeat_1/report.json"]
     assert manifest.summary_file == "summary.json"
     capsys.readouterr()
@@ -517,13 +517,43 @@ def test_a_run_with_an_empty_test_split_stops_before_training(tmp_path, capsys, 
     def no_training(*args, **kwargs):
         raise RuntimeError("a run was trained")
 
-    monkeypatch.setattr(federation, "run_federated", no_training)
+    monkeypatch.setattr(federation, "rounds", no_training)
     text = (BASE_CONFIG if task == "ner" else RE_CONFIG).format(out=tmp_path / "out")
     text = text.replace("sentences = 80", "sentences = 5").replace("sentences = 70", "sentences = 5")
     assert main(["run", "-c", str(write_config(tmp_path, text=text))]) == 1
     err = capsys.readouterr().err
     assert err.startswith("config error: the pooled test split is empty")
     assert "split 4/1/0 into train/dev/test" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"\x80\x81abc\n", "'utf-8' codec can't decode byte 0x80 in position 0: invalid start byte"),
+    (b"BRCA1 B-GENE\nis X-GENE\n\n", "line 2: tag 'X-GENE' is not valid BIO"),
+], ids=["not utf-8", "bad tag"])
+def test_an_unreadable_data_file_is_named_in_the_error(tmp_path, capsys, content, message):
+    data = tmp_path / "corpus.conll"
+    data.write_bytes(content)
+    text = BASE_CONFIG.format(out=tmp_path / "out").replace("synthetic = true", f"files = {data}")
+    assert main(["run", "-c", str(write_config(tmp_path, text=text))]) == 2
+    assert capsys.readouterr().err == f"error: {data}: {message}\n"
+
+
+@pytest.mark.parametrize("source", ["synthetic", "file"])
+def test_a_source_too_small_to_split_after_dedup_is_a_config_error(tmp_path, capsys, source):
+    text = BASE_CONFIG.format(out=tmp_path / "out")
+    if source == "synthetic":
+        text = text.replace("sentences = 80", "sentences = 2")
+        where, left = "sentences: source 'source0'", 2
+    else:  # two copies of one sentence
+        data = tmp_path / "one.conll"
+        data.write_text("BRCA1 B-GENE\nis O\n\n" * 2)
+        text = text.replace("synthetic = true", f"files = {data}")
+        where, left = f"files: {data}", 1
+    assert main(["run", "-c", str(write_config(tmp_path, text=text))]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: [data] {where} is left with {left} after dedup, and a train/dev/test "
+        "split needs at least 3 items\n")
     assert not (tmp_path / "out").exists()
 
 

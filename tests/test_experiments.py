@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fedtext import experiments, tasks
+from fedtext import experiments, federation, tasks
 from fedtext.cli import main
 from fedtext.config import ConfigError, parse_config
 from fedtext.evaluation import EvalReport, TypeScore
@@ -135,6 +135,22 @@ def test_centralized_scheme_runs(tmp_path):
     assert first["round"] == 1
     assert len(first["client_loss"]) == 1
     assert len(first["weights_sha256"]) == 64
+
+
+@pytest.mark.parametrize("scheme", ["fedavg", "single"])
+def test_rounds_jsonl_streams_the_log_run_federated_collects(tmp_path, scheme):
+    cfg = cfg_for(scheme)
+    out = experiments.run_experiment(cfg, tmp_path / "run")
+    s = experiments._setup(cfg)
+    parts = experiments.partition_train(cfg, s.bundle, s.task, cfg.federation.clients)
+    runs = [[part] for part in parts] if scheme == "single" else [parts]
+    assert len(runs) == (2 if scheme == "single" else 1)
+    for i in range(cfg.repeats):
+        seed = cfg.base_seed + i
+        expect = [{"run": k, **record} for k, run in enumerate(runs)
+                  for record in federation.run_federated(s.task, cfg.federation, run, s.dev, seed).round_log]
+        lines = (out / f"repeat_{i}" / "rounds.jsonl").read_text().splitlines()
+        assert [json.loads(line) for line in lines] == expect
 
 
 def test_a_write_that_fails_partway_leaves_no_partial_file(tmp_path, monkeypatch):
@@ -278,10 +294,8 @@ def test_render_report_flags_a_repeat_of_another_seed(tmp_path):
 
 
 def test_an_interrupted_rerun_leaves_no_manifest_over_its_repeats(tmp_path, monkeypatch):
-    from fedtext import federation
-
     out = experiments.run_experiment(cfg_for("fedavg"), tmp_path / "run")
-    train = federation.run_federated
+    train = federation.rounds
     calls = []
 
     def stop_in_the_second_repeat(*args, **kwargs):
@@ -290,13 +304,28 @@ def test_an_interrupted_rerun_leaves_no_manifest_over_its_repeats(tmp_path, monk
             raise RuntimeError("stopped")
         return train(*args, **kwargs)
 
-    monkeypatch.setattr(federation, "run_federated", stop_in_the_second_repeat)
+    monkeypatch.setattr(federation, "rounds", stop_in_the_second_repeat)
     with pytest.raises(RuntimeError, match="stopped"):
         experiments.run_experiment(replace(cfg_for("fedavg"), base_seed=7), out)
     assert json.loads((out / "repeat_0" / "report.json").read_text())["seed"] == 7
     assert not (out / "manifest.json").exists()
     assert not (out / "summary.json").exists()
     assert experiments.render_report([out]) == f"\n! {out}: no manifest.json\n"
+
+
+def test_a_repeat_stopped_in_training_leaves_no_rounds_file(tmp_path, monkeypatch):
+    train = federation.rounds
+
+    def stopped_after_one_round(*args, **kwargs):
+        yield next(train(*args, **kwargs))
+        raise RuntimeError("stopped")
+
+    monkeypatch.setattr(federation, "rounds", stopped_after_one_round)
+    out = tmp_path / "run"
+    with pytest.raises(RuntimeError, match="stopped"):
+        experiments.run_experiment(cfg_for("fedavg"), out)
+    # the round already written goes with the temporary file
+    assert [p.relative_to(out).as_posix() for p in out.rglob("*")] == ["repeat_0"]
 
 
 def test_render_report_notes_missing_runs(tmp_path):
@@ -312,7 +341,7 @@ def test_render_report_marks_incomplete_runs(tmp_path):
     assert "missing repeat file" in report
 
 
-def test_bench_inference_stats(tmp_path):
+def test_bench_inference_stats(tmp_path, monkeypatch):
     cfg = cfg_for("fedavg")
     out = experiments.run_experiment(cfg, tmp_path / "run")
     data_path = tmp_path / "bench.conll"
@@ -321,9 +350,18 @@ def test_bench_inference_stats(tmp_path):
     profile = make_profile(["GENE"], lexicon_size=6, sentences=30)
     sents = generate_synthetic(profile, 4)[0][1]
     data_path.write_text(serialize_conll(sents))
+    encoded = []
+    prepare = tasks.Task.prepare
+
+    def counting_prepare(self, items):
+        encoded.append(len(items))
+        return prepare(self, items)
+
+    monkeypatch.setattr(tasks.Task, "prepare", counting_prepare)
     stats = experiments.bench_inference(out / "repeat_0" / "weights.npz", data_path,
                                         limit=25)
     assert stats["instances"] == 25
+    assert encoded == [25]  # the items past the limit are never encoded
     assert stats["total_seconds"] > 0
     assert stats["seconds_per_instance"] == pytest.approx(
         stats["total_seconds"] / 25
@@ -347,3 +385,4 @@ def test_sweep_clients_runs_each_distinct_count_once(tmp_path, capsys):
     assert err.count("warning: duplicate client count 2 dropped") == 2
     lines = (tmp_path / "k.csv").read_text().strip().splitlines()
     assert [line.split(",")[0] for line in lines[1:]] == ["2", "3"]
+
