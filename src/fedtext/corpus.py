@@ -225,6 +225,9 @@ FILLER_WORDS = (
     "cases", "between", "after", "during", "under", "report", "findings",
 )
 
+# the two labels generate_synthetic_relations assigns
+RELATION_LABELS = ("assoc", "none")
+
 _CONSONANTS = "bcdfghklmnprstvz"
 _VOWELS = "aeiou"
 
@@ -359,15 +362,10 @@ def generate_synthetic(
     return corpora
 
 
-def generate_synthetic_relations(
-    lexicon_size: int,
-    sentences: int,
-    seed: int,
-    labels: tuple[str, str] = ("assoc", "none"),
-) -> list[RelationInstance]:
+def generate_synthetic_relations(lexicon_size: int, sentences: int, seed: int) -> list[RelationInstance]:
     """Small relation corpus: two mentions per sentence; the label is
-    ``labels[0]`` exactly when both mentions come from the first half of
-    their lexicons, so a pooled-embedding classifier can learn it."""
+    ``RELATION_LABELS[0]`` exactly when both mentions come from the first
+    half of their lexicons, so a pooled-embedding classifier can learn it."""
     if lexicon_size < 2:
         raise ValueError("lexicon_size must be >= 2")
     if sentences < 1:
@@ -381,7 +379,7 @@ def generate_synthetic_relations(
     for i in range(sentences):
         ia = int(rng.integers(lexicon_size))
         ib = int(rng.integers(lexicon_size))
-        label = labels[0] if ia < half and ib < half else labels[1]
+        label = RELATION_LABELS[0] if ia < half and ib < half else RELATION_LABELS[1]
         n_fill = 4 + i % 3
         fillers = [FILLER_WORDS[(i + j) % len(FILLER_WORDS)] for j in range(n_fill)]
         cut = n_fill // 2

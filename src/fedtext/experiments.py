@@ -181,11 +181,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     s = _setup(cfg)
     fed = cfg.federation
-    # partitions depend on data_seed only, so every repeat trains on the same ones
+    # partitions depend on data_seed only, so every repeat trains on the same
+    # ones; centralized is the one-client IID run
     if cfg.scheme == "centralized":
-        parts = [s.task.prepare(s.bundle.train)]
+        parts = corpuslib.partition_iid(s.task.prepare(s.bundle.train), 1, cfg.data.data_seed)
     else:
         parts = partition_train(cfg, s.bundle, s.task, fed.clients)
+    for k, part in enumerate(parts):  # refuse a warmup that leaves a shard no step
+        federation.client_schedule(fed, k, len(part))
     # one round loop per group of shards: single trains each shard on its own
     groups = [[part] for part in parts] if cfg.scheme == "single" else [parts]
     out.mkdir(parents=True, exist_ok=True)
@@ -201,11 +204,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
         rep_dir = out / f"repeat_{i}"
         rep_dir.mkdir(exist_ok=True)
         with _replacing(rep_dir / "rounds.jsonl") as fh:
-            results = []
+            best = []
             for run, group in enumerate(groups):
                 stream = federation.rounds(s.task, fed, group, s.dev, seed)
-                results.append(federation.collect(s.task, _logged(fh, run, stream)))
-        reports = [s.task.evaluate(r.best_weights, s.test) for r in results]
+                best.append(federation.collect(s.task, _logged(fh, run, stream)))
+        reports = [s.task.evaluate(w, s.test) for w in best]
         report = _mean_reports(reports) if cfg.scheme == "single" else reports[0]
         repeat_reports.append({"seed": seed, **report.as_dict()})
         _write_json(rep_dir / "report.json", repeat_reports[-1])
@@ -217,7 +220,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
         else:
             # np.savez would append ".npz" to the temporary name, so hand it the file
             with _replacing(rep_dir / "weights.npz", "wb") as fh:
-                tasks.save_bundle(fh, s.task, results[0].best_weights)
+                tasks.save_bundle(fh, s.task, best[0])
         repeat_files.append(f"{rep_dir.name}/report.json")
 
     metrics = _summary_metrics(s.task.kind, repeat_reports)
@@ -245,8 +248,9 @@ def _repeat_cells(cfg: ExperimentConfig, s: _Setup, parts, mu: float) -> str:
     cells repeats, lenient mean, lenient std, strict mean, strict std."""
     fed = replace(cfg.federation, mu=mu)
     seeds = range(cfg.base_seed, cfg.base_seed + cfg.repeats)
-    runs = [federation.run_federated(s.task, fed, parts, s.dev, seed) for seed in seeds]
-    reports = [s.task.evaluate(r.best_weights, s.test) for r in runs]
+    best = [federation.collect(s.task, federation.rounds(s.task, fed, parts, s.dev, seed))
+            for seed in seeds]
+    reports = [s.task.evaluate(w, s.test) for w in best]
     lm, ls = aggregate_repeats([r.lenient_macro_f1 for r in reports])
     sm, ss = aggregate_repeats([r.strict_macro_f1 for r in reports])
     return f"{len(reports)},{lm:.6f},{ls:.6f},{sm:.6f},{ss:.6f}"
@@ -278,7 +282,6 @@ def sweep_clients(cfg: ExperimentConfig, client_counts: Sequence[int], out_path:
             raise ConfigError(f"sweep-clients needs K >= 2, got {k} (K = 1 is the centralized scheme)")
     s = _setup(cfg)
     train = s.task.prepare(s.bundle.train)
-    mu = cfg.federation.mu if cfg.scheme == "fedprox" else 0.0
     rows = ["clients,repeats,lenient_mean,lenient_std,strict_mean,strict_std,error"]
     for k in counts:
         try:
@@ -286,7 +289,7 @@ def sweep_clients(cfg: ExperimentConfig, client_counts: Sequence[int], out_path:
         except ValueError as exc:
             rows.append(f"{k},0,,,,,{json.dumps(str(exc))}")
             continue
-        rows.append(f"{k},{_repeat_cells(cfg, s, parts, mu)},")
+        rows.append(f"{k},{_repeat_cells(cfg, s, parts, cfg.federation.mu)},")
     return _write_csv(out_path, rows)
 
 

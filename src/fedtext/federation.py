@@ -1,4 +1,4 @@
-"""FedAvg/FedProx round loop plus the centralized baseline.
+"""The FedAvg/FedProx round loop, the one way every scheme trains.
 
 One round: every client copies the server weights, runs R epochs of
 mini-batch updates on its own shard (optionally with the proximal penalty
@@ -6,15 +6,15 @@ anchored at the round-start weights), and the server takes the data-weighted
 average of the results.  Client work depends only on the server weights, its
 shard and its ``client_rng`` stream, keyed by (seed, client, round), so the
 order clients run in cannot change the result.  ``rounds`` yields each
-round's record as the round ends and ``collect`` folds the stream into a
-RunResult.  The baseline is the same loop with a single client, which makes
-the K=1 / centralized equivalence hold bit for bit.
+round's record and server weights as the round ends, and ``collect`` picks
+the best round's weights from that stream.  Centralized training is the loop
+with one client, so it is a K=1 federated run bit for bit.
 """
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -42,14 +42,6 @@ class ClientState:
         return len(self.data)
 
 
-@dataclass
-class RunResult:
-    best_weights: ParamVector
-    final_weights: ParamVector
-    best_round: int  # 0-based index into round_log
-    round_log: list[dict]
-
-
 def weights_sha256(w: ParamVector) -> str:
     """Digest of the exact float64 bytes; equal digests mean bit-equal weights."""
     return hashlib.sha256(w.values.tobytes()).hexdigest()
@@ -75,7 +67,9 @@ def aggregate(weighted: Sequence[tuple[ParamVector, int]]) -> ParamVector:
     return result
 
 
-def _client_schedule(cfg: FederationConfig, client_id: int, n_items: int) -> Schedule:
+def client_schedule(cfg: FederationConfig, client_id: int, n_items: int) -> Schedule:
+    """The learning-rate schedule of a client with ``n_items`` training items;
+    a warmup that leaves it no step is a ConfigError."""
     steps_per_epoch = math.ceil(n_items / cfg.batch_size)
     total = cfg.rounds * cfg.local_epochs * steps_per_epoch
     warmup = int(round(cfg.warmup_frac * total))
@@ -147,7 +141,7 @@ def rounds(
             id=i,
             data=list(part),
             opt=OptimizerState(cfg.optimizer, server.size),
-            schedule=_client_schedule(cfg, i, len(part)),
+            schedule=client_schedule(cfg, i, len(part)),
         )
         for i, part in enumerate(partitions)
     ]
@@ -168,32 +162,12 @@ def rounds(
         }, server
 
 
-def collect(task: Task, stream: Iterable[tuple[dict, ParamVector]]) -> RunResult:
-    """Fold a stream of round records and server weights into a RunResult;
-    the best round is the earliest one with the highest dev selection metric."""
+def collect(task: Task, stream: Iterable[tuple[dict, ParamVector]]) -> ParamVector:
+    """The server weights of the stream's best round: the earliest one with
+    the highest dev selection metric."""
     metric = task.selection_metric
-    round_log: list[dict] = []
-    best_round, best_weights = -1, None
+    best_record, best_weights = None, None
     for record, server in stream:
-        round_log.append(record)
-        if best_round < 0 or record[metric] > round_log[best_round][metric]:
-            best_round, best_weights = len(round_log) - 1, server
-    return RunResult(best_weights, server, best_round, round_log)
-
-
-def run_federated(
-    task: Task, cfg: FederationConfig, partitions: Sequence[Sequence], dev: Sequence, seed: int = 0
-) -> RunResult:
-    """The collected result of ``rounds(task, cfg, partitions, dev, seed)``."""
-    return collect(task, rounds(task, cfg, partitions, dev, seed))
-
-
-def run_centralized(
-    task: Task, cfg: FederationConfig, pooled: Sequence, dev: Sequence, seed: int = 0
-) -> RunResult:
-    """One worker, the pooled data, rounds x local_epochs epochs, no penalty.
-
-    Implemented as the same round loop with a single client, so under sgd it
-    is update-for-update identical to a one-client federated run.
-    """
-    return run_federated(task, replace(cfg, mu=0.0), [pooled], dev, seed)
+        if best_record is None or record[metric] > best_record[metric]:
+            best_record, best_weights = record, server
+    return best_weights

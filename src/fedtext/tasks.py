@@ -151,8 +151,11 @@ def _encode_sentence(task: Task, sent: TaggedSentence) -> NerItem:
 
 
 def _encode_instance(task: Task, inst: RelationInstance) -> ReItem:
-    if max(inst.span1[1], inst.span2[1]) >= task.max_tokens:
-        raise ValueError("entity span falls outside the token limit")
+    for span in (inst.span1, inst.span2):
+        if span[1] >= task.max_tokens:
+            from .config import ConfigError  # config imports this module
+            raise ConfigError(f"[data] max_tokens = {task.max_tokens} cuts the entity span {span} "
+                              f"of the relation {' '.join(inst.tokens)!r}; it needs at least {span[1] + 1}")
     kept = RelationInstance(inst.tokens[: task.max_tokens], inst.span1, inst.span2, inst.label)
     ids = task.vocab.encode(kept.tokens)
     return ReItem(kept, RelationExample(ids, kept.span1, kept.span2, task._label_id(kept.label)))

@@ -7,23 +7,25 @@ on medians over three seeds.
 """
 import csv
 import itertools
+import json
 import math
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fedtext import corpus, llm_bridge, tasks
-from fedtext.config import FederationConfig
+from fedtext import corpus, experiments, llm_bridge, tasks
+from fedtext.config import FederationConfig, parse_config
 from fedtext.crf import viterbi
 from fedtext.evaluation import EntitySpan, decode_bio, match_lenient, score_ner
 from fedtext.federation import (
     aggregate,
     client_rng,
-    run_centralized,
-    run_federated,
+    collect,
+    rounds,
     weights_sha256,
 )
 from fedtext.models import (
@@ -77,22 +79,51 @@ def build_split_corpus(lexicon, sentences, cue_rate, types=("GENE", "DIS")):
 # ---------------------------------------------------------------------------
 # 1. degenerate federation == centralized
 
-def test_degenerate_federation_matches_centralized():
+K1_CONFIG = """\
+[experiment]
+task = ner
+scheme = centralized
+repeats = 2
+
+[data]
+synthetic = true
+lexicon_size = 20
+sentences = 500
+
+[model]
+kind = rnn_crf_tagger
+
+[federation]
+clients = 3
+rounds = 2
+optimizer = sgd
+base_lr = 0.05
+"""
+
+
+def _run_files(out: Path) -> dict:
+    """Each file of a run directory by relative path: summary.json without
+    its scheme, the others' bytes; the manifest holds the config hash."""
+    files = {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+    del files["manifest.json"]
+    summary = json.loads(files.pop("summary.json"))
+    return {**files, "summary.json": {k: v for k, v in summary.items() if k != "scheme"}}
+
+
+def test_degenerate_federation_matches_centralized(tmp_path):
+    # the centralized scheme trains one client whatever [federation] clients says
     t0 = time.perf_counter()
-    split = build_split_corpus(lexicon=20, sentences=500, cue_rate=0.5)
-    task = tasks.build_task(split.train, kind="rnn_crf_tagger",
-                                embed_dim=16, hidden_dim=24)
-    train, dev = task.prepare(split.train), task.prepare(split.dev)
-    cfg = FederationConfig(clients=1, rounds=2, batch_size=16,
-                           mu=0.0, optimizer="sgd", base_lr=0.05)
-    fed = run_federated(task, cfg, [train], dev, seed=0)
-    cent = run_centralized(task, cfg, train, dev, seed=0)
-    # the records carry each round's weight digest, losses and dev scores
-    differing = sum(a != b for a, b in zip(fed.round_log, cent.round_log))
+    cent = parse_config(K1_CONFIG)
+    fed = replace(cent, scheme="fedavg", federation=replace(cent.federation, clients=1))
+    cent_files = _run_files(experiments.run_experiment(cent, tmp_path / "centralized"))
+    fed_files = _run_files(experiments.run_experiment(fed, tmp_path / "fedavg"))
+    # every repeat's rounds.jsonl (with each round's weight digest), reports and weights
+    differing = sorted(name for name in cent_files | fed_files
+                       if cent_files.get(name) != fed_files.get(name))
     elapsed = time.perf_counter() - t0
     check("degenerate federation (K=1, mu=0, sgd) equals centralized",
-          fed.round_log == cent.round_log and elapsed < 10.0,
-          f"{differing} of {len(fed.round_log)} round records differ, {elapsed:.1f}s")
+          not differing and len(fed_files) == 11 and elapsed < 10.0,
+          f"{len(differing)} of {len(fed_files)} run files differ {differing}, {elapsed:.1f}s")
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +138,7 @@ def test_fedprox_reverts_to_fedavg():
     def run(mu):
         cfg = FederationConfig(clients=2, rounds=3, batch_size=8,
                                mu=mu, optimizer="sgd", base_lr=0.05)
-        return run_federated(task, cfg, parts, dev, seed=1)
+        return list(rounds(task, cfg, parts, dev, seed=1))
 
     # FedAvg written out from the primitives, never touching proximal_augment
     steps = [3 * math.ceil(len(p) / 8) for p in parts]
@@ -127,8 +158,8 @@ def test_fedprox_reverts_to_fedavg():
         fedavg.append(weights_sha256(server))
 
     prox0, tiny = run(0.0), run(1e-12)
-    identical = fedavg == [r["weights_sha256"] for r in prox0.round_log]
-    drift = float(np.max(np.abs(prox0.final_weights.values - tiny.final_weights.values)))
+    identical = fedavg == [record["weights_sha256"] for record, _ in prox0]
+    drift = float(np.max(np.abs(prox0[-1][1].values - tiny[-1][1].values)))
     check("FedProx at mu=0 is FedAvg; mu=1e-12 final weights within 1e-6",
           identical and drift < 1e-6, f"mu=1e-12 drift {drift:.2e}")
 
@@ -267,8 +298,10 @@ def test_lenient_matcher_is_a_maximum_matching():
 # ---------------------------------------------------------------------------
 # 7-9. qualitative trends (frozen calibrated settings)
 
-def _evaluate_best(task, result, test_items):
-    return task.evaluate(result.best_weights, test_items).strict_macro_f1
+def _evaluate_best(task, cfg, parts, dev, seed, test_items):
+    """Test strict macro-F1 of the best round's weights."""
+    best = collect(task, rounds(task, cfg, parts, dev, seed))
+    return task.evaluate(best, test_items).strict_macro_f1
 
 
 def test_claim_federated_beats_isolation_approaches_centralized():
@@ -284,12 +317,9 @@ def test_claim_federated_beats_isolation_approaches_centralized():
     for seed in (0, 1, 2):
         cfg = FederationConfig(clients=10, rounds=12, batch_size=16, mu=0.0,
                                optimizer="adam", base_lr=0.01)
-        fed_scores.append(_evaluate_best(task, run_federated(task, cfg, parts, dev, seed), test))
-        cent_scores.append(_evaluate_best(task, run_centralized(task, cfg, train, dev, seed), test))
-        per_client = [
-            _evaluate_best(task, run_centralized(task, cfg, part, dev, seed), test)
-            for part in parts
-        ]
+        fed_scores.append(_evaluate_best(task, cfg, parts, dev, seed, test))
+        cent_scores.append(_evaluate_best(task, cfg, [train], dev, seed, test))
+        per_client = [_evaluate_best(task, cfg, [part], dev, seed, test) for part in parts]
         single_scores.append(float(np.median(per_client)))
 
     fed, cent, single = map(lambda v: float(np.median(v)),
@@ -317,7 +347,7 @@ def test_claim_small_models_degrade_faster_with_more_clients():
             for seed in (0, 1, 2):
                 cfg = FederationConfig(clients=k, rounds=12, batch_size=16, mu=0.0,
                                        optimizer="adam", base_lr=0.03)
-                f1 = _evaluate_best(task, run_federated(task, cfg, parts, dev, seed), test)
+                f1 = _evaluate_best(task, cfg, parts, dev, seed, test)
                 scores.append(f1)
                 rows.append((kind, k, seed, f"{f1:.6f}"))
             medians[kind, k] = float(np.median(scores))
@@ -361,8 +391,7 @@ def test_claim_small_mu_helps_on_heterogeneous_sources():
         for seed in (0, 1, 2):
             cfg = FederationConfig(clients=2, rounds=10, batch_size=16, local_epochs=2,
                                    mu=mu, optimizer="adam", base_lr=0.02)
-            scores.append(_evaluate_best(task, run_federated(task, cfg, parts, dev_p, seed),
-                                         test_p))
+            scores.append(_evaluate_best(task, cfg, parts, dev_p, seed, test_p))
         medians[mu] = float(np.median(scores))
 
     best_mu = max((m for m in medians if m > 0), key=lambda m: medians[m])
@@ -396,7 +425,7 @@ def test_highlight_round_trip_reproduces_direct_scores():
     dev, test = task.prepare(split.dev), task.prepare(split.test)
     cfg = FederationConfig(clients=1, rounds=8, batch_size=16,
                            mu=0.0, optimizer="adam", base_lr=0.02)
-    w = run_centralized(task, cfg, train, dev, seed=0).best_weights
+    w = collect(task, rounds(task, cfg, [train], dev, seed=0))
 
     subset = llm_bridge.sample_test_subset(test, min(60, len(test)), 3)
     entity, tag = "entity", "hl"

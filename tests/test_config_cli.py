@@ -336,6 +336,30 @@ def test_re_lexicon_below_two_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "s").exists()
 
 
+def test_an_re_max_tokens_that_cuts_a_span_is_a_config_error(tmp_path, capsys):
+    # every synthetic relation ends on its second mention, 5 to 7 tokens in
+    from fedtext.corpus import generate_synthetic_relations
+
+    out = tmp_path / "out"
+    text = RE_CONFIG.format(out=out).replace("data_seed = 5", "data_seed = 5\nmax_tokens = 3")
+    cfg_path = write_config(tmp_path, text=text)
+    for command in (["run", "-c", str(cfg_path)],
+                    ["sweep-mu", "-c", str(cfg_path), "--out", str(out / "mu.csv")],
+                    ["score-llm", "-c", str(cfg_path), "--tag", "m", "--n", "5",
+                     "--emit-prompts", str(out / "prompts.jsonl")]):
+        assert main(command) == 1
+        err = capsys.readouterr().err
+        found = re.fullmatch(r"config error: \[data\] max_tokens = 3 cuts the entity span "
+                             r"\((\d+), (\d+)\) of the relation '(.+)'; it needs at least (\d+)\n", err)
+        assert found, err
+        start, end, tokens, need = found.groups()
+        assert int(end) >= 3 and int(need) == int(end) + 1
+        relations = generate_synthetic_relations(8, 70, 5)  # the config's corpus
+        named = [inst for inst in relations if " ".join(inst.tokens) == tokens]
+        assert any((int(start), int(end)) in (inst.span1, inst.span2) for inst in named)
+    assert not out.exists()
+
+
 def test_gen_synth_rejects_a_file_backed_config(tmp_path, capsys):
     text = BASE_CONFIG.format(out="x").replace("synthetic = true", "files = a.conll")
     cfg_path = write_config(tmp_path, text=text)
@@ -640,18 +664,23 @@ def test_a_huge_finite_mu_stops_the_run_before_adam_overflows(tmp_path, capsys):
 
 
 def test_a_warmup_covering_every_step_is_a_config_error(tmp_path, capsys):
-    # 100 sentences leave 40 training items per client: one step of 64 in
-    # the only round, and round(0.8 * 1) makes it a warmup step at rate 0
-    text = (BASE_CONFIG.format(out=str(tmp_path / "out"))
-            .replace("sentences = 80", "sentences = 100")
-            .replace("batch_size = 16", "batch_size = 64\nwarmup_frac = 0.8")
-            .replace("rounds = 2", "rounds = 1"))
-    assert main(["run", "-c", str(write_config(tmp_path, text=text))]) == 1
-    assert capsys.readouterr().err == (
-        "config error: [federation] warmup_frac = 0.8 leaves client 0 no step after"
-        " warmup (it takes 1 in all); lower it or give the client more steps\n"
-    )
-    assert not (tmp_path / "out" / "manifest.json").exists()
+    # 100 sentences leave 80 training items: one step of 100 in the only
+    # round for each client, and round(0.8 * 1) makes it a warmup step at
+    # rate 0; the shards are checked where they are made, before the run
+    # directory is
+    for scheme in ("fedavg", "single", "centralized"):
+        out = tmp_path / scheme
+        text = (BASE_CONFIG.format(out=str(out))
+                .replace("scheme = fedavg", f"scheme = {scheme}")
+                .replace("sentences = 80", "sentences = 100")
+                .replace("batch_size = 16", "batch_size = 100\nwarmup_frac = 0.8")
+                .replace("rounds = 2", "rounds = 1"))
+        assert main(["run", "-c", str(write_config(tmp_path, text=text))]) == 1
+        assert capsys.readouterr().err == (
+            "config error: [federation] warmup_frac = 0.8 leaves client 0 no step after"
+            " warmup (it takes 1 in all); lower it or give the client more steps\n"
+        )
+        assert not out.exists()
 
 
 def test_missing_subcommand_is_an_argparse_error():

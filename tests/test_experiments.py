@@ -138,7 +138,7 @@ def test_centralized_scheme_runs(tmp_path):
 
 
 @pytest.mark.parametrize("scheme", ["fedavg", "single"])
-def test_rounds_jsonl_streams_the_log_run_federated_collects(tmp_path, scheme):
+def test_rounds_jsonl_streams_the_records_of_each_round_loop(tmp_path, scheme):
     cfg = cfg_for(scheme)
     out = experiments.run_experiment(cfg, tmp_path / "run")
     s = experiments._setup(cfg)
@@ -148,7 +148,7 @@ def test_rounds_jsonl_streams_the_log_run_federated_collects(tmp_path, scheme):
     for i in range(cfg.repeats):
         seed = cfg.base_seed + i
         expect = [{"run": k, **record} for k, run in enumerate(runs)
-                  for record in federation.run_federated(s.task, cfg.federation, run, s.dev, seed).round_log]
+                  for record, _ in federation.rounds(s.task, cfg.federation, run, s.dev, seed)]
         lines = (out / f"repeat_{i}" / "rounds.jsonl").read_text().splitlines()
         assert [json.loads(line) for line in lines] == expect
 

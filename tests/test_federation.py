@@ -10,9 +10,9 @@ from fedtext.federation import (
     ClientState,
     aggregate,
     client_rng,
+    collect,
     local_update,
-    run_centralized,
-    run_federated,
+    rounds,
     weights_sha256,
 )
 from fedtext.optim import OptimizerState, Schedule
@@ -43,6 +43,11 @@ def fed_cfg(**kw):
     base = dict(clients=2, rounds=3, batch_size=8, optimizer="sgd", base_lr=0.05)
     base.update(kw)
     return FederationConfig(**base)
+
+
+def train_rounds(task, cfg, parts, dev):
+    """Every (record, server weights) pair of ``rounds`` at seed 0."""
+    return list(rounds(task, cfg, parts, dev))
 
 
 # ---------------------------------------------------------------------------
@@ -109,29 +114,14 @@ def test_client_rng_is_deterministic_and_distinct():
 # ---------------------------------------------------------------------------
 # run mechanics
 
-def test_single_client_federated_equals_centralized(ner_setup):
-    task, train, dev = ner_setup["task"], ner_setup["train"], ner_setup["dev"]
-    cfg = fed_cfg(clients=1, rounds=2)
-    fed = run_federated(task, cfg, [train], dev)
-    cent = run_centralized(task, cfg, train, dev)
-    assert fed.round_log == cent.round_log  # includes every round's weight digest
-
-
-def test_centralized_ignores_client_count_and_mu(ner_setup):
-    task, train, dev = ner_setup["task"], ner_setup["train"], ner_setup["dev"]
-    a = run_centralized(task, fed_cfg(clients=5, mu=0.7), train, dev)
-    b = run_centralized(task, fed_cfg(clients=1, mu=0.0), train, dev)
-    assert np.array_equal(a.final_weights.values, b.final_weights.values)
-
-
 def test_execution_order_does_not_change_the_result(ner_setup):
     # each client shuffles with its own client_rng stream, so round one run by
     # hand in reverse client order, then aggregated in id order, gives the
-    # weights run_federated logs for it
+    # weights the round loop logs for it
     task, train, dev = ner_setup["task"], ner_setup["train"], ner_setup["dev"]
     parts = corpus.partition_iid(train, 3, 11)
     cfg = fed_cfg(clients=3)
-    logged = run_federated(task, cfg, parts, dev).round_log[0]["weights_sha256"]
+    logged = next(rounds(task, cfg, parts, dev))[0]["weights_sha256"]
 
     server = task.init_params(0)
     clients = []
@@ -148,12 +138,12 @@ def test_execution_order_does_not_change_the_result(ner_setup):
 
 def test_the_round_loop_takes_k_from_its_partitions(ner_setup):
     # [federation] clients tells partition_train how many shards to make;
-    # run_federated trains one client per partition whatever it says
+    # the round loop trains one client per partition whatever it says
     task, train, dev = ner_setup["task"], ner_setup["train"], ner_setup["dev"]
     parts = corpus.partition_iid(train, 3, 11)
-    expect = run_federated(task, fed_cfg(clients=3), parts, dev).round_log
+    expect = [record for record, _ in train_rounds(task, fed_cfg(clients=3), parts, dev)]
     for clients in (1, 2, 5):
-        log = run_federated(task, fed_cfg(clients=clients), parts, dev).round_log
+        log = [record for record, _ in train_rounds(task, fed_cfg(clients=clients), parts, dev)]
         assert [r["weights_sha256"] for r in log] == [r["weights_sha256"] for r in expect]
         assert [len(r["client_loss"]) for r in log] == [3] * len(expect)
 
@@ -161,48 +151,49 @@ def test_the_round_loop_takes_k_from_its_partitions(ner_setup):
 def test_empty_partition_and_empty_dev_rejected(ner_setup):
     task, train, dev = ner_setup["task"], ner_setup["train"], ner_setup["dev"]
     with pytest.raises(ValueError, match="no partitions given"):
-        run_federated(task, fed_cfg(), [], dev)
+        next(rounds(task, fed_cfg(), [], dev))
     with pytest.raises(ValueError):
-        run_federated(task, fed_cfg(), [train, []], dev)
+        next(rounds(task, fed_cfg(), [train, []], dev))
     with pytest.raises(ValueError):
-        run_federated(task, fed_cfg(), [train, train], [])
+        next(rounds(task, fed_cfg(), [train, train], []))
 
 
 def test_history_shapes(ner_setup):
     task, train, dev = ner_setup["task"], ner_setup["train"], ner_setup["dev"]
     parts = corpus.partition_iid(train, 2, 11)
     cfg = fed_cfg(rounds=4, local_epochs=2)
-    result = run_federated(task, cfg, parts, dev)
-    assert [r["round"] for r in result.round_log] == [1, 2, 3, 4]
-    for record in result.round_log:
+    pairs = train_rounds(task, cfg, parts, dev)
+    assert [record["round"] for record, _ in pairs] == [1, 2, 3, 4]
+    for record, server in pairs:
         assert len(record["client_loss"]) == 2
         assert set(record) == {"round", "client_loss", "strict_f1", "lenient_f1", "weights_sha256"}
-    assert result.round_log[-1]["weights_sha256"] == weights_sha256(result.final_weights)
+        assert record["weights_sha256"] == weights_sha256(server)
 
 
 def test_one_round_big_batch_takes_one_sgd_step(ner_setup):
     task, train, dev = ner_setup["task"], ner_setup["train"], ner_setup["dev"]
     cfg = fed_cfg(clients=1, rounds=1, batch_size=len(train), base_lr=0.05)
-    result = run_federated(task, cfg, [train], dev)
+    [(_, final)] = train_rounds(task, cfg, [train], dev)
     # exactly one step: final = init - lr * grad(init) on the full batch
     init = task.init_params(0)
     order = client_rng(0, 0, 0).permutation(len(train))
     lg = task.loss_and_grad(init, [train[i] for i in order])
     expect = init.values - 0.05 * lg.grad.values
-    assert np.array_equal(result.final_weights.values, expect)
+    assert np.array_equal(final.values, expect)
 
 
 def test_best_round_is_earliest_maximum(ner_setup):
     task, train, dev = ner_setup["task"], ner_setup["train"], ner_setup["dev"]
     parts = corpus.partition_iid(train, 2, 11)
     cfg = fed_cfg(rounds=6, optimizer="adam", base_lr=0.05)
-    result = run_federated(task, cfg, parts, dev)
+    pairs = train_rounds(task, cfg, parts, dev)
     metric = task.selection_metric
-    series = [r[metric] for r in result.round_log]
-    best = max(series)
-    assert result.best_round == series.index(best)
-    assert (weights_sha256(result.best_weights)
-            == result.round_log[result.best_round]["weights_sha256"])
+    series = [record[metric] for record, _ in pairs]
+    assert collect(task, pairs) is pairs[series.index(max(series))][1]
+    # a tie goes to the earlier round
+    servers = [object() for _ in range(4)]
+    stream = zip([{metric: f} for f in (0.1, 0.5, 0.5, 0.3)], servers)
+    assert collect(task, stream) is servers[1]
 
 
 def test_fedprox_matches_a_hand_rolled_reference(ner_setup):
@@ -214,7 +205,7 @@ def test_fedprox_matches_a_hand_rolled_reference(ner_setup):
     task, train, dev = ner_setup["task"], ner_setup["train"], ner_setup["dev"]
     mu, lr0, batch = 0.5, 0.05, 8
     cfg = fed_cfg(clients=1, rounds=2, local_epochs=2, batch_size=batch, mu=mu, base_lr=lr0)
-    result = run_federated(task, cfg, [train], dev)
+    records = [record for record, _ in train_rounds(task, cfg, [train], dev)]
 
     steps = 2 * 2 * math.ceil(len(train) / batch)
     sched = Schedule(base_lr=lr0, warmup_steps=int(round(0.1 * steps)), total_steps=steps)
@@ -229,7 +220,7 @@ def test_fedprox_matches_a_hand_rolled_reference(ner_setup):
                 grad = lg.grad.values + mu * (w.values - anchor)
                 w = ParamVector(w.values - lr_at(sched, step) * grad, w.layout)
                 step += 1
-        assert weights_sha256(w) == result.round_log[t]["weights_sha256"]
+        assert weights_sha256(w) == records[t]["weights_sha256"]
     assert step > 2 * 2  # several steps per epoch, so the anchor is tested mid-round
 
 
@@ -237,10 +228,10 @@ def test_large_mu_anchors_the_weights(ner_setup):
     task, train, dev = ner_setup["task"], ner_setup["train"], ner_setup["dev"]
     parts = corpus.partition_iid(train, 2, 11)
     init = task.init_params(0).values
-    free = run_federated(task, fed_cfg(mu=0.0, rounds=2, local_epochs=2), parts, dev)
-    anchored = run_federated(task, fed_cfg(mu=50.0, rounds=2, local_epochs=2), parts, dev)
-    moved_free = np.linalg.norm(free.final_weights.values - init)
-    moved_anchored = np.linalg.norm(anchored.final_weights.values - init)
+    _, free = train_rounds(task, fed_cfg(mu=0.0, rounds=2, local_epochs=2), parts, dev)[-1]
+    _, anchored = train_rounds(task, fed_cfg(mu=50.0, rounds=2, local_epochs=2), parts, dev)[-1]
+    moved_free = np.linalg.norm(free.values - init)
+    moved_anchored = np.linalg.norm(anchored.values - init)
     assert moved_anchored < moved_free
 
 
@@ -253,7 +244,7 @@ def test_round_loop_matches_a_hand_rolled_reference(ner_setup):
     task, train, dev = ner_setup["task"], ner_setup["train"], ner_setup["dev"]
     cfg = fed_cfg(clients=1, rounds=2, batch_size=len(train),
                   optimizer="adam", base_lr=0.02)
-    result = run_federated(task, cfg, [train], dev)
+    records = [record for record, _ in train_rounds(task, cfg, [train], dev)]
 
     w = task.init_params(0)
     state = OptimizerState("adam", w.size)
@@ -266,7 +257,7 @@ def test_round_loop_matches_a_hand_rolled_reference(ner_setup):
         lg = task.loss_and_grad(w, batch)
         lr = lr_at(sched, state.step_count)
         apply_step(state, w, lg.grad, lr)
-        assert weights_sha256(w) == result.round_log[t]["weights_sha256"]
+        assert weights_sha256(w) == records[t]["weights_sha256"]
         hand.append(w.copy())
 
     # a fresh optimizer at round two would take a different step
@@ -297,7 +288,7 @@ def test_divergence_names_the_round_and_the_client(ner_setup, monkeypatch):
 
     monkeypatch.setattr(tasks.Task, "loss_and_grad", loss_and_grad)
     with pytest.raises(ValueError) as info:
-        run_federated(task, cfg, parts, dev)
+        train_rounds(task, cfg, parts, dev)
     assert str(info.value) == "round 2, client 1: non-finite gradient in segment 'embed'"
     assert len(calls) == bad_call
 

@@ -1,6 +1,7 @@
 """Checks on the repository itself: the pytest settings report a failing
-property test, every source file parses as the declared minimum Python, and
-README's config reference documents exactly the keys the config accepts."""
+property test, every source file parses as the declared minimum Python,
+README's config reference documents exactly the keys the config accepts, and
+the package defines nothing that only the tests use."""
 import ast
 import dataclasses
 import re
@@ -72,3 +73,33 @@ def test_readme_config_reference_matches_the_schema():
         field = {f.name: f for f in dataclasses.fields(cls)}[key]
         raw = "" if default == "(none)" else default.strip("`")
         assert config._KEYS[section][key](raw) == field.default, (section, key)
+
+
+def _public_top_level_names(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (t.id for t in targets if isinstance(t, ast.Name))
+
+
+def _referenced_names(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_every_public_name_in_the_package_is_used_by_the_program():
+    # a name that only tests reach is machinery the program does not need
+    package = sorted((ROOT / "src" / "fedtext").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in package + sorted((ROOT / "bench").glob("*.py"))}
+    used = {name for tree in trees.values() for name in _referenced_names(tree)}
+    unused = [f"{path.stem}.{name}" for path in package for name in _public_top_level_names(trees[path])
+              if not name.startswith("_") and name not in used]
+    assert unused == []
