@@ -276,14 +276,6 @@ def _window_loss_grad(
 # state in both directions and padded steps never reach a real one.
 # Both directions share one time loop over stacked (T, 2, [B,] h) arrays.
 
-def _reversal(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index for time-major (T, B, ...) arrays that reverses each sentence's
-    real prefix and leaves its padding in place; it is its own inverse."""
-    B, T = mask.shape
-    t = np.arange(T)[:, None]
-    return np.where(mask.T, mask.sum(axis=1) - 1 - t, t), np.arange(B)
-
-
 def _rnn_states(pre: np.ndarray, w_hh: np.ndarray) -> np.ndarray:
     """Both directions' tanh recurrences over stacked input projections
     (T, 2, [B,] h) and weights (2, h, h); each step's stacked product runs
@@ -306,17 +298,19 @@ def _rnn_backward(
     d loss / d pre-activation.  Only the carry stays in the time loop; the
     weight gradients are single matrix products over all T*B steps.  Steps
     past a sentence's end get zero gradient, since d_states is zero there."""
-    G = np.empty_like(states)
+    G = d_states.copy()
     dtanh = 1.0 - states**2
     carry = np.zeros(states.shape[1:])
     for t in range(states.shape[0] - 1, -1, -1):
-        g = (d_states[t] + carry) * dtanh[t]
-        G[t] = g
+        g = G[t]
+        g += carry
+        g *= dtanh[t]
         carry = g @ w_hh.T
-    prev = np.zeros_like(states)
-    prev[1:] = states[:-1]
     G_rows = _rows(G)
     gs[f"{prefix}_x"] += _rows(X).T @ G_rows
+    # step 0 starts from a zero state; its zero rows stay in the product, as
+    # states[:-1] against G[1:] rounds differently once T*B is large
+    prev = np.concatenate([np.zeros((1, *states.shape[1:])), states[:-1]])
     gs[f"{prefix}_h"] += _rows(prev).T @ G_rows
     gs[f"{prefix}_b"] += G_rows.sum(axis=0)
     return G
@@ -327,7 +321,7 @@ def _rnn_emissions(
 ) -> tuple[np.ndarray, dict]:
     """Emissions (T, [B,] L) from time-major embeddings X (T, [B,] d).
     ``flip`` indexes X to reverse each sentence within its length: a
-    reversed slice when no row is padded, ``_reversal(mask)`` otherwise.
+    reversed slice when no row is padded, ``crf.reversal(mask)`` otherwise.
     Positions past a sentence's end hold values no real position depends on."""
     X_rev = X[flip]
     pre = np.stack([X @ seg["rnn_fw_x"] + seg["rnn_fw_b"], X_rev @ seg["rnn_bw_x"] + seg["rnn_bw_b"]], axis=1)
@@ -342,7 +336,7 @@ def _rnn_crf_loss_grad(
     spec: ModelSpec, seg: Segments, ids: np.ndarray, mask: np.ndarray, labels: np.ndarray, gs: Segments
 ) -> float:
     h = spec.hidden_dim
-    flip = _reversal(mask)
+    flip = crf.reversal(mask)
     X = seg["embed"][ids.T]
     emissions, c = _rnn_emissions(seg, X, flip)
     nll, d_em, d_trans = crf.nll_and_grads(emissions.transpose(1, 0, 2), seg["crf_trans"], labels, mask)
@@ -470,7 +464,7 @@ def predict_tags(spec: ModelSpec, w: ParamVector, sentences: Sequence[np.ndarray
         # one sentence runs unbatched, as numpy's (T, d) products beat (T, 1, d)
         # ones; only its recurrence steps a (2, 1, h) view
         X = seg["embed"][ids.T if len(ids) > 1 else ids[0]]
-        emissions, _ = _rnn_emissions(seg, X, _reversal(mask) if padded else slice(None, None, -1))
+        emissions, _ = _rnn_emissions(seg, X, crf.reversal(mask) if padded else slice(None, None, -1))
         tags = crf.viterbi(emissions.swapaxes(0, -2), seg["crf_trans"], mask)
     tags = tags.reshape(ids.shape)
     return [tags[b, :n] for b, n in enumerate(lengths)]

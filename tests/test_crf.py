@@ -4,8 +4,8 @@ The enumeration oracle scores every label sequence directly, so the
 log-partition, the per-sentence forward-backward oracle in ``oracles`` and
 the Viterbi decode can all be checked without trusting any part of the
 implementation under test; the batched ``nll_and_grads`` is then checked
-against that per-sentence oracle, and the batched ``viterbi`` against the
-per-sentence one.
+against that per-sentence oracle on both sides of its scaled/log-space
+switch, and the batched ``viterbi`` against the per-sentence one.
 """
 import itertools
 import math
@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from fedtext import crf
 from fedtext.crf import nll_and_grads, viterbi
 import oracles
 from oracles import crf_nll_and_grads, log_partition, path_score
@@ -177,7 +178,33 @@ def random_batch(rng, L, lengths):
     return em, labels, mask
 
 
-def test_batched_nll_matches_per_sentence_oracle():
+@pytest.fixture
+def scaled_only(monkeypatch):
+    """Makes the log-space fallback raise, so a passing call ran the scaled path."""
+    def refuse(*args):
+        raise AssertionError("the log-space fallback ran")
+    monkeypatch.setattr(crf, "_log_expectations", refuse)
+
+
+def spread(em, tr, mask):
+    """The score spread ``nll_and_grads`` switches paths on: ptp(tr) plus the
+    largest max - min of one real position's emissions."""
+    return np.ptp(tr) + np.ptp(em[mask], axis=1).max()
+
+
+def assert_matches_oracle(em, tr, labels, mask, tol=1e-10):
+    nll, d_em, d_tr = nll_and_grads(em, tr, labels, mask)
+    assert np.all(d_em[~mask] == 0.0)
+    expect_tr = np.zeros_like(tr)
+    for b, n in enumerate(mask.sum(axis=1)):
+        o_nll, o_em, o_tr = crf_nll_and_grads(em[b, :n], tr, labels[b, :n])
+        assert abs(nll[b] - o_nll) <= tol * max(1.0, abs(o_nll))
+        assert np.abs(d_em[b, :n] - o_em).max() <= tol
+        expect_tr += o_tr
+    assert np.abs(d_tr - expect_tr).max() <= tol
+
+
+def test_batched_nll_matches_per_sentence_oracle(scaled_only):
     rng = np.random.default_rng(11)
     worst = 0.0
     for _ in range(100):
@@ -195,6 +222,53 @@ def test_batched_nll_matches_per_sentence_oracle():
             expect_tr += o_tr
         worst = max(worst, np.abs(d_tr - expect_tr).max())
     assert worst < 1e-10
+
+
+def spread_batch(rng, target):
+    """A mixed-length batch with a 1-token row and wild junk at padding, its
+    real scores scaled so their spread is ``target``."""
+    L = int(rng.integers(2, 7))
+    lengths = [1] + [int(n) for n in rng.integers(1, 15, size=int(rng.integers(1, 8)))]
+    em, labels, mask = random_batch(rng, L, lengths)
+    tr = rng.normal(size=(L, L)) * 2.0
+    k = target / spread(em, tr, mask)
+    em = np.where(mask[:, :, None], em * k, rng.normal(size=em.shape) * 1e4)
+    return em, tr * k, labels, mask
+
+
+@pytest.mark.parametrize("fraction", [0.02, 0.5, 1 - 1e-9])
+def test_scaled_path_matches_the_oracle_below_the_spread_limit(scaled_only, fraction):
+    rng = np.random.default_rng(13)
+    for _ in range(100):
+        em, tr, labels, mask = spread_batch(rng, fraction * crf.SCALED_SPREAD_LIMIT)
+        assert spread(em, tr, mask) < crf.SCALED_SPREAD_LIMIT
+        assert_matches_oracle(em, tr, labels, mask)
+
+
+def test_log_path_runs_from_the_spread_limit(monkeypatch):
+    rng = np.random.default_rng(14)
+    batches = [spread_batch(rng, (1 + 1e-9) * crf.SCALED_SPREAD_LIMIT) for _ in range(20)]
+    assert all(spread(em, tr, mask) >= crf.SCALED_SPREAD_LIMIT for em, tr, _, mask in batches)
+    calls = []
+    log_expectations = crf._log_expectations
+
+    def spy(*args):
+        calls.append(args)
+        return log_expectations(*args)
+
+    def refuse(*args):
+        raise AssertionError("the scaled path ran")
+
+    monkeypatch.setattr(crf, "_log_expectations", spy)
+    monkeypatch.setattr(crf, "_scaled_expectations", refuse)
+    got = [nll_and_grads(*batch) for batch in batches]
+    assert len(calls) == len(batches)
+    # the same as the log path on its own, which a limit of -inf forces
+    monkeypatch.setattr(crf, "SCALED_SPREAD_LIMIT", -np.inf)
+    for batch, result in zip(batches, got):
+        for a, b in zip(result, nll_and_grads(*batch)):
+            assert np.array_equal(a, b)
+        assert_matches_oracle(*batch)
 
 
 def test_large_scores_stay_finite():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from fedtext import models
+from fedtext import crf, models
 from fedtext.models import (
     MODEL_KINDS,
     ModelSpec,
@@ -460,7 +460,7 @@ def test_one_loop_rnn_equals_the_two_loop_oracle_bit_for_bit(hidden_dim, lengths
     sentences = [rng.integers(0, spec.vocab_size, size=n) for n in lengths]
     ids, mask = models._pad(sentences, models._joined(sentences, spec.vocab_size, "token id"))
     X = seg["embed"][ids.T]
-    runs = [(X, models._reversal(mask), mask.T)]
+    runs = [(X, crf.reversal(mask), mask.T)]
     if len(set(lengths)) == 1:
         runs.append((X, slice(None, None, -1), mask.T))
     if len(lengths) == 1:
