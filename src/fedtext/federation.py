@@ -3,9 +3,13 @@
 One round: every client copies the server weights, runs R epochs of
 mini-batch updates on its own shard (optionally with the proximal penalty
 anchored at the round-start weights), and the server takes the data-weighted
-average of the results.  Client work depends only on the server weights, its
-shard and its ``client_rng`` stream, keyed by (seed, client, round), so the
-order clients run in cannot change the result.  ``rounds`` yields each
+average of the results.  The average is a running sum: ``aggregate`` asks for
+one client's weights at a time and folds them in before the next client
+trains, so a round holds one client's weights, not K.  Between rounds a
+client keeps only its Adam moments; the optimizer's scratch rows are one
+buffer for the whole run.  Client work depends only on the server weights,
+its shard and its ``client_rng`` stream, keyed by (seed, client, round), so
+the order clients run in cannot change the result.  ``rounds`` yields each
 round's record and server weights as the round ends, and ``collect`` picks
 the best round's weights from that stream.  Centralized training is the loop
 with one client, so it is a K=1 federated run bit for bit.
@@ -20,7 +24,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .config import ConfigError, FederationConfig
-from .optim import OptimizerState, Schedule, apply_step, lr_at, proximal_augment
+from .optim import OptimizerState, Schedule, apply_step, lr_at, new_scratch, proximal_augment
 from .params import ParamVector
 from .tasks import Task
 
@@ -47,22 +51,29 @@ def weights_sha256(w: ParamVector) -> str:
     return hashlib.sha256(w.values.tobytes()).hexdigest()
 
 
-def aggregate(weighted: Sequence[tuple[ParamVector, int]]) -> ParamVector:
-    """Data-weighted average sum_k (n_k / n) w_k in the given order."""
-    if not weighted:
+def aggregate(counts: Sequence[int], weights: Iterable[ParamVector]) -> ParamVector:
+    """Data-weighted average sum_k (n_k / n) w_k of the clients' weights,
+    where ``counts`` gives each client's n_k up front and n is their sum.
+
+    ``weights`` is consumed one vector at a time, in client order, and each is
+    folded into the running sum ``out += (n_k / n) * w_k`` as it arrives, so
+    a generator that trains client k only when asked keeps one client's
+    weights alive at a time.  Each vector must share the first one's layout,
+    and there must be one per count; the result must be finite.
+    """
+    if not counts:
         raise ValueError("nothing to aggregate")
-    first = weighted[0][0]
-    total = 0
-    for w, n_k in weighted:
-        if w.layout != first.layout:
+    if any(n_k <= 0 for n_k in counts):
+        raise ValueError("client example counts must be positive")
+    total = sum(counts)
+    out, layout = None, None
+    for n_k, w in zip(counts, weights, strict=True):
+        if out is None:
+            out, layout = np.zeros(w.size), w.layout
+        elif w.layout != layout:
             raise ValueError("aggregate: parameter layouts differ")
-        if n_k <= 0:
-            raise ValueError("client example counts must be positive")
-        total += n_k
-    out = np.zeros(first.size)
-    for w, n_k in weighted:
         out += (n_k / total) * w.values
-    result = ParamVector(out, first.layout)
+    result = ParamVector(out, layout)
     result.check_finite("aggregated weights")
     return result
 
@@ -136,27 +147,35 @@ def rounds(
         raise ValueError("dev set is empty")
 
     server = task.init_params(seed)
+    scratch = new_scratch(cfg.optimizer, server.size)  # clients train one at a time
     clients = [
         ClientState(
             id=i,
             data=list(part),
-            opt=OptimizerState(cfg.optimizer, server.size),
+            opt=OptimizerState(cfg.optimizer, server.size, scratch),
             schedule=client_schedule(cfg, i, len(part)),
         )
         for i, part in enumerate(partitions)
     ]
-    for t in range(cfg.rounds):
-        updates = []
+
+    def trained(t: int, server: ParamVector, losses: list[float]) -> Iterator[ParamVector]:
+        """Each client's weights after round t + 1, trained when asked for;
+        appends the client's mean loss to ``losses``."""
         for c in clients:
             try:
-                updates.append(local_update(task, c, server, cfg, client_rng(seed, c.id, t)))
+                w, per_epoch = local_update(task, c, server, cfg, client_rng(seed, c.id, t))
+                w.check_finite("weights")  # e.g. an update that overflowed
             except ValueError as exc:  # e.g. a diverging client's non-finite gradient
                 raise ValueError(f"round {t + 1}, client {c.id}: {exc}") from exc
-        weights, losses = zip(*updates)
-        server = aggregate([(w, c.n) for w, c in zip(weights, clients)])
+            losses.append(float(np.mean(per_epoch)))
+            yield w
+
+    for t in range(cfg.rounds):
+        losses: list[float] = []
+        server = aggregate([c.n for c in clients], trained(t, server, losses))
         yield {
             "round": t + 1,
-            "client_loss": [float(np.mean(per_epoch)) for per_epoch in losses],
+            "client_loss": losses,
             **task.dev_scores(server, dev),
             "weights_sha256": weights_sha256(server),
         }, server

@@ -1,13 +1,16 @@
 """Per-client in-place optimizer steps, the warmup/decay schedule, and the
 FedProx proximal term.
 
-Each client owns one ``OptimizerState`` for the whole run.  ``apply_step``
-updates the weights, the step count and the Adam moments in place;
-``proximal_augment`` adds the proximal gradient to the batch gradient in
-place before the step.  Both reuse the state's scratch buffers, so a step
-allocates nothing of the parameter vector's size.  The floating-point
-operations run in the order of the textbook updates, so results are bit-equal
-to computing each formula with fresh arrays.
+Each client owns one ``OptimizerState`` for the whole run: its step count
+and, under Adam, its moments.  ``apply_step`` updates the weights, the step
+count and the moments in place; ``proximal_augment`` adds the proximal
+gradient to the batch gradient in place before the step.  Both work in the
+state's ``scratch`` rows, so a step allocates nothing of the parameter
+vector's size.  The scratch holds nothing between calls, so it belongs to the
+run rather than to a client: clients train one at a time, and the round loop
+hands every client's state the same ``new_scratch`` buffer.  The
+floating-point operations run in the order of the textbook updates, so
+results are bit-equal to computing each formula with fresh arrays.
 """
 from __future__ import annotations
 
@@ -52,11 +55,21 @@ def lr_at(sched: Schedule, step: int) -> float:
     return 0.0
 
 
+def new_scratch(kind: str, size: int) -> np.ndarray:
+    """Work rows for steps of optimizer ``kind`` on vectors of ``size``
+    values: two under adam, one under sgd."""
+    return np.empty((2 if kind == "adam" else 1, size))
+
+
 class OptimizerState:
     """One client's optimizer for parameter vectors of ``size`` values: the
-    step count, Adam's moments ``m``/``v`` (None under sgd) and scratch."""
+    step count and Adam's moments ``m``/``v`` (None under sgd), plus the
+    ``scratch`` rows its steps work in.  The scratch belongs to the run, not
+    the client: no step leaves anything in it, so every state of one run can
+    be given the same ``new_scratch(kind, size)`` buffer.  Without one, the
+    state makes its own."""
 
-    def __init__(self, kind: str, size: int) -> None:
+    def __init__(self, kind: str, size: int, scratch: np.ndarray | None = None) -> None:
         if kind not in OPTIMIZER_KINDS:
             raise ValueError(f"unknown optimizer kind {kind!r}")
         self.kind = kind
@@ -64,7 +77,7 @@ class OptimizerState:
         adam = kind == "adam"
         self.m = np.zeros(size) if adam else None
         self.v = np.zeros(size) if adam else None
-        self._scratch = np.empty((2 if adam else 1, size))
+        self.scratch = new_scratch(kind, size) if scratch is None else scratch
 
 
 def proximal_augment(
@@ -77,22 +90,24 @@ def proximal_augment(
         raise ValueError("mu must be >= 0")
     if mu == 0.0:
         return 0.0
-    diff = np.subtract(w.values, anchor.values, out=state._scratch[0])
+    diff = np.subtract(w.values, anchor.values, out=state.scratch[0])
     penalty = 0.5 * mu * float(diff @ diff)
     diff *= mu
     grad.values += diff
     return penalty
 
 
+@np.errstate(over="ignore")  # an overflow shows as inf, which a finite check names
 def apply_step(state: OptimizerState, w: ParamVector, grad: ParamVector, lr: float) -> None:
     """One update of ``w`` and ``state`` in place.  A non-finite gradient, one
     whose square overflows Adam's second moment, or a negative rate raises
-    before anything is written, naming the bad segment."""
+    before anything is written, naming the bad segment.  An update that
+    overflows the weights leaves them infinite, with no numpy warning; the
+    round loop names them when it checks the client's weights."""
     if lr < 0:
         raise ValueError("learning rate must be >= 0")
-    g, s = grad.values, state._scratch
-    with np.errstate(over="ignore"):  # one finite check of Adam's g**2 (sgd's g) for both faults
-        sq = np.square(g, out=s[1]) if state.kind == "adam" else g
+    g, s = grad.values, state.scratch
+    sq = np.square(g, out=s[1]) if state.kind == "adam" else g  # one finite check for both faults
     if not np.isfinite(sq).all():
         grad.check_finite("gradient")
         raise ValueError(f"gradient too large for Adam's second moment {grad.first_non_finite(sq)}")

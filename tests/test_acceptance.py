@@ -153,8 +153,8 @@ def test_fedprox_reverts_to_fedavg():
                 lg = task.loss_and_grad(w, [part[i] for i in order[lo : lo + 8]])
                 w = ParamVector(w.values - lr_at(scheds[k], taken[k]) * lg.grad.values, w.layout)
                 taken[k] += 1
-            local.append((w, len(part)))
-        server = aggregate(local)
+            local.append(w)
+        server = aggregate([len(p) for p in parts], local)
         fedavg.append(weights_sha256(server))
 
     prox0, tiny = run(0.0), run(1e-12)
@@ -176,7 +176,7 @@ def test_aggregation_matches_reference_weighted_mean():
         k = int(rng.integers(1, 8))
         ws = [rng.normal(size=8) * 10 for _ in range(k)]
         sizes = rng.integers(1, 500, size=k)
-        out = aggregate([(ParamVector(w, layout), int(n)) for w, n in zip(ws, sizes)])
+        out = aggregate([int(n) for n in sizes], [ParamVector(w, layout) for w in ws])
         ref = np.average(np.stack(ws), axis=0, weights=sizes)
         worst = max(worst, float(np.max(np.abs(out.values - ref))))
         stacked = np.stack(ws)

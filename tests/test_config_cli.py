@@ -621,6 +621,22 @@ def test_a_diverging_run_prints_only_the_named_error(tmp_path, capsys):
     assert not (tmp_path / "out" / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+def test_weights_that_overflow_in_a_step_are_named_with_round_and_client(tmp_path, capsys, optimizer):
+    # the step's lr * update overflows to inf while the gradient stays finite;
+    # with one batch per client the round's check of the client's weights
+    # names it, and no numpy warning may come first (any warning fails the suite)
+    text = (BASE_CONFIG.format(out=str(tmp_path / "out"))
+            .replace("sentences = 80", "sentences = 40")
+            .replace("rounds = 2", "rounds = 1")
+            .replace("optimizer = adam", f"optimizer = {optimizer}")
+            .replace("base_lr = 0.02", "base_lr = 1e308"))
+    assert main(["run", "-c", str(write_config(tmp_path, text=text))]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: round 1, client 0: non-finite weights in segment 'out_b'\n"
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("kind, optimizer", [
     ("window_tagger", "sgd"), ("window_tagger", "adam"), ("relation_classifier", "sgd"),
 ])

@@ -1,5 +1,6 @@
 """Federated training loop: aggregation, scheduling invariances, FedProx."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,7 +55,7 @@ def train_rounds(task, cfg, parts, dev):
 # aggregation
 
 def test_aggregate_hand_example():
-    out = aggregate([(vec([0.0, 0.0]), 1), (vec([2.0, 2.0]), 3)])
+    out = aggregate([1, 3], [vec([0.0, 0.0]), vec([2.0, 2.0])])
     assert np.allclose(out.values, [1.5, 1.5])
 
 
@@ -63,8 +64,8 @@ def test_aggregate_weights_sum_to_one():
     for _ in range(50):
         k = int(rng.integers(1, 6))
         sizes = rng.integers(1, 100, size=k)
-        ones = [(vec([1.0, 1.0]), int(n)) for n in sizes]
-        out = aggregate(ones)
+        ones = [vec([1.0, 1.0]) for _ in sizes]
+        out = aggregate([int(n) for n in sizes], ones)
         assert np.allclose(out.values, 1.0, atol=1e-12)
 
 
@@ -74,7 +75,7 @@ def test_aggregate_is_coordinatewise_convex():
         k = int(rng.integers(1, 6))
         ws = [vec(rng.normal(size=2)) for _ in range(k)]
         sizes = [int(n) for n in rng.integers(1, 50, size=k)]
-        out = aggregate(list(zip(ws, sizes)))
+        out = aggregate(sizes, ws)
         stacked = np.stack([w.values for w in ws])
         assert np.all(out.values >= stacked.min(axis=0) - 1e-12)
         assert np.all(out.values <= stacked.max(axis=0) + 1e-12)
@@ -82,21 +83,36 @@ def test_aggregate_is_coordinatewise_convex():
 
 def test_aggregate_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        aggregate([])
+        aggregate([], [])
     with pytest.raises(ValueError):
-        aggregate([(vec([1.0, 1.0]), 0)])
+        aggregate([0], [vec([1.0, 1.0])])
     other = ParamVector(np.zeros(2), {"z": (0, 2)})
     with pytest.raises(ValueError):
-        aggregate([(vec([1.0, 1.0]), 1), (other, 1)])
+        aggregate([1, 1], [vec([1.0, 1.0]), other])
     bad = vec([np.inf, 0.0])
     with pytest.raises(ValueError):
-        aggregate([(bad, 1)])
+        aggregate([1], [bad])
 
 
 def test_aggregate_rejects_equal_sizes_with_different_layouts():
     other = ParamVector(np.zeros(2), {"a": (0, 1), "b": (1, 1)})
     with pytest.raises(ValueError, match="aggregate: parameter layouts differ"):
-        aggregate([(vec([1.0, 1.0]), 1), (other, 1)])
+        aggregate([1, 1], [vec([1.0, 1.0]), other])
+
+
+def test_aggregate_folds_a_generator_bit_equal_to_a_list():
+    rng = np.random.default_rng(2)
+    sizes = [int(n) for n in rng.integers(1, 500, size=7)]
+    ws = [vec(rng.normal(size=2) * 10) for _ in sizes]
+    out = aggregate(sizes, (w for w in ws))
+    assert out.values.tobytes() == aggregate(sizes, ws).values.tobytes()
+
+
+def test_aggregate_needs_one_vector_per_count():
+    with pytest.raises(ValueError):
+        aggregate([1, 1], [vec([1.0, 1.0])])
+    with pytest.raises(ValueError):
+        aggregate([1], [vec([1.0, 1.0]), vec([1.0, 1.0])])
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +148,7 @@ def test_execution_order_does_not_change_the_result(ner_setup):
         clients.append(ClientState(i, list(part), OptimizerState(cfg.optimizer, server.size), sched))
     updates = {c.id: local_update(task, c, server, cfg, client_rng(0, c.id, 0))[0]
                for c in reversed(clients)}
-    by_hand = aggregate([(updates[c.id], c.n) for c in clients])
+    by_hand = aggregate([c.n for c in clients], [updates[c.id] for c in clients])
     assert weights_sha256(by_hand) == logged
 
 
@@ -146,6 +162,30 @@ def test_the_round_loop_takes_k_from_its_partitions(ner_setup):
         log = [record for record, _ in train_rounds(task, fed_cfg(clients=clients), parts, dev)]
         assert [r["weights_sha256"] for r in log] == [r["weights_sha256"] for r in expect]
         assert [len(r["client_loss"]) for r in log] == [3] * len(expect)
+
+
+def test_each_added_client_costs_at_most_two_and_a_half_parameter_vectors():
+    # under adam a client keeps only its moments m and v between rounds: the
+    # scratch rows are one buffer per run, and the round folds each client's
+    # weights into the aggregate before the next client trains
+    profile = corpus.make_profile(["GENE", "DIS"], lexicon_size=40, sentences=100)
+    sents = corpus.generate_synthetic(profile, 3)[0][1]
+    task = tasks.build_task(sents, kind="window_tagger", embed_dim=64)  # P is 96 % embedding
+    train, dev = task.prepare(sents[:80]), task.prepare(sents[80:])
+    cfg = fed_cfg(rounds=1, optimizer="adam", base_lr=0.01)
+
+    def peak_bytes(k):
+        parts = corpus.partition_iid(train, k, 0)
+        tracemalloc.start()
+        try:
+            next(rounds(task, cfg, parts, dev))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    vector_bytes = task.init_params(0).values.nbytes
+    per_client = (peak_bytes(40) - peak_bytes(4)) / 36 / vector_bytes
+    assert per_client <= 2.5
 
 
 def test_empty_partition_and_empty_dev_rejected(ner_setup):
