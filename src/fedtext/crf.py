@@ -76,12 +76,14 @@ def reversal(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def nll_and_grads(
-    emissions: np.ndarray, transitions: np.ndarray, labels: np.ndarray, mask: np.ndarray
+    emissions: np.ndarray, transitions: np.ndarray, labels: np.ndarray, mask: np.ndarray,
+    flip: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-sentence NLL (logZ - gold score) of a padded batch, and its gradients.
 
     ``emissions`` is (B, T, L); ``labels`` and ``mask`` are (B, T), and
     ``mask[b]`` is True on sentence b's tokens, a non-empty prefix of the row.
+    A caller that has built ``reversal(mask)`` already passes it as ``flip``.
     Padded positions take no part in any sentence's score.  Returns the (B,)
     NLLs, d NLL-sum / d emissions (zero at padded positions) and
     d NLL-sum / d transitions:
@@ -104,9 +106,15 @@ def nll_and_grads(
 
     em = emissions.transpose(1, 0, 2)  # time-major view
     shift = em.max(axis=2)
-    spread = np.ptp(transitions) + (shift - em.min(axis=2))[mask.T].max()
+    # padded positions score 0 for every label, which keeps every scale
+    # factor positive there whatever the padding holds
+    shifted = np.where(mask.T[:, :, None], em - shift[:, :, None], 0.0)
+    # -shifted.min() is the largest max - min of one real position, as
+    # rounding is monotone and symmetric
+    spread = np.ptp(transitions) - shifted.min()
     if spread < SCALED_SPREAD_LIMIT:
-        log_z, d_emissions, d_transitions = _scaled_expectations(em, shift, transitions, mask)
+        flip = reversal(mask) if flip is None else flip
+        log_z, d_emissions, d_transitions = _scaled_expectations(shifted, shift, transitions, mask, flip)
     else:
         log_z, d_emissions, d_transitions = _log_expectations(emissions, transitions, mask)
 
@@ -121,19 +129,17 @@ def nll_and_grads(
 
 
 def _scaled_expectations(
-    em: np.ndarray, shift: np.ndarray, transitions: np.ndarray, mask: np.ndarray
+    shifted: np.ndarray, shift: np.ndarray, transitions: np.ndarray, mask: np.ndarray,
+    flip: tuple[np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """log Z (B,), unary marginals (B, T, L) and expected transition counts
-    (L, L) by the scaled recursion, from time-major emissions ``em`` and
-    their per-position maxima ``shift``."""
-    T, B, L = em.shape
+    (L, L) by the scaled recursion, from time-major emissions less their
+    per-position maxima ``shift`` (``shifted``, 0 at padding) and the
+    index ``flip`` = ``reversal(mask)``."""
+    T, B, L = shifted.shape
     real = mask.T
-    flip = reversal(mask)
     top = transitions.max()
     step_scores = np.exp(transitions - top)
-    # padded positions score 0 for every label, which keeps every scale
-    # factor positive there whatever the padding holds
-    shifted = np.where(real[:, :, None], em - shift[:, :, None], 0.0)
     emit = np.empty((T, 2, B, L))  # forward, and each sentence reversed within its length
     emit[:, 0] = shifted
     emit[:, 1] = shifted[flip]

@@ -80,12 +80,23 @@ def _tally(gold: SpanCorpus, pred: SpanCorpus, hits: list[str]) -> MatchCounts:
     )
 
 
+def _same(gold: Sequence[EntitySpan], pred: Sequence[EntitySpan]) -> bool:
+    """Whether a sentence predicts exactly its gold span list, in order.
+    Both matchers then match every span, each to its own copy: strict as a
+    multiset, and lenient because the k-th prediction in start order finds
+    the k-th gold, its own copy, first among the unclaimed."""
+    return tuple(gold) == tuple(pred)
+
+
 def match_strict(gold: SpanCorpus, pred: SpanCorpus) -> MatchCounts:
     """Exact-boundary, same-type matching within each sentence of a corpus;
     duplicate spans match as a multiset."""
     hits: list[str] = []
     for g, p in zip(gold, pred, strict=True):
         if not g or not p:
+            continue
+        if _same(g, p):
+            hits += map(_label, p)
             continue
         unused = list(g)
         for span in p:
@@ -104,6 +115,9 @@ def match_lenient(gold: SpanCorpus, pred: SpanCorpus, require_type: bool = True)
     hits: list[str] = []
     for g, p in zip(gold, pred, strict=True):
         if not g or not p:
+            continue
+        if _same(g, p):
+            hits += map(_label, p)
             continue
         unused = sorted(g, key=_position)
         for span in sorted(p, key=_position):

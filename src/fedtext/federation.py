@@ -136,7 +136,8 @@ def rounds(
     train and are aggregated in client-id order; each one shuffles with its
     own ``client_rng`` stream, so running them in another order would give
     the same weights.  An error inside a client's round is re-raised
-    prefixed with ``round R, client K:``.
+    prefixed with ``round R, client K:``, one in scoring the round's server
+    weights on ``dev`` with ``round R: dev scores:``.
     """
     if not partitions:
         raise ValueError("no partitions given")
@@ -173,10 +174,14 @@ def rounds(
     for t in range(cfg.rounds):
         losses: list[float] = []
         server = aggregate([c.n for c in clients], trained(t, server, losses))
+        try:
+            scores = task.dev_scores(server, dev)
+        except ValueError as exc:  # e.g. finite weights whose logits overflow
+            raise ValueError(f"round {t + 1}: dev scores: {exc}") from exc
         yield {
             "round": t + 1,
             "client_loss": losses,
-            **task.dev_scores(server, dev),
+            **scores,
             "weights_sha256": weights_sha256(server),
         }, server
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from itertools import chain
+from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -98,43 +98,63 @@ class HighlightDiagnostics:
     stray_close: int = 0
 
 
+@lru_cache(maxsize=16)
+def _marker(tag: str) -> re.Pattern:
+    """``<(/?)tag>``, compiled once per tag; its group is "/" on a close.  A
+    ``tag`` TAG_NAME does not match is refused: an empty one would read
+    ``<>`` and ``</>`` as highlights."""
+    if not TAG_NAME.fullmatch(tag):
+        raise ValueError(f"tag {tag!r} is not a usable HTML tag name")
+    return re.compile(rf"<(/?){re.escape(tag)}>")
+
+
 def _highlight_regions(response: str, marker: re.Pattern, diag: HighlightDiagnostics) -> list[str]:
-    """Text between the open and close tags ``marker`` matches.  Nested opens
-    flatten into the enclosing region, stray closes are ignored, an unclosed
-    open runs to the end of the response."""
+    """Text between the open and close tags ``marker`` matches, from one
+    split of the response.  Nested opens flatten into the enclosing region,
+    each inner marker read as one space; stray closes are ignored; an
+    unclosed open runs to the end of the response."""
+    pieces = marker.split(response)  # text, then (close's "/" or "", text) per marker
     regions: list[str] = []
+    parts: list[str] = []
     depth = 0
-    start = 0
-    for m in marker.finditer(response):
-        is_close = m.group(0).startswith("</")
-        if not is_close:
+    for i in range(1, len(pieces), 2):
+        if not pieces[i]:
             if depth == 0:
-                start = m.end()
+                parts = []
             else:
                 diag.nested += 1
             depth += 1
+        elif depth == 0:
+            diag.stray_close += 1
+            continue
         else:
-            if depth == 0:
-                diag.stray_close += 1
-                continue
             depth -= 1
             if depth == 0:
-                regions.append(response[start : m.start()])
+                regions.append(" ".join(parts))
+                continue
+        parts.append(pieces[i + 1])  # the text after an open or an inner marker
     if depth > 0:
         diag.unclosed += 1
-        regions.append(response[start:])
-    # drop any flattened inner markers left inside a region
-    return [marker.sub(" ", r) for r in regions]
+        regions.append(" ".join(parts))
+    return regions
 
 
 def _find_subsequence(haystack: list[str], needle: list[str], cursor: int) -> int:
     """First position of ``needle`` in ``haystack`` at or after ``cursor``,
-    else the first one before it; -1 if there is none."""
+    else the first one before it; -1 if there is none.  ``list.index`` jumps
+    between the positions that hold the needle's first token."""
     n = len(needle)
     end = len(haystack) - n + 1
-    for i in chain(range(cursor, end), range(min(cursor, end))):
-        if haystack[i : i + n] == needle:
-            return i
+    first = needle[0]
+    for lo, hi in ((cursor, end), (0, min(cursor, end))):
+        while lo < hi:
+            try:
+                lo = haystack.index(first, lo, hi)
+            except ValueError:
+                break
+            if haystack[lo : lo + n] == needle:
+                return lo
+            lo += 1
     return -1
 
 
@@ -149,36 +169,36 @@ def parse_highlights(
     """Spans for the highlighted regions of one response.
 
     Each region is whitespace-tokenized and aligned to the original sentence
-    by its longest contiguous token run that appears there, searching left to
-    right past the previous match; regions with no token match are dropped
-    and counted.  ``casefold`` switches to case-insensitive alignment (off by
-    default; kept for sensitivity checks).  A ``tag`` TAG_NAME does not match
-    is refused: an empty one would read ``<>`` and ``</>`` as highlights.
+    by its longest contiguous token run that appears there, the first such
+    run of the region winning a tie.  The run is placed at its first
+    occurrence at or after the end of the previous match, else at its first
+    one before it; regions with no token match are dropped and counted.
+    The response is split once on the tag's markers, and each run is
+    searched with ``list.index``, which jumps between the positions of its
+    first token.  ``casefold`` switches to case-insensitive alignment (off
+    by default; kept for sensitivity checks).  A ``tag`` TAG_NAME does not
+    match is refused.
     """
-    if not TAG_NAME.fullmatch(tag):
-        raise ValueError(f"tag {tag!r} is not a usable HTML tag name")
+    marker = _marker(tag)
     diag = diagnostics if diagnostics is not None else HighlightDiagnostics()
     haystack = [t.casefold() for t in tokens] if casefold else list(tokens)
-    marker = re.compile(rf"</?{re.escape(tag)}>")
     spans: list[EntitySpan] = []
     cursor = 0
     for region in _highlight_regions(response, marker, diag):
         words = region.split()
         if casefold:
             words = [w.casefold() for w in words]
-        placed = False
         for n in range(len(words), 0, -1):
-            for off in range(0, len(words) - n + 1):
-                needle = words[off : off + n]
-                at = _find_subsequence(haystack, needle, cursor)
+            for off in range(len(words) - n + 1):
+                at = _find_subsequence(haystack, words[off : off + n], cursor)
                 if at >= 0:
-                    spans.append(EntitySpan(entity_label, at, at + n - 1))
-                    cursor = at + n
-                    placed = True
                     break
-            if placed:
-                break
-        if not placed:
+            else:
+                continue
+            spans.append(EntitySpan(entity_label, at, at + n - 1))
+            cursor = at + n
+            break
+        else:
             diag.dropped += 1
     return spans
 

@@ -204,6 +204,14 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _finite(logits: np.ndarray, kind: str) -> np.ndarray:
+    """``logits``, refused if any is not finite: finite but huge weights can
+    overflow them, and an argmax over inf or NaN is no prediction."""
+    if not np.isfinite(logits).all():
+        raise ValueError(f"{kind} logits are not finite")
+    return logits
+
+
 def _pad(arrays: Sequence[np.ndarray], flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The 1-D int ``arrays``, given joined end to end as ``flat``, as a
     zero-padded (B, T) array and its (B, T) prefix mask, T being the longest
@@ -339,7 +347,7 @@ def _rnn_crf_loss_grad(
     flip = crf.reversal(mask)
     X = seg["embed"][ids.T]
     emissions, c = _rnn_emissions(seg, X, flip)
-    nll, d_em, d_trans = crf.nll_and_grads(emissions.transpose(1, 0, 2), seg["crf_trans"], labels, mask)
+    nll, d_em, d_trans = crf.nll_and_grads(emissions.transpose(1, 0, 2), seg["crf_trans"], labels, mask, flip)
 
     d_em = d_em.transpose(1, 0, 2)
     gs["crf_trans"] += d_trans
@@ -459,7 +467,9 @@ def predict_tags(spec: ModelSpec, w: ParamVector, sentences: Sequence[np.ndarray
         X = seg["embed"][ids]
         if padded:
             X *= mask[:, :, None]
-        tags = _window_logits(spec, seg, X)[0].argmax(axis=2)
+        with np.errstate(over="ignore", invalid="ignore"):  # _finite names an overflow
+            logits = _window_logits(spec, seg, X)[0]
+        tags = _finite(logits, spec.kind).argmax(axis=2)
     else:
         # one sentence runs unbatched, as numpy's (T, d) products beat (T, 1, d)
         # ones; only its recurrence steps a (2, 1, h) view
@@ -478,5 +488,6 @@ def predict_relations(spec: ModelSpec, w: ParamVector, items: Sequence[RelationE
         raise ValueError(f"{spec.kind} does not classify relations")
     if not all(isinstance(item, RelationExample) for item in items):
         raise ValueError(f"{spec.kind} expects RelationExample items")
-    logits, _ = _relation_forward(spec, _segments(spec, w), items)
-    return logits.argmax(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite names an overflow
+        logits, _ = _relation_forward(spec, _segments(spec, w), items)
+    return _finite(logits, spec.kind).argmax(axis=1)

@@ -10,17 +10,28 @@ bidirectional RNN pass and the functional optimizer step are the ones the
 one-loop pass in ``fedtext.models`` and the in-place ``fedtext.optim`` step
 replaced, which must match them bit for bit.
 
+The highlight parser is the one ``fedtext.llm_bridge`` replaced with one
+regex split per response and a ``list.index`` search: a ``finditer`` walk
+over the markers, a ``sub`` of the inner ones, and a slice comparison at
+every start position.  The package's parser must give the same spans and
+the same diagnostics.
+
 The writers at the end make the files the package reads (highlighted
 responses, response records, prediction files); only tests need them.
 """
 from __future__ import annotations
 
 import json
+import re
+from itertools import chain
+from typing import Sequence
 
 import numpy as np
 
 from fedtext.corpus import _write_columns
 from fedtext.crf import _check_scores
+from fedtext.evaluation import EntitySpan
+from fedtext.llm_bridge import TAG_NAME, HighlightDiagnostics
 from fedtext.models import segment_shapes
 
 
@@ -320,6 +331,94 @@ def optimizer_step(kind, m, v, step_count, w, grad, lr, mu=0.0, anchor=None):
     m_hat = m / (1.0 - beta1**t)
     v_hat = v / (1.0 - beta2**t)
     return m, v, t, w - lr * m_hat / (np.sqrt(v_hat) + eps), penalty
+
+
+# ---------------------------------------------------------------------------
+# highlight parsing
+
+def _highlight_regions(response: str, marker: re.Pattern, diag: HighlightDiagnostics) -> list[str]:
+    """Text between the open and close tags ``marker`` matches.  Nested opens
+    flatten into the enclosing region, stray closes are ignored, an unclosed
+    open runs to the end of the response."""
+    regions: list[str] = []
+    depth = 0
+    start = 0
+    for m in marker.finditer(response):
+        is_close = m.group(0).startswith("</")
+        if not is_close:
+            if depth == 0:
+                start = m.end()
+            else:
+                diag.nested += 1
+            depth += 1
+        else:
+            if depth == 0:
+                diag.stray_close += 1
+                continue
+            depth -= 1
+            if depth == 0:
+                regions.append(response[start : m.start()])
+    if depth > 0:
+        diag.unclosed += 1
+        regions.append(response[start:])
+    # drop any flattened inner markers left inside a region
+    return [marker.sub(" ", r) for r in regions]
+
+
+def _find_subsequence(haystack: list[str], needle: list[str], cursor: int) -> int:
+    """First position of ``needle`` in ``haystack`` at or after ``cursor``,
+    else the first one before it; -1 if there is none."""
+    n = len(needle)
+    end = len(haystack) - n + 1
+    for i in chain(range(cursor, end), range(min(cursor, end))):
+        if haystack[i : i + n] == needle:
+            return i
+    return -1
+
+
+def parse_highlights(
+    response: str,
+    tokens: Sequence[str],
+    entity_label: str,
+    tag: str,
+    diagnostics: HighlightDiagnostics | None = None,
+    casefold: bool = False,
+) -> list[EntitySpan]:
+    """Spans for the highlighted regions of one response.
+
+    Each region is whitespace-tokenized and aligned to the original sentence
+    by its longest contiguous token run that appears there, searching left to
+    right past the previous match; regions with no token match are dropped
+    and counted.  ``casefold`` switches to case-insensitive alignment (off by
+    default; kept for sensitivity checks).  A ``tag`` TAG_NAME does not match
+    is refused: an empty one would read ``<>`` and ``</>`` as highlights.
+    """
+    if not TAG_NAME.fullmatch(tag):
+        raise ValueError(f"tag {tag!r} is not a usable HTML tag name")
+    diag = diagnostics if diagnostics is not None else HighlightDiagnostics()
+    haystack = [t.casefold() for t in tokens] if casefold else list(tokens)
+    marker = re.compile(rf"</?{re.escape(tag)}>")
+    spans: list[EntitySpan] = []
+    cursor = 0
+    for region in _highlight_regions(response, marker, diag):
+        words = region.split()
+        if casefold:
+            words = [w.casefold() for w in words]
+        placed = False
+        for n in range(len(words), 0, -1):
+            for off in range(0, len(words) - n + 1):
+                needle = words[off : off + n]
+                at = _find_subsequence(haystack, needle, cursor)
+                if at >= 0:
+                    spans.append(EntitySpan(entity_label, at, at + n - 1))
+                    cursor = at + n
+                    placed = True
+                    break
+            if placed:
+                break
+        if not placed:
+            diag.dropped += 1
+    return spans
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
 """Config parsing/validation, hashing, and the command-line surface."""
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -653,6 +657,29 @@ def test_a_saturated_softmax_stops_the_run_on_its_infinite_loss(tmp_path, capsys
     assert main(["run", "-c", str(write_config(tmp_path, text=text))]) == 2
     err = capsys.readouterr().err
     assert err == "error: round 1, client 0: non-finite loss\n"
+    assert not (out / "manifest.json").exists()
+
+
+def test_logits_that_overflow_in_dev_scoring_stop_the_run(tmp_path):
+    # the weights grow huge but stay finite, and the client losses stay near
+    # 12, while the dev pass's logits overflow; the run must stop in round 1
+    # by name, and numpy must print no warning under the default filters
+    out = tmp_path / "out"
+    text = (BASE_CONFIG.format(out=out)
+            .replace("repeats = 2", "repeats = 1")
+            .replace("sentences = 80", "sentences = 40")
+            .replace("rounds = 2", "rounds = 1")
+            .replace("optimizer = adam", "optimizer = sgd")
+            .replace("base_lr = 0.02", "base_lr = 1e200"))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-m", "fedtext.cli", "run", "-c", str(write_config(tmp_path, text=text))],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 2, done.stderr
+    assert "RuntimeWarning" not in done.stderr
+    assert done.stderr == "error: round 1: dev scores: window_tagger logits are not finite\n"
     assert not (out / "manifest.json").exists()
 
 

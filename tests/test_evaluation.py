@@ -6,7 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedtext.evaluation import (
@@ -179,12 +179,22 @@ def test_strict_never_beats_lenient():
             assert s.tp.get(label, 0) <= l.tp.get(label, 0)
 
 
+FREE_SPANS = st.lists(
+    st.builds(lambda label, start, length: EntitySpan(label, start, start + length),
+              st.sampled_from("AB"), st.integers(0, 8), st.integers(0, 3)),
+    max_size=5,
+)
+
+
 @st.composite
 def corpora(draw):
     """A (gold, pred) corpus of 1-6 sentences.  Each side of a sentence takes
     its spans from a small shared pool, so identical spans recur in different
     sentences and some sentences are empty on either side; a span may also
-    repeat within its sentence."""
+    repeat within its sentence.  About a third of the sentences predict
+    exactly their gold list, to which free spans are added: any type, any
+    order, overlapping and repeated, since a list matched against itself
+    matches in full whatever it holds."""
     pool = [[]] + [decode_bio(draw(st.lists(st.sampled_from(TAGSET), max_size=10)))
                    for _ in range(3)]
 
@@ -194,12 +204,27 @@ def corpora(draw):
             spans.append(draw(st.sampled_from(spans)))
         return spans
 
-    n = draw(st.integers(1, 6))
-    return [sentence() for _ in range(n)], [sentence() for _ in range(n)]
+    gold, pred = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        if draw(st.integers(0, 2)) == 0:
+            spans = sentence() + draw(FREE_SPANS)
+            gold.append(tuple(spans))  # as a task's gold spans are
+            pred.append(spans)
+        else:
+            gold.append(sentence())
+            pred.append(sentence())
+    return gold, pred
+
+
+OVERLAPPING = [EntitySpan("A", 0, 3), EntitySpan("A", 1, 1), EntitySpan("B", 1, 2),
+               EntitySpan("A", 1, 1), EntitySpan("A", 2, 5)]
 
 
 @settings(max_examples=300, deadline=None)
 @given(corpora())
+@example(([tuple(OVERLAPPING), [EntitySpan("A", 0, 1)]],
+          [list(OVERLAPPING), [EntitySpan("A", 1, 2)]]))
+@example(([OVERLAPPING], [OVERLAPPING[::-1]]))  # the same spans in another order
 def test_corpus_counts_are_the_sum_of_per_sentence_oracles(corpus):
     gold, pred = corpus
     strict, typed, free = Counter(), Counter(), 0

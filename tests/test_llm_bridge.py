@@ -23,6 +23,7 @@ from fedtext.llm_bridge import (
 )
 from fedtext.models import RelationExample, TagExample
 from fedtext.tasks import NER, RE, NerItem, ReItem
+import oracles
 from oracles import render_highlights, write_responses
 
 
@@ -175,6 +176,39 @@ def test_parse_refuses_a_tag_that_is_not_a_usable_name(tag):
     # an empty tag would read "<>" and "</>" as a highlight
     with pytest.raises(ValueError, match="not a usable HTML tag name"):
         parse_highlights("a <>b</> c", ["a", "b", "c"], "E", tag=tag)
+
+
+# marker soups: tags of the parsed name and of another one, words that are
+# in the sentence (also in another case) or not, and bare separators; the
+# pieces join with nothing between them, so text fuses to tags
+SOUP_PIECES = st.sampled_from(
+    ["<m>", "</m>", "<mark>", "</mark>", "a", "b", "c", "A", "B", "zz", "a b", " ", " ", "\t",
+     "<", "/", ">"]
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    pieces=st.lists(SOUP_PIECES, max_size=20),
+    tokens=st.lists(st.sampled_from(["a", "b", "c", "A"]), max_size=8),
+    tag=st.sampled_from(["m", "mark"]),
+    casefold=st.booleans(),
+)
+@example(["<m>", "a ", "<m>", "b", "</m>", " c", "</m>"], ["a", "b", "c"], "m", False)  # nested
+@example(["a", "</m>", " ", "<m>", "b"], ["a", "b"], "m", False)  # stray close, then unclosed
+@example(["x", "<m>", "a", "</m>", "b"], ["a", "b"], "m", False)  # text fused to tags
+@example(["<m>", "a", "</m>", " ", "<m>", "a", "</m>"], ["a", "b", "a"], "m", False)  # repeats
+@example(["<m>", "a b", "</m>"], ["a", "a", "b"], "m", False)  # a first token that recurs
+@example(["<m>", "zz", "</m>", "<m>", "</m>"], ["a"], "m", False)  # absent word, empty region
+@example(["<m>", "A b", "</m>"], ["b", "a", "b"], "m", True)  # casefold
+@example(["<mark>", "a", "</mark>"], ["a"], "m", False)  # another tag is text
+def test_parse_highlights_matches_the_reference_parser(pieces, tokens, tag, casefold):
+    response = "".join(pieces)
+    got_diag, want_diag = HighlightDiagnostics(), HighlightDiagnostics()
+    got = parse_highlights(response, tokens, "E", tag, got_diag, casefold)
+    want = oracles.parse_highlights(response, tokens, "E", tag, want_diag, casefold)
+    assert got == want
+    assert got_diag == want_diag
 
 
 def test_render_highlights():

@@ -420,6 +420,32 @@ def test_predict_wrong_kind_raises():
         predict_relations(WINDOW, w2, [RelationExample(np.array([1]), (0, 0), (0, 0), 0)])
 
 
+def test_prediction_names_logits_that_overflow():
+    # finite weights whose scores overflow: the pass must refuse them by
+    # name, with no numpy warning (any warning fails the suite)
+    w = init_params(WINDOW, 0)
+    w.values *= 1e300
+    for sentences in ([np.array([1, 2, 3])], [np.array([1, 2, 3]), np.array([4])]):
+        with pytest.raises(ValueError, match="window_tagger logits are not finite"):
+            predict_tags(WINDOW, w, sentences)
+    w = init_params(REL, 0)
+    segment(w, "embed")[:] = 1e308  # the pooled sum overflows to inf
+    hidden_w = segment(w, "hidden_w", segment_shapes(REL)["hidden_w"])
+    hidden_w[0], hidden_w[1] = 1.0, -1.0  # so every hidden unit sums inf - inf
+    with pytest.raises(ValueError, match="relation_classifier logits are not finite"):
+        predict_relations(REL, w, [RelationExample(np.array([1, 2, 3]), (0, 0), (2, 2), 0)])
+
+
+def test_a_training_batch_builds_its_reversal_once(monkeypatch):
+    # the RNN and the CRF share the index that reverses each sentence
+    calls = []
+    reversal = crf.reversal
+    monkeypatch.setattr(crf, "reversal", lambda mask: calls.append(mask) or reversal(mask))
+    batch = mixed_batch(random_tag_item)(RNN, np.random.default_rng(5))
+    loss_and_grad(RNN, init_params(RNN, 0), batch)
+    assert len(calls) == 1
+
+
 def test_predict_tags_on_a_padded_batch_matches_the_per_sentence_oracle():
     # mixed lengths with a 1-token sentence, plus a radius-3 window over
     # sentences shorter than the radius; then an unpadded batch of one length

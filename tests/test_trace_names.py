@@ -11,11 +11,12 @@ from pathlib import Path
 
 import numpy as np
 
-from fedtext import corpus, experiments, models, tasks
+from fedtext import corpus, experiments, llm_bridge, models, tasks
 from fedtext.config import FederationConfig
 from fedtext.federation import ClientState, client_rng, local_update
 from fedtext.models import ModelSpec, TagExample
 from fedtext.optim import OptimizerState, Schedule
+from oracles import render_highlights
 
 
 def load_layertrace():
@@ -107,3 +108,21 @@ def test_a_fedprox_local_step_allocates_only_its_gradient():
     assert tracer.calls["optim.lr_at"] == steps
     # the client's copy of the server weights, then one gradient per step
     assert tracer.vectors_allocated == 1 + steps
+
+
+def test_scoring_responses_parses_each_one_and_scores_once():
+    # each response goes through parse_highlights and the corpus through one
+    # score_ner, so the trace shows the parser's share of scoring
+    profile = corpus.make_profile(["GENE"], lexicon_size=8, sentences=20)
+    sents = corpus.generate_synthetic(profile, 2)[0][1]
+    task = tasks.build_task(sents, kind="window_tagger", embed_dim=3)
+    items = task.prepare(sents)
+    records = [
+        llm_bridge.ResponseRecord(i, render_highlights(item.sentence.tokens, item.gold_spans, "m"))
+        for i, item in enumerate(items)
+    ]
+    with load_layertrace().Tracer() as tracer:
+        llm_bridge.score_ner_responses(items, records, "GENE", "m")
+    assert tracer.calls["llm_bridge.score_ner_responses"] == 1
+    assert tracer.calls["llm_bridge.parse_highlights"] == len(items)
+    assert tracer.calls["evaluation.score_ner"] == 1
