@@ -16,17 +16,10 @@ gives both messages and their sums.  log Z is the sum of the log normalisers
 and the shifts.  The score spread is ``ptp(transitions)`` plus the largest
 max - min of one real position's emissions; trained models sit at 10-20.
 Against an extended-precision reference, the marginals were within 2e-12
-up to a spread of 700, a little closer than the log-space recursion's; the
-first failures, from about 700, were non-finite results, never finite wrong
-ones.
-
-From a spread of ``SCALED_SPREAD_LIMIT`` (500) on, the log-space recursion
-with a per-step max subtraction runs instead.  Its marginals are accurate
-while float64 rounding in alpha + beta - log Z stays small; scores of
-order 1e15 and beyond, as a diverging run produces, give wrong marginals,
-and from about 1e18 they overflow to inf or NaN.  A non-finite result is
-returned, not raised: the optimizer's finite check names it before any
-weight is written.
+up to a spread of 700; the first failures, from about 700, were non-finite
+results, never finite wrong ones.  A batch whose spread reaches
+``SCALED_SPREAD_LIMIT`` (500) is refused with a ValueError naming the
+spread: only a diverging run gets there.
 
 Viterbi decodes one sentence, or a whole padded batch in one pass.
 """
@@ -34,8 +27,9 @@ from __future__ import annotations
 
 import numpy as np
 
-# the score spread from which nll_and_grads leaves the scaled recursion for
-# the log-space one; tests pin both sides of it
+# the score spread from which nll_and_grads refuses a batch, well inside the
+# scaled recursion's accurate range; no valid run passes 21, and tests pin
+# both sides of it
 SCALED_SPREAD_LIMIT = 500.0
 
 
@@ -58,13 +52,6 @@ def _check_mask(mask: np.ndarray, B: int, T: int) -> None:
         raise ValueError(f"mask must be a boolean ({B}, {T}) array")
     if not mask[:, 0].all() or (mask[:, 1:] > mask[:, :-1]).any():
         raise ValueError("mask must mark a non-empty prefix of every row")
-
-
-def _lse(scores: np.ndarray, axis: int) -> np.ndarray:
-    # log-sum-exp with max subtraction; inputs are finite by contract
-    m = scores.max(axis=axis, keepdims=True)
-    out = m.squeeze(axis) + np.log(np.exp(scores - m).sum(axis=axis))
-    return out
 
 
 def reversal(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -112,11 +99,10 @@ def nll_and_grads(
     # -shifted.min() is the largest max - min of one real position, as
     # rounding is monotone and symmetric
     spread = np.ptp(transitions) - shifted.min()
-    if spread < SCALED_SPREAD_LIMIT:
-        flip = reversal(mask) if flip is None else flip
-        log_z, d_emissions, d_transitions = _scaled_expectations(shifted, shift, transitions, mask, flip)
-    else:
-        log_z, d_emissions, d_transitions = _log_expectations(emissions, transitions, mask)
+    if spread >= SCALED_SPREAD_LIMIT:
+        raise ValueError(f"CRF score spread {spread:.4g} reaches the limit {SCALED_SPREAD_LIMIT:g}")
+    flip = reversal(mask) if flip is None else flip
+    log_z, d_emissions, d_transitions = _scaled_expectations(shifted, shift, transitions, mask, flip)
 
     rows, steps = np.arange(B)[:, None], np.arange(T)
     d_emissions[rows, steps, labels] -= mask
@@ -172,37 +158,6 @@ def _scaled_expectations(
     log_z = np.where(real, np.log(c) + shift, 0.0).sum(axis=0)
     log_z += np.log(z[last, np.arange(B)]) + last * top
     return log_z, unary.transpose(1, 0, 2), d_transitions
-
-
-def _log_expectations(
-    emissions: np.ndarray, transitions: np.ndarray, mask: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """What ``_scaled_expectations`` returns, by the log-space recursion with
-    a per-step max subtraction, from batch-major emissions."""
-    B, T, L = emissions.shape
-    # alpha carries through padding, so alpha[:, -1] holds each sentence's last real step
-    alpha = np.empty((B, T, L))
-    alpha[:, 0] = emissions[:, 0]
-    for t in range(1, T):
-        step = emissions[:, t] + _lse(alpha[:, t - 1, :, None] + transitions, axis=1)
-        alpha[:, t] = np.where(mask[:, t, None], step, alpha[:, t - 1])
-    log_z = _lse(alpha[:, -1], axis=1)
-
-    # beta is zero at each sentence's last real step and beyond
-    beta = np.zeros((B, T, L))
-    for t in range(T - 2, -1, -1):
-        step = _lse(transitions + (emissions[:, t + 1] + beta[:, t + 1])[:, None, :], axis=2)
-        beta[:, t] = np.where(mask[:, t + 1, None], step, 0.0)
-
-    d_emissions = np.exp(alpha + beta - log_z[:, None, None]) * mask[:, :, None]
-    pair = (
-        alpha[:, :-1, :, None]
-        + transitions
-        + (emissions[:, 1:] + beta[:, 1:])[:, :, None, :]
-        - log_z[:, None, None, None]
-    )
-    d_transitions = np.exp(np.where(mask[:, 1:, None, None], pair, -np.inf)).sum(axis=(0, 1))
-    return log_z, d_emissions, d_transitions
 
 
 def viterbi(

@@ -117,7 +117,7 @@ def local_update(
             lg = task.loss_and_grad(weights, batch)
             penalty = proximal_augment(opt, weights, lg.grad, global_weights, cfg.mu)
             loss = lg.loss + penalty
-            if not math.isfinite(loss):  # a saturated softmax keeps the gradient finite
+            if not math.isfinite(loss):  # Python floats overflow to inf without raising
                 raise ValueError("non-finite loss")
             apply_step(opt, weights, lg.grad, lr_at(client.schedule, opt.step_count))
             batch_losses.append(loss)
@@ -135,9 +135,10 @@ def rounds(
     ``seed`` fixes the initial weights and every client's shuffling.  Clients
     train and are aggregated in client-id order; each one shuffles with its
     own ``client_rng`` stream, so running them in another order would give
-    the same weights.  An error inside a client's round is re-raised
-    prefixed with ``round R, client K:``, one in scoring the round's server
-    weights on ``dev`` with ``round R: dev scores:``.
+    the same weights.  An error inside a client's round, numpy's
+    FloatingPointError included, is re-raised as a ValueError prefixed with
+    ``round R, client K:``, one in scoring the round's server weights on
+    ``dev`` with ``round R: dev scores:``.
     """
     if not partitions:
         raise ValueError("no partitions given")
@@ -165,8 +166,7 @@ def rounds(
         for c in clients:
             try:
                 w, per_epoch = local_update(task, c, server, cfg, client_rng(seed, c.id, t))
-                w.check_finite("weights")  # e.g. an update that overflowed
-            except ValueError as exc:  # e.g. a diverging client's non-finite gradient
+            except (ValueError, FloatingPointError) as exc:  # e.g. an update that overflowed
                 raise ValueError(f"round {t + 1}, client {c.id}: {exc}") from exc
             losses.append(float(np.mean(per_epoch)))
             yield w
@@ -176,7 +176,7 @@ def rounds(
         server = aggregate([c.n for c in clients], trained(t, server, losses))
         try:
             scores = task.dev_scores(server, dev)
-        except ValueError as exc:  # e.g. finite weights whose logits overflow
+        except (ValueError, FloatingPointError) as exc:  # e.g. finite weights whose logits overflow
             raise ValueError(f"round {t + 1}: dev scores: {exc}") from exc
         yield {
             "round": t + 1,

@@ -28,7 +28,9 @@ backward direction reverses whole rows and the decode needs no mask.
 
 A batch is checked in the pass that pads it: ``_joined`` checks each kind of
 id (non-empty, 1-D, in range) as it joins them once for ``_pad``, and a
-tagger's token and label masks must agree.
+tagger's token and label masks must agree.  The three public passes run
+under ``params.FLOAT_POLICY``: weights that overflow a pass, or a saturated
+softmax's log(0), raise FloatingPointError there.
 """
 from __future__ import annotations
 
@@ -39,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from . import crf
-from .params import Layout, ParamVector, validate_layout
+from .params import FLOAT_POLICY, Layout, ParamVector, validate_layout
 
 MODEL_KINDS = ("window_tagger", "rnn_crf_tagger", "relation_classifier")
 
@@ -202,14 +204,6 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def _finite(logits: np.ndarray, kind: str) -> np.ndarray:
-    """``logits``, refused if any is not finite: finite but huge weights can
-    overflow them, and an argmax over inf or NaN is no prediction."""
-    if not np.isfinite(logits).all():
-        raise ValueError(f"{kind} logits are not finite")
-    return logits
 
 
 def _pad(arrays: Sequence[np.ndarray], flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -424,6 +418,7 @@ def _relation_loss_grad(
 Batch = Sequence[TagExample] | Sequence[RelationExample]
 
 
+@np.errstate(**FLOAT_POLICY)
 def loss_and_grad(spec: ModelSpec, w: ParamVector, batch: Batch) -> LossGrad:
     """Mean per-item NLL over the batch and the matching exact gradient,
     from one padded, masked pass over the whole batch, which also checks it."""
@@ -433,25 +428,22 @@ def loss_and_grad(spec: ModelSpec, w: ParamVector, batch: Batch) -> LossGrad:
         raise ValueError(f"{spec.kind} expects {item_type.__name__} items")
     grad = w.zeros_like()
     seg, gs = _segments(spec, w), _segments(spec, grad)
-    # Diverging weights can overflow here, and a saturated softmax can take
-    # log(0); the caller's finite checks on the loss and the gradient name the
-    # failure, so numpy's warnings would only repeat it.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if spec.kind == "relation_classifier":
-            total = _relation_loss_grad(spec, seg, batch, gs)
-        else:
-            tokens = [item.token_ids for item in batch]
-            ids, mask = _pad(tokens, _joined(tokens, spec.vocab_size, "token id"))
-            label_ids = [item.label_ids for item in batch]
-            labels, label_mask = _pad(label_ids, _joined(label_ids, spec.label_count, "label id"))
-            if not np.array_equal(mask, label_mask):
-                raise ValueError("token and label arrays differ in length")
-            tagger = _window_loss_grad if spec.kind == "window_tagger" else _rnn_crf_loss_grad
-            total = tagger(spec, seg, ids, mask, labels, gs)
+    if spec.kind == "relation_classifier":
+        total = _relation_loss_grad(spec, seg, batch, gs)
+    else:
+        tokens = [item.token_ids for item in batch]
+        ids, mask = _pad(tokens, _joined(tokens, spec.vocab_size, "token id"))
+        label_ids = [item.label_ids for item in batch]
+        labels, label_mask = _pad(label_ids, _joined(label_ids, spec.label_count, "label id"))
+        if not np.array_equal(mask, label_mask):
+            raise ValueError("token and label arrays differ in length")
+        tagger = _window_loss_grad if spec.kind == "window_tagger" else _rnn_crf_loss_grad
+        total = tagger(spec, seg, ids, mask, labels, gs)
     grad.values /= len(batch)
     return LossGrad(loss=total / len(batch), grad=grad)
 
 
+@np.errstate(**FLOAT_POLICY)
 def predict_tags(spec: ModelSpec, w: ParamVector, sentences: Sequence[np.ndarray]) -> list[np.ndarray]:
     """Label ids for each sentence's token ids, from one padded, masked pass
     over all of them; ties break toward the lowest label index."""
@@ -467,9 +459,7 @@ def predict_tags(spec: ModelSpec, w: ParamVector, sentences: Sequence[np.ndarray
         X = seg["embed"][ids]
         if padded:
             X *= mask[:, :, None]
-        with np.errstate(over="ignore", invalid="ignore"):  # _finite names an overflow
-            logits = _window_logits(spec, seg, X)[0]
-        tags = _finite(logits, spec.kind).argmax(axis=2)
+        tags = _window_logits(spec, seg, X)[0].argmax(axis=2)
     else:
         # one sentence runs unbatched, as numpy's (T, d) products beat (T, 1, d)
         # ones; only its recurrence steps a (2, 1, h) view
@@ -480,6 +470,7 @@ def predict_tags(spec: ModelSpec, w: ParamVector, sentences: Sequence[np.ndarray
     return [tags[b, :n] for b, n in enumerate(lengths)]
 
 
+@np.errstate(**FLOAT_POLICY)
 def predict_relations(spec: ModelSpec, w: ParamVector, items: Sequence[RelationExample]) -> np.ndarray:
     """Argmax relation label id of each item, from one batched pass; ties
     break toward the lowest index."""
@@ -488,6 +479,5 @@ def predict_relations(spec: ModelSpec, w: ParamVector, items: Sequence[RelationE
         raise ValueError(f"{spec.kind} does not classify relations")
     if not all(isinstance(item, RelationExample) for item in items):
         raise ValueError(f"{spec.kind} expects RelationExample items")
-    with np.errstate(over="ignore", invalid="ignore"):  # _finite names an overflow
-        logits, _ = _relation_forward(spec, _segments(spec, w), items)
-    return _finite(logits, spec.kind).argmax(axis=1)
+    logits, _ = _relation_forward(spec, _segments(spec, w), items)
+    return logits.argmax(axis=1)

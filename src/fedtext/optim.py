@@ -10,7 +10,8 @@ vector's size.  The scratch holds nothing between calls, so it belongs to the
 run rather than to a client: clients train one at a time, and the round loop
 hands every client's state the same ``new_scratch`` buffer.  The
 floating-point operations run in the order of the textbook updates, so
-results are bit-equal to computing each formula with fresh arrays.
+results are bit-equal to computing each formula with fresh arrays.  Both
+run under the package's ``FLOAT_POLICY``.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import ParamVector
+from .params import FLOAT_POLICY, ParamVector
 
 OPTIMIZER_KINDS = ("sgd", "adam")
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
@@ -80,6 +81,7 @@ class OptimizerState:
         self.scratch = new_scratch(kind, size) if scratch is None else scratch
 
 
+@np.errstate(**FLOAT_POLICY)
 def proximal_augment(
     state: OptimizerState, w: ParamVector, grad: ParamVector, anchor: ParamVector, mu: float
 ) -> float:
@@ -97,24 +99,23 @@ def proximal_augment(
     return penalty
 
 
-@np.errstate(over="ignore")  # an overflow shows as inf, which a finite check names
+@np.errstate(**FLOAT_POLICY)
 def apply_step(state: OptimizerState, w: ParamVector, grad: ParamVector, lr: float) -> None:
-    """One update of ``w`` and ``state`` in place.  A non-finite gradient, one
-    whose square overflows Adam's second moment, or a negative rate raises
-    before anything is written, naming the bad segment.  An update that
-    overflows the weights leaves them infinite, with no numpy warning; the
-    round loop names them when it checks the client's weights."""
+    """One update of ``w`` and ``state`` in place.  A non-finite gradient
+    (named by segment), a negative rate, or a gradient whose square overflows
+    Adam's second moment raises before anything is written.  An update that
+    overflows raises FloatingPointError part way, and the round loop discards
+    that client's weights, naming its round and client."""
+    grad.check_finite("gradient")
     if lr < 0:
         raise ValueError("learning rate must be >= 0")
     g, s = grad.values, state.scratch
-    sq = np.square(g, out=s[1]) if state.kind == "adam" else g  # one finite check for both faults
-    if not np.isfinite(sq).all():
-        grad.check_finite("gradient")
-        raise ValueError(f"gradient too large for Adam's second moment {grad.first_non_finite(sq)}")
-    state.step_count += 1
     if state.kind == "sgd":
+        state.step_count += 1
         w.values -= np.multiply(lr, g, out=s[0])
         return
+    sq = np.square(g, out=s[1])
+    state.step_count += 1
     t = state.step_count
     state.m *= BETA1
     state.m += np.multiply(1.0 - BETA1, g, out=s[0])

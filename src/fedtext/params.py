@@ -13,6 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# The package's one floating-point policy, which each model pass and optimizer
+# step is decorated with: an overflow, an invalid operation or a division by
+# zero raises FloatingPointError where it happens.
+FLOAT_POLICY = dict(over="raise", invalid="raise", divide="raise")
+
 # name -> (offset, length), insertion order is the canonical segment order
 Layout = dict[str, tuple[int, int]]
 
@@ -63,14 +68,12 @@ class ParamVector:
         return ParamVector(np.zeros(self.size), self.layout)
 
     def check_finite(self, what: str = "values") -> None:
-        """Raise with the offending segment name if any entry is not finite."""
-        if not np.isfinite(self.values).all():
-            raise ValueError(f"non-finite {what} {self.first_non_finite(self.values)}")
-
-    def first_non_finite(self, values: np.ndarray) -> str:
-        """``in segment 'name'`` of the first non-finite entry of ``values``, laid out like this."""
-        bad = int(np.flatnonzero(~np.isfinite(values))[0])
+        """Raise naming the segment of the first entry that is not finite, if any."""
+        finite = np.isfinite(self.values)
+        if finite.all():
+            return
+        bad = int(np.flatnonzero(~finite)[0])
         for name, (offset, length) in self.layout.items():
             if offset <= bad < offset + length:
-                return f"in segment {name!r}"
-        return f"at index {bad}"
+                raise ValueError(f"non-finite {what} in segment {name!r}")
+        raise ValueError(f"non-finite {what} at index {bad}")

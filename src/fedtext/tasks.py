@@ -247,8 +247,9 @@ def save_bundle(path, task: Task, w: ParamVector) -> None:
 def load_bundle(path) -> tuple[Task, ParamVector]:
     """Read a bundle written by save_bundle; object (pickled) arrays are
     refused with ValueError, so loading a file never runs code from it, and
-    so is a spec that disagrees with the stored tokens, labels or values.
-    Older bundles' ``kind`` and ``layout`` keys are ignored."""
+    so are a spec that disagrees with the stored tokens, labels or values and
+    values that are not finite.  Older bundles' ``kind`` and ``layout`` keys
+    are ignored."""
     with np.load(path, allow_pickle=False) as data:
         meta = json.loads(str(data["meta"]))
         values = data["values"]
@@ -258,4 +259,6 @@ def load_bundle(path) -> tuple[Task, ParamVector]:
     for name, n in (("vocab_size", len(task.vocab)), ("label_count", len(task.label_names))):
         if getattr(spec, name) != n:
             raise ValueError(f"bundle spec has {name} = {getattr(spec, name)}, but its tokens and labels give {n}")
-    return task, ParamVector(values, models.param_layout(spec))
+    w = ParamVector(values, models.param_layout(spec))
+    w.check_finite("bundle values")
+    return task, w

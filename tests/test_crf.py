@@ -178,17 +178,9 @@ def random_batch(rng, L, lengths):
     return em, labels, mask
 
 
-@pytest.fixture
-def scaled_only(monkeypatch):
-    """Makes the log-space fallback raise, so a passing call ran the scaled path."""
-    def refuse(*args):
-        raise AssertionError("the log-space fallback ran")
-    monkeypatch.setattr(crf, "_log_expectations", refuse)
-
-
 def spread(em, tr, mask):
-    """The score spread ``nll_and_grads`` switches paths on: ptp(tr) plus the
-    largest max - min of one real position's emissions."""
+    """The score spread ``nll_and_grads`` refuses from the limit on: ptp(tr)
+    plus the largest max - min of one real position's emissions."""
     return np.ptp(tr) + np.ptp(em[mask], axis=1).max()
 
 
@@ -204,7 +196,7 @@ def assert_matches_oracle(em, tr, labels, mask, tol=1e-10):
     assert np.abs(d_tr - expect_tr).max() <= tol
 
 
-def test_batched_nll_matches_per_sentence_oracle(scaled_only):
+def test_batched_nll_matches_per_sentence_oracle():
     rng = np.random.default_rng(11)
     worst = 0.0
     for _ in range(100):
@@ -237,7 +229,7 @@ def spread_batch(rng, target):
 
 
 @pytest.mark.parametrize("fraction", [0.02, 0.5, 1 - 1e-9])
-def test_scaled_path_matches_the_oracle_below_the_spread_limit(scaled_only, fraction):
+def test_scaled_path_matches_the_oracle_below_the_spread_limit(fraction):
     rng = np.random.default_rng(13)
     for _ in range(100):
         em, tr, labels, mask = spread_batch(rng, fraction * crf.SCALED_SPREAD_LIMIT)
@@ -245,30 +237,16 @@ def test_scaled_path_matches_the_oracle_below_the_spread_limit(scaled_only, frac
         assert_matches_oracle(em, tr, labels, mask)
 
 
-def test_log_path_runs_from_the_spread_limit(monkeypatch):
+def test_log_path_runs_from_the_spread_limit():
+    # from the limit on, a batch is refused naming its spread; only a
+    # diverging run gets there
     rng = np.random.default_rng(14)
-    batches = [spread_batch(rng, (1 + 1e-9) * crf.SCALED_SPREAD_LIMIT) for _ in range(20)]
-    assert all(spread(em, tr, mask) >= crf.SCALED_SPREAD_LIMIT for em, tr, _, mask in batches)
-    calls = []
-    log_expectations = crf._log_expectations
-
-    def spy(*args):
-        calls.append(args)
-        return log_expectations(*args)
-
-    def refuse(*args):
-        raise AssertionError("the scaled path ran")
-
-    monkeypatch.setattr(crf, "_log_expectations", spy)
-    monkeypatch.setattr(crf, "_scaled_expectations", refuse)
-    got = [nll_and_grads(*batch) for batch in batches]
-    assert len(calls) == len(batches)
-    # the same as the log path on its own, which a limit of -inf forces
-    monkeypatch.setattr(crf, "SCALED_SPREAD_LIMIT", -np.inf)
-    for batch, result in zip(batches, got):
-        for a, b in zip(result, nll_and_grads(*batch)):
-            assert np.array_equal(a, b)
-        assert_matches_oracle(*batch)
+    for _ in range(20):
+        em, tr, labels, mask = spread_batch(rng, (1 + 1e-9) * crf.SCALED_SPREAD_LIMIT)
+        gap = spread(em, tr, mask)
+        assert gap >= crf.SCALED_SPREAD_LIMIT
+        with pytest.raises(ValueError, match=f"^CRF score spread {gap:.4g} reaches the limit 500$"):
+            nll_and_grads(em, tr, labels, mask)
 
 
 def test_large_scores_stay_finite():

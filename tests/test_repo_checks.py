@@ -1,7 +1,8 @@
 """Checks on the repository itself: the pytest settings report a failing
 property test, every source file parses as the declared minimum Python,
-README's config reference documents exactly the keys the config accepts, and
-the package defines nothing that only the tests use."""
+README's config reference documents exactly the keys the config accepts,
+the package defines nothing that only the tests use, and its one
+floating-point policy is the only one applied."""
 import ast
 import dataclasses
 import re
@@ -103,3 +104,27 @@ def test_every_public_name_in_the_package_is_used_by_the_program():
     unused = [f"{path.stem}.{name}" for path in package for name in _public_top_level_names(trees[path])
               if not name.startswith("_") and name not in used]
     assert unused == []
+
+
+def _call_name(node: ast.Call) -> str:
+    func = node.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+
+
+def test_every_errstate_in_the_package_applies_the_one_float_policy():
+    # the floating-point policy is stated once, as params.FLOAT_POLICY, and
+    # each numeric entry point is decorated with it; no site picks its own
+    decorated = set()
+    for path in sorted((ROOT / "src" / "fedtext").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _call_name(node) in ("errstate", "seterr"):
+                where = f"{path.name}:{node.lineno}"
+                assert _call_name(node) == "errstate", where
+                assert not node.args, where
+                assert [(k.arg, ast.unparse(k.value)) for k in node.keywords] == [(None, "FLOAT_POLICY")], where
+            if isinstance(node, ast.FunctionDef):
+                if any(isinstance(d, ast.Call) and _call_name(d) == "errstate" for d in node.decorator_list):
+                    decorated.add(f"{path.stem}.{node.name}")
+    assert decorated == {"models.loss_and_grad", "models.predict_tags", "models.predict_relations",
+                         "optim.proximal_augment", "optim.apply_step"}

@@ -11,6 +11,7 @@ from fedtext.evaluation import decode_bio
 from fedtext.models import param_layout
 from fedtext.params import ParamVector
 from fedtext.tasks import NER, RE, build_task, load_bundle, save_bundle
+from oracles import segment
 
 TRAIN = [
     corpus.TaggedSentence(("the", "brca1", "gene"), ("O", "B-GENE", "O")),
@@ -210,6 +211,16 @@ def test_bundle_with_the_wrong_number_of_values_is_refused(tmp_path):
     np.savez(tmp_path / "short.npz", **arrays)
     with pytest.raises(ValueError, match=f"covers {n} values but vector has {n - 1}"):
         load_bundle(tmp_path / "short.npz")
+
+
+def test_bundle_with_a_non_finite_value_is_refused(tmp_path):
+    # prediction would otherwise argmax over NaN logits and tag every token
+    task = build_task(TRAIN, kind="window_tagger", embed_dim=4)
+    w = task.init_params(0)
+    segment(w, "out_b")[1] = np.nan
+    save_bundle(tmp_path / "model.npz", task, w)
+    with pytest.raises(ValueError, match="^non-finite bundle values in segment 'out_b'$"):
+        load_bundle(tmp_path / "model.npz")
 
 
 def test_save_bundle_refuses_weights_of_another_layout(tmp_path):
