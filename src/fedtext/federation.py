@@ -5,9 +5,12 @@ mini-batch updates on its own shard (optionally with the proximal penalty
 anchored at the round-start weights), and the server takes the data-weighted
 average of the results.  The average is a running sum: ``aggregate`` asks for
 one client's weights at a time and folds them in before the next client
-trains, so a round holds one client's weights, not K.  Between rounds a
-client keeps only its Adam moments; the optimizer's scratch rows are one
-buffer for the whole run.  Client work depends only on the server weights,
+trains, so a round holds one client's weights, not K.  Each client's
+optimizer covers its support, fixed when the client is built: the
+embedding rows of its shard's tokens and every other entry.  Between rounds
+a client keeps only its Adam moments over that support; the optimizer's
+scratch rows are one buffer for the whole run, as long as the largest
+support.  Client work depends only on the server weights,
 its shard and its ``client_rng`` stream, keyed by (seed, client, round), so
 the order clients run in cannot change the result.  ``rounds`` yields each
 round's record and server weights as the round ends, and ``collect`` picks
@@ -149,15 +152,16 @@ def rounds(
         raise ValueError("dev set is empty")
 
     server = task.init_params(seed)
-    scratch = new_scratch(cfg.optimizer, server.size)  # clients train one at a time
+    supports = [task.support(part) for part in partitions]
+    scratch = new_scratch(cfg.optimizer, max(s.count for s in supports))  # clients train one at a time
     clients = [
         ClientState(
             id=i,
             data=list(part),
-            opt=OptimizerState(cfg.optimizer, server.size, scratch),
+            opt=OptimizerState(cfg.optimizer, support, scratch),
             schedule=client_schedule(cfg, i, len(part)),
         )
-        for i, part in enumerate(partitions)
+        for i, (part, support) in enumerate(zip(partitions, supports))
     ]
 
     def trained(t: int, server: ParamVector, losses: list[float]) -> Iterator[ParamVector]:

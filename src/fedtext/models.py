@@ -41,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from . import crf
-from .params import FLOAT_POLICY, Layout, ParamVector, validate_layout
+from .params import FLOAT_POLICY, Layout, ParamVector, Support, validate_layout
 
 MODEL_KINDS = ("window_tagger", "rnn_crf_tagger", "relation_classifier")
 
@@ -263,6 +263,7 @@ def _window_loss_grad(
     dXp = np.zeros((B, T + 2 * r, d))
     for k in range(2 * r + 1):
         dXp[:, k : k + T] += dF[:, :, k * d : (k + 1) * d]
+    # the only embed rows a gradient writes, which support() relies on
     np.add.at(gs["embed"], ids[mask], dXp[:, r : r + T][mask])
     return loss
 
@@ -351,6 +352,7 @@ def _rnn_crf_loss_grad(
     d_pre_f = _rnn_backward(dH[:, :, :h], c["fw"], X, seg["rnn_fw_h"], gs, "rnn_fw")
     d_pre_b = _rnn_backward(dH[:, :, h:][flip], c["bw_rev"], c["X_rev"], seg["rnn_bw_h"], gs, "rnn_bw")
     dX = d_pre_f @ seg["rnn_fw_x"].T + (d_pre_b @ seg["rnn_bw_x"].T)[flip]
+    # the only embed rows a gradient writes, which support() relies on
     np.add.at(gs["embed"], ids.T[mask.T], dX[mask.T])
     return float(nll.sum())
 
@@ -408,6 +410,7 @@ def _relation_loss_grad(
     d_pooled = (d_hidden @ seg["hidden_w"].T) / c["n"]
     gs["marker1"] += c["span_lens"][:, 0] @ d_pooled
     gs["marker2"] += c["span_lens"][:, 1] @ d_pooled
+    # the only embed rows a gradient writes, which support() relies on
     np.add.at(gs["embed"], c["ids"][c["mask"]], np.repeat(d_pooled, c["n"][:, 0], axis=0))
     return loss
 
@@ -416,6 +419,19 @@ def _relation_loss_grad(
 # public interface
 
 Batch = Sequence[TagExample] | Sequence[RelationExample]
+
+
+def support(spec: ModelSpec, batch: Batch) -> Support:
+    """The entries a gradient over items of ``batch`` can be nonzero in.
+    Every kind scatters its ``embed`` gradient with one ``np.add.at`` at the
+    batch's token ids ``ids[mask]`` and no other row, and may write any entry
+    of the other segments: so the support is the ``embed`` rows of the
+    batch's token ids, and every entry after ``embed``, the first segment."""
+    tokens = [item.token_ids for item in batch]
+    seen = np.zeros(spec.vocab_size, dtype=bool)
+    seen[_joined(tokens, spec.vocab_size, "token id")] = True  # np.unique would import numpy.ma
+    _, length = param_layout(spec)["embed"]  # at offset 0
+    return Support(param_count(spec), head=length, width=spec.embed_dim, rows=np.flatnonzero(seen))
 
 
 @np.errstate(**FLOAT_POLICY)

@@ -6,6 +6,9 @@ segments are disjoint and tile the vector exactly, so federated averaging and
 optimizer updates are plain vector arithmetic.  Every layout the package uses
 comes from ``models.param_layout``, which checks the tiling once per model
 spec; a vector only checks that its size matches where its layout ends.
+
+A ``Support`` names the entries of a vector that a client's optimizer steps
+can move, and moves them between the full vector and a compact one.
 """
 from __future__ import annotations
 
@@ -67,13 +70,57 @@ class ParamVector:
     def zeros_like(self) -> "ParamVector":
         return ParamVector(np.zeros(self.size), self.layout)
 
+    def segment_of(self, index: int) -> str:
+        """The name of the segment that holds entry ``index``."""
+        return next(
+            name for name, (offset, length) in self.layout.items() if offset <= index < offset + length
+        )
+
     def check_finite(self, what: str = "values") -> None:
         """Raise naming the segment of the first entry that is not finite, if any."""
         finite = np.isfinite(self.values)
-        if finite.all():
-            return
-        bad = int(np.flatnonzero(~finite)[0])
-        for name, (offset, length) in self.layout.items():
-            if offset <= bad < offset + length:
-                raise ValueError(f"non-finite {what} in segment {name!r}")
-        raise ValueError(f"non-finite {what} at index {bad}")
+        if not finite.all():
+            bad = int(np.flatnonzero(~finite)[0])
+            raise ValueError(f"non-finite {what} in segment {self.segment_of(bad)!r}")
+
+
+@dataclass(frozen=True, eq=False)
+class Support:
+    """Entries of a vector of ``size`` values: the unique ``rows`` of its
+    leading ``(head // width, width)`` block, and every entry from ``head``
+    on; ``Support(size)`` is every entry.  ``gather`` copies them, rows
+    first, into a compact vector of ``count`` values, and ``scatter`` copies
+    one back."""
+
+    size: int
+    head: int = 0
+    width: int = 1
+    rows: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
+
+    @property
+    def count(self) -> int:
+        return self.rows.size * self.width + self.size - self.head
+
+    def _split(self, values: np.ndarray, compact: np.ndarray):
+        """(block rows, compact rows, tail, compact tail) views."""
+        k = self.rows.size * self.width
+        return (values[: self.head].reshape(-1, self.width), compact[:k].reshape(-1, self.width),
+                values[self.head :], compact[k:])
+
+    def gather(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
+        block, rows, tail, out_tail = self._split(values, out)
+        np.take(block, self.rows, axis=0, out=rows, mode="clip")  # "raise" would buffer ``out``
+        out_tail[...] = tail
+        return out
+
+    def scatter(self, compact: np.ndarray, values: np.ndarray) -> None:
+        block, rows, tail, compact_tail = self._split(values, compact)
+        block[self.rows] = rows
+        tail[...] = compact_tail
+
+    def index(self, i: int) -> int:
+        """The vector index of the compact vector's entry ``i``."""
+        k = self.rows.size * self.width
+        if i < k:
+            return int(self.rows[i // self.width]) * self.width + i % self.width
+        return self.head + i - k

@@ -706,7 +706,7 @@ def test_a_huge_finite_mu_stops_the_run_before_adam_overflows(tmp_path, capsys):
             .replace("fedavg", "fedprox") + "mu = 1e300\n")
     assert main(["run", "-c", str(write_config(tmp_path, text=text))]) == 2
     err = capsys.readouterr().err
-    assert err == "error: round 1, client 0: overflow encountered in square\n"
+    assert err == "error: round 1, client 0: overflow encountered in square of the gradient in segment 'embed'\n"
     assert not (tmp_path / "out" / "manifest.json").exists()
 
 

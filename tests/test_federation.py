@@ -5,19 +5,21 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fedtext import corpus, tasks
+from fedtext import corpus, federation, tasks
 from fedtext.config import ConfigError, FederationConfig
 from fedtext.federation import (
     ClientState,
     aggregate,
     client_rng,
+    client_schedule,
     collect,
     local_update,
     rounds,
     weights_sha256,
 )
-from fedtext.optim import OptimizerState, Schedule
+from fedtext.optim import OptimizerState, Schedule, lr_at
 from fedtext.params import ParamVector
+import oracles
 from oracles import segment
 
 LAYOUT = {"w": (0, 2)}
@@ -308,6 +310,68 @@ def test_round_loop_matches_a_hand_rolled_reference(ner_setup):
     lg = task.loss_and_grad(w_fresh, batch)
     apply_step(fresh_state, w_fresh, lg.grad, lr_at(sched, 0))
     assert not np.array_equal(hand[1].values, w_fresh.values)
+
+
+@pytest.fixture(scope="module")
+def by_source_setup():
+    # two sources with disjoint lexicons, one client each, so each client's
+    # shard reaches only part of the embedding rows
+    profile = corpus.make_profile(["GENE", "DIS"], lexicon_size=12, sentences=40, sources=2,
+                                  heterogeneity=1.0, cue_rate=1.0)
+    sources = corpus.generate_synthetic(profile, 4)
+    task = tasks.build_task([s for _, sents in sources for s in sents], kind="window_tagger", embed_dim=4)
+    parts = corpus.partition_by_source([(name, task.prepare(sents[:30])) for name, sents in sources])
+    dev = task.prepare(sources[0][1][30:] + sources[1][1][30:])
+    return task, parts, dev
+
+
+def test_a_partial_support_round_loop_matches_a_dense_hand_rolled_reference(by_source_setup):
+    # two clients, adam FedProx, several steps per round: every round's
+    # weights equal dense functional updates of the whole vector, bit for bit
+    task, parts, dev = by_source_setup
+    mu, lr0, batch = 0.1, 0.02, 8
+    cfg = fed_cfg(clients=2, rounds=3, local_epochs=2, batch_size=batch, mu=mu,
+                  optimizer="adam", base_lr=lr0)
+    records = [record for record, _ in train_rounds(task, cfg, parts, dev)]
+
+    server = task.init_params(0)
+    assert all(task.support(part).count < server.size for part in parts)
+    moments = [(np.zeros(server.size), np.zeros(server.size), 0) for _ in parts]
+    total = sum(map(len, parts))
+    for t in range(3):
+        out = np.zeros(server.size)
+        for k, part in enumerate(parts):
+            sched = client_schedule(cfg, k, len(part))
+            m, v, step = moments[k]
+            w, rng = server.values, client_rng(0, k, t)
+            for _ in range(2):
+                order = rng.permutation(len(part))
+                for lo in range(0, len(part), batch):
+                    items = [part[i] for i in order[lo : lo + batch]]
+                    g = task.loss_and_grad(ParamVector(w, server.layout), items).grad.values
+                    m, v, step, w, _ = oracles.optimizer_step(
+                        "adam", m, v, step, w, g, lr_at(sched, step), mu, server.values)
+            moments[k] = (m, v, step)
+            out += (len(part) / total) * w
+        server = ParamVector(out, server.layout)
+        assert weights_sha256(server) == records[t]["weights_sha256"]
+
+
+def test_a_clients_moments_cover_its_support_not_the_whole_vector(by_source_setup, monkeypatch):
+    task, parts, dev = by_source_setup
+    states = []
+
+    class Recorded(OptimizerState):
+        def __init__(self, *args):
+            super().__init__(*args)
+            states.append(self)
+
+    monkeypatch.setattr(federation, "OptimizerState", Recorded)
+    next(rounds(task, fed_cfg(rounds=1, optimizer="adam"), parts, dev))
+    size = task.init_params(0).size
+    for state, part in zip(states, parts, strict=True):
+        count = task.support(part).count
+        assert state.m.size == state.v.size == count < size
 
 
 def test_divergence_names_the_round_and_the_client(ner_setup, monkeypatch):

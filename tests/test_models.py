@@ -1,4 +1,5 @@
 """Model forward/backward passes against finite differences and hand math."""
+import dataclasses
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from fedtext.models import (
     predict_relations,
     predict_tags,
     segment_shapes,
+    support,
 )
 from fedtext.params import validate_layout
 import oracles
@@ -510,3 +512,27 @@ def test_short_training_reduces_loss():
             w.values -= 0.5 * lg.grad.values
             loss = lg.loss
         assert loss < first.loss
+
+
+@pytest.mark.parametrize("spec, make_item", [
+    (WINDOW, random_tag_item), (RNN, random_tag_item), (REL, random_rel_item),
+], ids=["window_tagger", "rnn_crf_tagger", "relation_classifier"])
+def test_a_gradient_is_positive_zero_outside_the_declared_support(spec, make_item):
+    # a client's optimizer steps only the entries of its support, which is
+    # exact only if every other entry of every batch gradient is +0.0: then
+    # a dense step leaves it as it is, -0.0 weights included
+    spec = dataclasses.replace(spec, vocab_size=40)  # so a batch reaches few embed rows
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        batch = mixed_batch(make_item)(spec, rng)
+        w = init_params(spec, int(rng.integers(1_000_000)))
+        sup = support(spec, batch)
+        inside = np.zeros(w.size)
+        sup.scatter(np.ones(sup.count), inside)
+        assert inside.sum() == sup.count < w.size
+        outside = loss_and_grad(spec, w, batch).grad.values[inside == 0.0]
+        assert np.all(outside == 0.0) and not np.signbit(outside).any()
+        # the support is every entry after embed and the rows of the batch's tokens
+        tokens = np.unique(np.concatenate([item.token_ids for item in batch]))
+        assert np.array_equal(sup.rows, tokens)
+        assert inside[param_layout(spec)["embed"][1]:].all()

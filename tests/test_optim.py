@@ -10,7 +10,7 @@ from fedtext.optim import (
     lr_at,
     proximal_augment,
 )
-from fedtext.params import ParamVector
+from fedtext.params import ParamVector, Support
 
 LAYOUT = {"a": (0, 2), "b": (2, 1)}
 
@@ -85,6 +85,55 @@ def test_in_place_step_matches_the_functional_reference(kind):
     assert not np.array_equal(w.values, anchor.values)
 
 
+@pytest.mark.parametrize("mu", [0.0, 0.3])
+@pytest.mark.parametrize("kind", ["sgd", "adam"])
+def test_a_step_on_a_partial_support_equals_the_dense_step(kind, mu):
+    # gradients that are +0.0 off the support, as every model's are, and
+    # weights that start at the anchor: stepping only the support's entries
+    # gives the dense reference's weights and moments bit for bit, and leaves
+    # every other weight, -0.0 included, as it was
+    rng = np.random.default_rng(11)
+    V, d, tail = 9, 4, 5
+    layout = {"embed": (0, V * d), "out": (V * d, tail)}
+    sup = Support(V * d + tail, head=V * d, width=d, rows=np.array([0, 2, 3, 7]))
+    inside = np.zeros(sup.size)
+    sup.scatter(np.ones(sup.count), inside)
+    off = inside == 0.0
+    w = ParamVector(rng.normal(size=sup.size), layout)
+    w.values[off & (rng.random(sup.size) < 0.5)] = -0.0
+    anchor, before = w.copy(), w.values.tobytes()
+    state = OptimizerState(kind, sup)
+    m, v = (np.zeros(sup.size), np.zeros(sup.size)) if kind == "adam" else (None, None)
+    ref_w, t = w.values.copy(), 0
+    for step in range(40):
+        g = np.where(off, 0.0, rng.normal(size=sup.size) * 10.0 ** rng.integers(-3, 3))
+        lr = 0.01 * (1 + step % 7)
+        m, v, t, ref_w, ref_penalty = oracles.optimizer_step(kind, m, v, t, ref_w, g, lr, mu, anchor.values)
+        grad = ParamVector(g.copy(), layout)
+        penalty = proximal_augment(state, w, grad, anchor, mu)
+        apply_step(state, w, grad, lr)
+        assert penalty == pytest.approx(ref_penalty, rel=1e-12)  # a shorter dot may round otherwise
+        assert w.values.tobytes() == ref_w.tobytes()
+        assert state.step_count == t
+        if kind == "adam":
+            assert state.m.size == state.v.size == sup.count
+            assert sup.gather(m, np.empty(sup.count)).tobytes() == state.m.tobytes()
+            assert sup.gather(v, np.empty(sup.count)).tobytes() == state.v.tobytes()
+    assert w.values[off].tobytes() == np.frombuffer(before)[off].tobytes()
+    assert not np.array_equal(w.values, anchor.values)
+
+
+def test_an_overflowing_square_is_named_by_the_segment_of_its_support_entry():
+    layout = {"embed": (0, 8), "out": (8, 2)}
+    sup = Support(10, head=8, width=2, rows=np.array([1, 3]))
+    for index, name in ((7, "embed"), (9, "out")):
+        g = np.zeros(10)
+        g[[2, index]] = 1e153, 1e155  # only the second one's square overflows
+        w = ParamVector(np.zeros(10), layout)
+        with pytest.raises(FloatingPointError, match=f"in square of the gradient in segment '{name}'$"):
+            apply_step(OptimizerState("adam", sup), w, ParamVector(g, layout), 0.1)
+
+
 @pytest.mark.parametrize("kind", ["sgd", "adam"])
 def test_rejected_step_leaves_weights_and_state_unchanged(kind):
     w = vec([1.0, -1.0, 0.5])
@@ -95,7 +144,8 @@ def test_rejected_step_leaves_weights_and_state_unchanged(kind):
     cases = [(vec([0.0, np.nan, 0.0]), 0.1, ValueError, "non-finite gradient in segment 'a'"),
              (vec([1.0, 1.0, 1.0]), -0.1, ValueError, "learning rate must be >= 0")]
     if kind == "adam":  # finite, but its square overflows the second moment
-        cases.append((vec([0.0, 0.0, 1e200]), 0.1, FloatingPointError, "overflow encountered in square"))
+        cases.append((vec([0.0, 0.0, 1e200]), 0.1, FloatingPointError,
+                      "overflow encountered in square of the gradient in segment 'b'"))
     for grad, lr, error, message in cases:
         with pytest.raises(error, match=f"^{message}$"):
             apply_step(state, w, grad, lr)

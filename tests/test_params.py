@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from fedtext.params import ParamVector, validate_layout
+from fedtext.params import ParamVector, Support, validate_layout
 from oracles import segment
 
 
@@ -62,3 +62,17 @@ def test_check_finite_names_the_offending_segment():
 def test_check_finite_passes_on_finite_values():
     make_vec().check_finite("weights")
 
+
+def test_support_gathers_scatters_and_maps_back_its_entries():
+    # rows 1 and 3 of a (4, 2) block, then the 3-entry tail
+    sup = Support(11, head=8, width=2, rows=np.array([1, 3]))
+    values = np.arange(11.0)
+    compact = sup.gather(values, np.empty(sup.count))
+    assert compact.tolist() == [2.0, 3.0, 6.0, 7.0, 8.0, 9.0, 10.0]
+    assert [sup.index(i) for i in range(sup.count)] == [2, 3, 6, 7, 8, 9, 10]
+    out = np.zeros(11)
+    sup.scatter(-compact, out)
+    assert out.tolist() == [0, 0, -2, -3, 0, 0, -6, -7, -8, -9, -10]
+    every = Support(5)  # a size alone: every entry
+    assert every.count == 5
+    assert every.gather(values[:5], np.empty(5)).tolist() == values[:5].tolist()
