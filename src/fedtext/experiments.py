@@ -13,7 +13,7 @@ import os
 import statistics
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -191,6 +191,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
         federation.client_schedule(fed, k, len(part))
     # one round loop per group of shards: single trains each shard on its own
     groups = [[part] for part in parts] if cfg.scheme == "single" else [parts]
+    created = not out.exists()
     out.mkdir(parents=True, exist_ok=True)
     # a run stopped partway must not leave an earlier run's manifest over its repeats
     for name in ("manifest.json", "summary.json"):
@@ -203,11 +204,17 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
     for i, seed in enumerate(seeds):
         rep_dir = out / f"repeat_{i}"
         rep_dir.mkdir(exist_ok=True)
-        with _replacing(rep_dir / "rounds.jsonl") as fh:
-            best = []
-            for run, group in enumerate(groups):
-                stream = federation.rounds(s.task, fed, group, s.dev, seed)
-                best.append(federation.collect(s.task, _logged(fh, run, stream)))
+        try:
+            with _replacing(rep_dir / "rounds.jsonl") as fh:
+                best = []
+                for run, group in enumerate(groups):
+                    stream = federation.rounds(s.task, fed, group, s.dev, seed)
+                    best.append(federation.collect(s.task, _logged(fh, run, stream)))
+        except BaseException:  # before the repeat's first file: leave no empty directory
+            for path in (rep_dir, out) if created else (rep_dir,):
+                with suppress(OSError):  # not empty
+                    path.rmdir()
+            raise
         reports = [s.task.evaluate(w, s.test) for w in best]
         report = _mean_reports(reports) if cfg.scheme == "single" else reports[0]
         repeat_reports.append({"seed": seed, **report.as_dict()})

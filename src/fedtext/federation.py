@@ -7,10 +7,11 @@ average of the results.  The average is a running sum: ``aggregate`` asks for
 one client's weights at a time and folds them in before the next client
 trains, so a round holds one client's weights, not K.  Each client's
 optimizer covers its support, fixed when the client is built: the
-embedding rows of its shard's tokens and every other entry.  Between rounds
-a client keeps only its Adam moments over that support; the optimizer's
-scratch rows are one buffer for the whole run, as long as the largest
-support.  Client work depends only on the server weights,
+embedding rows of its shard's tokens and every other entry.  Each batch
+gradient comes over that support only, and the optimizer steps it as it
+comes.  Between rounds a client keeps only its Adam moments over that
+support; the optimizer's scratch rows are one buffer for the whole run, as
+long as the largest support.  Client work depends only on the server weights,
 its shard and its ``client_rng`` stream, keyed by (seed, client, round), so
 the order clients run in cannot change the result.  ``rounds`` yields each
 round's record and server weights as the round ends, and ``collect`` picks
@@ -117,7 +118,7 @@ def local_update(
         batch_losses = []
         for lo in range(0, client.n, cfg.batch_size):
             batch = [client.data[i] for i in order[lo : lo + cfg.batch_size]]
-            lg = task.loss_and_grad(weights, batch)
+            lg = task.loss_and_grad(weights, batch, opt.support)
             penalty = proximal_augment(opt, weights, lg.grad, global_weights, cfg.mu)
             loss = lg.loss + penalty
             if not math.isfinite(loss):  # Python floats overflow to inf without raising

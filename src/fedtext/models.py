@@ -130,17 +130,25 @@ def segment_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
 
 
 @functools.cache
-def param_layout(spec: ModelSpec) -> Layout:
-    """The spec's segments laid end to end; the one place a layout's tiling
-    is checked, once per spec."""
+def _layout(spec: ModelSpec, embed_rows: int) -> tuple[Layout, tuple[tuple[str, slice, tuple[int, ...]], ...]]:
+    """The spec's segments laid end to end, ``embed`` with ``embed_rows`` rows: the
+    layout, its tiling checked here once, and each segment's slice and shape."""
     layout: Layout = {}
-    offset = 0
+    parts, offset = [], 0
     for name, shape in segment_shapes(spec).items():
+        if name == "embed":
+            shape = (embed_rows, spec.embed_dim)
         length = int(np.prod(shape))
         layout[name] = (offset, length)
+        parts.append((name, slice(offset, offset + length), shape))
         offset += length
     validate_layout(layout, offset)
-    return layout
+    return layout, tuple(parts)
+
+
+def param_layout(spec: ModelSpec) -> Layout:
+    """The layout of the spec's whole parameter vector, built once per spec."""
+    return _layout(spec, spec.vocab_size)[0]
 
 
 def param_count(spec: ModelSpec) -> int:
@@ -162,22 +170,15 @@ def init_params(spec: ModelSpec, seed: int) -> ParamVector:
 
 
 Segments = dict[str, np.ndarray]
-
-
-@functools.cache
-def _segment_slices(spec: ModelSpec) -> tuple[tuple[str, slice, tuple[int, ...]], ...]:
-    layout = param_layout(spec)
-    return tuple(
-        (name, slice(layout[name][0], sum(layout[name])), shape)
-        for name, shape in segment_shapes(spec).items()
-    )
+LossParts = tuple[float, np.ndarray, np.ndarray]  # summed loss; real positions' token ids and embed grads
 
 
 def _segments(spec: ModelSpec, w: ParamVector) -> Segments:
     """Writable, shaped views of every segment of weights or a gradient laid
     out by ``spec``; slicing ``values`` directly keeps this cheap enough to
     run on every single-sentence prediction."""
-    return {name: w.values[part].reshape(shape) for name, part, shape in _segment_slices(spec)}
+    _, parts = _layout(spec, w.layout["embed"][1] // spec.embed_dim)
+    return {name: w.values[part].reshape(shape) for name, part, shape in parts}
 
 
 def _check_weights(spec: ModelSpec, w: ParamVector) -> None:
@@ -246,7 +247,7 @@ def _window_logits(
 
 def _window_loss_grad(
     spec: ModelSpec, seg: Segments, ids: np.ndarray, mask: np.ndarray, labels: np.ndarray, gs: Segments
-) -> float:
+) -> LossParts:
     B, T = ids.shape
     d, r = spec.embed_dim, spec.window_radius
     logits, F = _window_logits(spec, seg, seg["embed"][ids] * mask[:, :, None])
@@ -263,9 +264,7 @@ def _window_loss_grad(
     dXp = np.zeros((B, T + 2 * r, d))
     for k in range(2 * r + 1):
         dXp[:, k : k + T] += dF[:, :, k * d : (k + 1) * d]
-    # the only embed rows a gradient writes, which support() relies on
-    np.add.at(gs["embed"], ids[mask], dXp[:, r : r + T][mask])
-    return loss
+    return loss, ids[mask], dXp[:, r : r + T][mask]
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +336,7 @@ def _rnn_emissions(
 
 def _rnn_crf_loss_grad(
     spec: ModelSpec, seg: Segments, ids: np.ndarray, mask: np.ndarray, labels: np.ndarray, gs: Segments
-) -> float:
+) -> LossParts:
     h = spec.hidden_dim
     flip = crf.reversal(mask)
     X = seg["embed"][ids.T]
@@ -352,9 +351,7 @@ def _rnn_crf_loss_grad(
     d_pre_f = _rnn_backward(dH[:, :, :h], c["fw"], X, seg["rnn_fw_h"], gs, "rnn_fw")
     d_pre_b = _rnn_backward(dH[:, :, h:][flip], c["bw_rev"], c["X_rev"], seg["rnn_bw_h"], gs, "rnn_bw")
     dX = d_pre_f @ seg["rnn_fw_x"].T + (d_pre_b @ seg["rnn_bw_x"].T)[flip]
-    # the only embed rows a gradient writes, which support() relies on
-    np.add.at(gs["embed"], ids.T[mask.T], dX[mask.T])
-    return float(nll.sum())
+    return float(nll.sum()), ids.T[mask.T], dX[mask.T]
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +389,7 @@ def _relation_forward(
 
 def _relation_loss_grad(
     spec: ModelSpec, seg: Segments, batch: Sequence[RelationExample], gs: Segments
-) -> float:
+) -> LossParts:
     logits, c = _relation_forward(spec, seg, batch)
     gold_ids = _joined([np.array([item.label_id for item in batch])], spec.label_count, "label id")
     probs = _softmax_rows(logits)
@@ -410,9 +407,7 @@ def _relation_loss_grad(
     d_pooled = (d_hidden @ seg["hidden_w"].T) / c["n"]
     gs["marker1"] += c["span_lens"][:, 0] @ d_pooled
     gs["marker2"] += c["span_lens"][:, 1] @ d_pooled
-    # the only embed rows a gradient writes, which support() relies on
-    np.add.at(gs["embed"], c["ids"][c["mask"]], np.repeat(d_pooled, c["n"][:, 0], axis=0))
-    return loss
+    return loss, c["ids"][c["mask"]], np.repeat(d_pooled, c["n"][:, 0], axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -423,10 +418,10 @@ Batch = Sequence[TagExample] | Sequence[RelationExample]
 
 def support(spec: ModelSpec, batch: Batch) -> Support:
     """The entries a gradient over items of ``batch`` can be nonzero in.
-    Every kind scatters its ``embed`` gradient with one ``np.add.at`` at the
-    batch's token ids ``ids[mask]`` and no other row, and may write any entry
-    of the other segments: so the support is the ``embed`` rows of the
-    batch's token ids, and every entry after ``embed``, the first segment."""
+    ``loss_and_grad`` writes the ``embed`` gradient with one ``np.add.at``
+    at the batch's token ids and no other row, and may write any entry of
+    the other segments: so the support is the ``embed`` rows of the batch's
+    token ids, sorted, and every entry after ``embed``, the first segment."""
     tokens = [item.token_ids for item in batch]
     seen = np.zeros(spec.vocab_size, dtype=bool)
     seen[_joined(tokens, spec.vocab_size, "token id")] = True  # np.unique would import numpy.ma
@@ -435,17 +430,22 @@ def support(spec: ModelSpec, batch: Batch) -> Support:
 
 
 @np.errstate(**FLOAT_POLICY)
-def loss_and_grad(spec: ModelSpec, w: ParamVector, batch: Batch) -> LossGrad:
+def loss_and_grad(spec: ModelSpec, w: ParamVector, batch: Batch, support: Support | None = None) -> LossGrad:
     """Mean per-item NLL over the batch and the matching exact gradient,
-    from one padded, masked pass over the whole batch, which also checks it."""
+    from one padded, masked pass over the whole batch, which also checks it.
+    The gradient holds the entries of ``support`` (every entry by default)
+    in ``Support.gather`` order, its ``embed`` segment the support's rows;
+    a batch token outside them is a ValueError."""
     _check_weights(spec, w)
     item_type = RelationExample if spec.kind == "relation_classifier" else TagExample
     if not all(isinstance(item, item_type) for item in batch):
         raise ValueError(f"{spec.kind} expects {item_type.__name__} items")
-    grad = w.zeros_like()
+    rows = None if support is None or support.count == w.size else support.rows
+    layout, _ = _layout(spec, spec.vocab_size if rows is None else rows.size)
+    grad = ParamVector(np.zeros(w.size if rows is None else support.count), layout)
     seg, gs = _segments(spec, w), _segments(spec, grad)
     if spec.kind == "relation_classifier":
-        total = _relation_loss_grad(spec, seg, batch, gs)
+        total, tokens, d_embed = _relation_loss_grad(spec, seg, batch, gs)
     else:
         tokens = [item.token_ids for item in batch]
         ids, mask = _pad(tokens, _joined(tokens, spec.vocab_size, "token id"))
@@ -454,7 +454,14 @@ def loss_and_grad(spec: ModelSpec, w: ParamVector, batch: Batch) -> LossGrad:
         if not np.array_equal(mask, label_mask):
             raise ValueError("token and label arrays differ in length")
         tagger = _window_loss_grad if spec.kind == "window_tagger" else _rnn_crf_loss_grad
-        total = tagger(spec, seg, ids, mask, labels, gs)
+        total, tokens, d_embed = tagger(spec, seg, ids, mask, labels, gs)
+    if rows is not None:  # token id -> its row of the compact embed segment
+        at = np.searchsorted(rows, tokens)
+        outside = np.take(rows, at, mode="clip") != tokens
+        if outside.any():
+            raise ValueError(f"token id {tokens[outside][0]} is outside the gradient's support")
+        tokens = at
+    np.add.at(gs["embed"], tokens, d_embed)  # the one write to an embed gradient
     grad.values /= len(batch)
     return LossGrad(loss=total / len(batch), grad=grad)
 

@@ -3,18 +3,18 @@ FedProx proximal term.
 
 Each client owns one ``OptimizerState`` for the whole run: its step count
 and, under Adam, its moments, both over the client's support, the entries
-its gradients can be nonzero in (``models.support``).  A step gathers the
-gradient's and the weights' support entries once, runs the textbook updates
-on them, and writes the weights back.  This is exact: off the support the
-gradient and the moments are +0.0 and the weights equal the proximal anchor,
-so a dense step would leave each of them, -0.0 included, as it was.  A state
-built from a vector size alone covers every entry.
+its gradients can be nonzero in (``models.support``), in which
+``models.loss_and_grad`` computes them.  A step gathers the weights' support
+entries, runs the textbook updates on them, and writes the weights back.
+This is exact: off the support the gradient and the moments are +0.0 and
+the weights equal the proximal anchor, so a dense step would leave each of
+them, -0.0 included, as it was.  A state built from a vector size alone
+covers every entry.
 
-``proximal_augment`` adds the proximal gradient to the batch gradient in
-place and leaves the gathered rows for the ``apply_step`` that follows it;
+``proximal_augment`` adds the proximal gradient to such a gradient in place;
 ``apply_step`` updates the weights, the step count and the moments in place.
 Both work in the state's ``scratch`` rows, so a step allocates nothing of
-the parameter vector's size.  Nothing in the scratch outlives a step, so it
+the parameter vector's size.  Nothing in the scratch outlives a call, so it
 belongs to the run rather than to a client: clients train one at a time,
 and the round loop hands every client's state the same ``new_scratch``
 buffer.  The floating-point operations run in the order of the textbook
@@ -66,10 +66,9 @@ def lr_at(sched: Schedule, step: int) -> float:
 
 
 def new_scratch(kind: str, size: int) -> np.ndarray:
-    """Work rows for steps of optimizer ``kind`` over supports of at most
-    ``size`` entries: the gathered gradient and weights, then two work rows
-    under adam, one under sgd."""
-    return np.empty((4 if kind == "adam" else 3, size))
+    """Work rows for steps of optimizer ``kind`` over supports of at most ``size``
+    entries: the gathered weights, then two work rows under adam, one under sgd."""
+    return np.empty((3 if kind == "adam" else 2, size))
 
 
 class OptimizerState:
@@ -91,20 +90,11 @@ class OptimizerState:
         self.m = np.zeros(n) if adam else None
         self.v = np.zeros(n) if adam else None
         self.scratch = (new_scratch(kind, n) if scratch is None else scratch)[:, :n]
-        self._held = None  # the (w, grad) whose support scratch rows 0 and 1 hold
 
 
-def _gathered(state: OptimizerState, w: ParamVector, grad: ParamVector) -> tuple[np.ndarray, ...]:
-    """The support entries of ``grad`` and ``w``, then the work rows.  They
-    are gathered once per step: ``apply_step`` takes them as the
-    ``proximal_augment`` before it on the same vectors left them, so no other
-    state's step may use the scratch in between."""
-    held, state._held = state._held, None
-    g, wc, *work = state.scratch
-    if held is None or held[0] is not w or held[1] is not grad:
-        state.support.gather(grad.values, g)
-        state.support.gather(w.values, wc)
-    return g, wc, *work
+def _check_size(state: OptimizerState, grad: ParamVector) -> None:
+    if grad.size != state.support.count:
+        raise ValueError(f"gradient has {grad.size} values, but the optimizer's support has {state.support.count}")
 
 
 @np.errstate(**FLOAT_POLICY)
@@ -112,36 +102,39 @@ def proximal_augment(
     state: OptimizerState, w: ParamVector, grad: ParamVector, anchor: ParamVector, mu: float
 ) -> float:
     """Add the gradient mu * (w - anchor) of the penalty (mu / 2) * ||w - anchor||^2
-    to ``grad`` in place over the state's support; returns the penalty, 0.0
-    without touching ``grad`` at mu = 0.  Off the support, w equals the
+    to ``grad``, over the state's support, in place; returns the penalty,
+    0.0 without touching ``grad`` at mu = 0.  Off the support, w equals the
     anchor, so neither the penalty nor its gradient has anything there."""
     if mu < 0:
         raise ValueError("mu must be >= 0")
+    _check_size(state, grad)
     if mu == 0.0:
         return 0.0
-    g, wc, diff, *_ = _gathered(state, w, grad)
+    wc, diff, *_ = state.scratch
+    state.support.gather(w.values, wc)
     state.support.gather(anchor.values, diff)
     np.subtract(wc, diff, out=diff)
     penalty = 0.5 * mu * float(diff @ diff)
     diff *= mu
-    g += diff
-    state.support.scatter(g, grad.values)
-    state._held = (w, grad)
+    grad.values += diff
     return penalty
 
 
 @np.errstate(**FLOAT_POLICY)
 def apply_step(state: OptimizerState, w: ParamVector, grad: ParamVector, lr: float) -> None:
-    """One update of ``w`` and ``state`` in place, over the state's support.
-    A negative rate, a non-finite gradient or a gradient whose square
-    overflows Adam's second moment raises before anything is written, the
-    latter two naming the segment.  An update that overflows raises
-    FloatingPointError before the weights are written back, and the round
-    loop discards that client's weights, naming its round and client."""
-    g, wc, *s = _gathered(state, w, grad)
+    """One update of ``w`` and ``state`` in place by ``grad``, over the
+    state's support.  A negative rate, a gradient of another size, a
+    non-finite one or one whose square overflows Adam's second moment raises
+    before anything is written, the latter two naming the segment.  An
+    update that overflows raises FloatingPointError before the weights are
+    written back, and the round loop discards that client's weights, naming
+    its round and client."""
+    _check_size(state, grad)
     grad.check_finite("gradient")
     if lr < 0:
         raise ValueError("learning rate must be >= 0")
+    g, (wc, *s) = grad.values, state.scratch
+    state.support.gather(w.values, wc)
     if state.kind == "sgd":
         state.step_count += 1
         wc -= np.multiply(lr, g, out=s[0])
@@ -150,7 +143,7 @@ def apply_step(state: OptimizerState, w: ParamVector, grad: ParamVector, lr: flo
     try:
         sq = np.square(g, out=s[1])
     except FloatingPointError:
-        bad = state.support.index(int(np.flatnonzero(np.abs(g) > SQRT_MAX)[0]))
+        bad = int(np.flatnonzero(np.abs(g) > SQRT_MAX)[0])
         raise FloatingPointError(
             f"overflow encountered in square of the gradient in segment {grad.segment_of(bad)!r}"
         ) from None

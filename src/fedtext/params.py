@@ -4,11 +4,12 @@ All model weights and optimizer accumulators live in a single 1-D float64
 array.  A layout maps each parameter-group name to an (offset, length) pair;
 segments are disjoint and tile the vector exactly, so federated averaging and
 optimizer updates are plain vector arithmetic.  Every layout the package uses
-comes from ``models.param_layout``, which checks the tiling once per model
-spec; a vector only checks that its size matches where its layout ends.
+comes from ``models``, which checks its tiling once when it builds it; a
+vector only checks that its size matches where its layout ends.
 
 A ``Support`` names the entries of a vector that a client's optimizer steps
-can move, and moves them between the full vector and a compact one.
+can move, and moves them between the full vector and a compact one.  A
+gradient over a support is such a compact vector, with a layout of its own.
 """
 from __future__ import annotations
 
@@ -67,9 +68,6 @@ class ParamVector:
     def copy(self) -> "ParamVector":
         return ParamVector(self.values.copy(), self.layout)
 
-    def zeros_like(self) -> "ParamVector":
-        return ParamVector(np.zeros(self.size), self.layout)
-
     def segment_of(self, index: int) -> str:
         """The name of the segment that holds entry ``index``."""
         return next(
@@ -117,10 +115,3 @@ class Support:
         block, rows, tail, compact_tail = self._split(values, compact)
         block[self.rows] = rows
         tail[...] = compact_tail
-
-    def index(self, i: int) -> int:
-        """The vector index of the compact vector's entry ``i``."""
-        k = self.rows.size * self.width
-        if i < k:
-            return int(self.rows[i // self.width]) * self.width + i % self.width
-        return self.head + i - k

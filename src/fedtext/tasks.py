@@ -99,8 +99,8 @@ class Task:
     def init_params(self, seed: int) -> ParamVector:
         return models.init_params(self.spec, seed)
 
-    def loss_and_grad(self, w: ParamVector, items: Sequence) -> models.LossGrad:
-        return models.loss_and_grad(self.spec, w, [it.enc for it in items])
+    def loss_and_grad(self, w: ParamVector, items: Sequence, support: Support | None = None) -> models.LossGrad:
+        return models.loss_and_grad(self.spec, w, [it.enc for it in items], support)
 
     def support(self, items: Sequence) -> Support:
         """The entries of the weights a gradient over ``items`` can move."""

@@ -33,6 +33,7 @@ from fedtext.crf import _check_scores
 from fedtext.evaluation import EntitySpan
 from fedtext.llm_bridge import TAG_NAME, HighlightDiagnostics
 from fedtext.models import segment_shapes
+from fedtext.params import ParamVector
 
 
 def _lse(scores, axis):
@@ -291,7 +292,7 @@ def _relation_loss_grad(spec, w, item, grad):
 def loss_and_grad(spec, w, batch):
     """Mean per-item NLL and gradient, one item at a time; inputs are
     assumed valid (the batched code under test validates them)."""
-    grad = w.zeros_like()
+    grad = ParamVector(np.zeros(w.size), w.layout)
     total = 0.0
     for item in batch:
         if spec.kind == "relation_classifier":

@@ -593,8 +593,8 @@ def test_divergence_exits_2_naming_round_client_and_segment(tmp_path, capsys, mo
     armed = []
     loss_and_grad, dev_scores = tasks.Task.loss_and_grad, tasks.Task.dev_scores
 
-    def poisoned(self, w, items):
-        lg = loss_and_grad(self, w, items)
+    def poisoned(self, w, items, support=None):
+        lg = loss_and_grad(self, w, items, support)
         if armed:
             segment(lg.grad, "out_b")[0] = float("nan")
         return lg
@@ -686,6 +686,32 @@ def test_logits_that_overflow_in_dev_scoring_stop_the_run(tmp_path, model):
     assert "RuntimeWarning" not in done.stderr
     assert done.stderr == "error: round 1: dev scores: overflow encountered in matmul\n"
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new-dir", "existing-dir"])
+def test_a_run_that_stops_in_its_first_round_leaves_no_empty_directory(tmp_path, existing):
+    # the dev pass of round 1 overflows before the repeat writes a file: its
+    # repeat directory goes, and so does the run directory if the run made it
+    out = tmp_path / "runs" / "out"
+    if existing:
+        out.mkdir(parents=True)
+    text = (BASE_CONFIG.format(out=out)
+            .replace("repeats = 2", "repeats = 1")
+            .replace("sentences = 80", "sentences = 40")
+            .replace("rounds = 2", "rounds = 1")
+            .replace("optimizer = adam", "optimizer = sgd")
+            .replace("base_lr = 0.02", "base_lr = 1e200"))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-m", "fedtext.cli", "run", "-c", str(write_config(tmp_path, text=text))],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 2, done.stderr
+    assert done.stderr == "error: round 1: dev scores: overflow encountered in matmul\n"
+    assert out.exists() == existing
+    assert not (out / "repeat_0").exists()
+    assert (tmp_path / "runs").exists()  # a parent the run made is not its run directory
 
 
 def test_fedprox_with_an_infinite_mu_is_a_config_error(tmp_path, capsys):

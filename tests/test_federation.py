@@ -383,8 +383,8 @@ def test_divergence_names_the_round_and_the_client(ner_setup, monkeypatch):
     bad_call = 2 * steps[0] + steps[1] + 1
     calls, original = [], tasks.Task.loss_and_grad
 
-    def loss_and_grad(self, w, items):
-        lg = original(self, w, items)
+    def loss_and_grad(self, w, items, support=None):
+        lg = original(self, w, items, support)
         calls.append(1)
         if len(calls) == bad_call:
             segment(lg.grad, "embed")[0] = np.nan
@@ -413,10 +413,10 @@ def test_a_diverging_step_leaves_the_client_as_it_was(ner_setup, monkeypatch, op
                          Schedule(base_lr=0.05, warmup_steps=0, total_steps=100))
     seen, original = [], tasks.Task.loss_and_grad
 
-    def loss_and_grad(self, w, items):
+    def loss_and_grad(self, w, items, support=None):
         # w is the client's weight vector; the third step's gradient is NaN,
         # or its loss is infinite while the gradient stays finite
-        lg = original(self, w, items)
+        lg = original(self, w, items, support)
         if client.opt.step_count == 2:
             seen.append((w, w.values.copy(), moments(client.opt)))
             if poisoned == "gradient":

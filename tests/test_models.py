@@ -20,7 +20,7 @@ from fedtext.models import (
     segment_shapes,
     support,
 )
-from fedtext.params import validate_layout
+from fedtext.params import Support, validate_layout
 import oracles
 from oracles import segment
 
@@ -536,3 +536,43 @@ def test_a_gradient_is_positive_zero_outside_the_declared_support(spec, make_ite
         tokens = np.unique(np.concatenate([item.token_ids for item in batch]))
         assert np.array_equal(sup.rows, tokens)
         assert inside[param_layout(spec)["embed"][1]:].all()
+
+
+@pytest.mark.parametrize("spec, make_item", [
+    (WINDOW, random_tag_item), (RNN, random_tag_item), (REL, random_rel_item),
+], ids=["window_tagger", "rnn_crf_tagger", "relation_classifier"])
+def test_a_gradient_over_a_support_is_the_full_gradient_gathered_over_it(spec, make_item):
+    # the support of a client's shard, of which the batch is part: the
+    # compact gradient holds the same floats as the full one's support
+    # entries, segment by segment, with the support's rows in embed
+    spec = dataclasses.replace(spec, vocab_size=40)
+    rng = np.random.default_rng(19)
+    for _ in range(20):
+        make = mixed_batch(make_item)
+        batch, rest = make(spec, rng), make(spec, rng)
+        w = init_params(spec, int(rng.integers(1_000_000)))
+        w.values[:] = rng.normal(size=w.size)
+        sup = support(spec, batch + rest)
+        full = loss_and_grad(spec, w, batch)
+        compact = loss_and_grad(spec, w, batch, sup)
+        assert compact.loss == full.loss
+        assert compact.grad.size == sup.count < w.size
+        assert compact.grad.values.tobytes() == sup.gather(full.grad.values, np.empty(sup.count)).tobytes()
+        assert list(compact.grad.layout) == list(full.grad.layout)
+        assert compact.grad.layout["embed"] == (0, sup.rows.size * spec.embed_dim)
+        # a support of every entry gives the whole vector
+        every = loss_and_grad(spec, w, batch, Support(w.size)).grad
+        assert every.layout is param_layout(spec)
+        assert every.values.tobytes() == full.grad.values.tobytes()
+
+
+def test_a_batch_token_outside_the_gradients_support_is_refused():
+    spec = dataclasses.replace(WINDOW, vocab_size=20)
+    w = init_params(spec, 0)
+    inside = TagExample(np.array([3, 5, 19]), np.array([0, 1, 2]))
+    sup = support(spec, [inside])
+    for tokens in ([3, 7, 5], [0, 3], [19, 5, 5, 4]):
+        item = TagExample(np.array(tokens), np.zeros(len(tokens), dtype=np.intp))
+        outside = next(t for t in tokens if t not in (3, 5, 19))
+        with pytest.raises(ValueError, match=f"^token id {outside} is outside the gradient's support$"):
+            loss_and_grad(spec, w, [inside, item], sup)

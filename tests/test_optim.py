@@ -96,6 +96,7 @@ def test_a_step_on_a_partial_support_equals_the_dense_step(kind, mu):
     V, d, tail = 9, 4, 5
     layout = {"embed": (0, V * d), "out": (V * d, tail)}
     sup = Support(V * d + tail, head=V * d, width=d, rows=np.array([0, 2, 3, 7]))
+    compact = {"embed": (0, 4 * d), "out": (4 * d, tail)}  # a gradient over the support
     inside = np.zeros(sup.size)
     sup.scatter(np.ones(sup.count), inside)
     off = inside == 0.0
@@ -109,7 +110,7 @@ def test_a_step_on_a_partial_support_equals_the_dense_step(kind, mu):
         g = np.where(off, 0.0, rng.normal(size=sup.size) * 10.0 ** rng.integers(-3, 3))
         lr = 0.01 * (1 + step % 7)
         m, v, t, ref_w, ref_penalty = oracles.optimizer_step(kind, m, v, t, ref_w, g, lr, mu, anchor.values)
-        grad = ParamVector(g.copy(), layout)
+        grad = ParamVector(sup.gather(g, np.empty(sup.count)), compact)
         penalty = proximal_augment(state, w, grad, anchor, mu)
         apply_step(state, w, grad, lr)
         assert penalty == pytest.approx(ref_penalty, rel=1e-12)  # a shorter dot may round otherwise
@@ -126,12 +127,31 @@ def test_a_step_on_a_partial_support_equals_the_dense_step(kind, mu):
 def test_an_overflowing_square_is_named_by_the_segment_of_its_support_entry():
     layout = {"embed": (0, 8), "out": (8, 2)}
     sup = Support(10, head=8, width=2, rows=np.array([1, 3]))
+    compact = {"embed": (0, 4), "out": (4, 2)}  # a gradient over the support
     for index, name in ((7, "embed"), (9, "out")):
         g = np.zeros(10)
         g[[2, index]] = 1e153, 1e155  # only the second one's square overflows
         w = ParamVector(np.zeros(10), layout)
+        grad = ParamVector(sup.gather(g, np.empty(sup.count)), compact)
         with pytest.raises(FloatingPointError, match=f"in square of the gradient in segment '{name}'$"):
-            apply_step(OptimizerState("adam", sup), w, ParamVector(g, layout), 0.1)
+            apply_step(OptimizerState("adam", sup), w, grad, 0.1)
+
+
+@pytest.mark.parametrize("kind", ["sgd", "adam"])
+def test_a_gradient_of_another_size_than_the_support_is_refused(kind):
+    # a gradient over a support has exactly its count of values; the whole
+    # vector's gradient is refused before anything is written
+    layout = {"embed": (0, 8), "out": (8, 2)}
+    sup = Support(10, head=8, width=2, rows=np.array([1, 3]))
+    state = OptimizerState(kind, sup)
+    w = ParamVector(np.arange(10.0), layout)
+    message = "^gradient has 10 values, but the optimizer's support has 6$"
+    for mu in (0.0, 0.5):
+        with pytest.raises(ValueError, match=message):
+            proximal_augment(state, w, ParamVector(np.ones(10), layout), w.copy(), mu)
+    with pytest.raises(ValueError, match=message):
+        apply_step(state, w, ParamVector(np.ones(10), layout), 0.1)
+    assert w.values.tolist() == list(range(10)) and state.step_count == 0
 
 
 @pytest.mark.parametrize("kind", ["sgd", "adam"])
@@ -165,7 +185,7 @@ def test_apply_step_rejects_non_finite_gradient_naming_segment():
 def test_apply_step_rejects_negative_lr():
     w = vec([0.0, 0.0, 0.0])
     with pytest.raises(ValueError):
-        apply_step(OptimizerState("sgd", w.size), w, w.zeros_like(), -0.1)
+        apply_step(OptimizerState("sgd", w.size), w, vec([0.0, 0.0, 0.0]), -0.1)
 
 
 def test_init_optimizer_rejects_unknown_kind():
@@ -225,7 +245,7 @@ def test_schedule_rejects_bad_arguments():
 def test_proximal_mu_zero_returns_input_unchanged():
     w = vec([1.0, 2.0, 3.0])
     grad = vec([0.1, 0.2, 0.3])
-    penalty = proximal_augment(OptimizerState("sgd", w.size), w, grad, w.zeros_like(), 0.0)
+    penalty = proximal_augment(OptimizerState("sgd", w.size), w, grad, vec([0.0, 0.0, 0.0]), 0.0)
     assert penalty == 0.0
     assert np.array_equal(grad.values, [0.1, 0.2, 0.3])
 
@@ -246,7 +266,7 @@ def test_proximal_gradient_pulls_towards_anchor():
     w = vec([4.0, -4.0, 4.0])
     state = OptimizerState("sgd", w.size)
     for _ in range(20):
-        grad = w.zeros_like()
+        grad = vec([0.0, 0.0, 0.0])
         proximal_augment(state, w, grad, anchor, 1.0)
         apply_step(state, w, grad, 0.1)
     assert np.linalg.norm(w.values) < np.linalg.norm([4.0, -4.0, 4.0])
@@ -255,4 +275,4 @@ def test_proximal_gradient_pulls_towards_anchor():
 def test_proximal_rejects_negative_mu():
     w = vec([0.0, 0.0, 0.0])
     with pytest.raises(ValueError):
-        proximal_augment(OptimizerState("sgd", w.size), w, w.zeros_like(), w.copy(), -0.1)
+        proximal_augment(OptimizerState("sgd", w.size), w, vec([0.0, 0.0, 0.0]), w.copy(), -0.1)

@@ -1,8 +1,9 @@
 """Checks on the repository itself: the pytest settings report a failing
 property test, every source file parses as the declared minimum Python,
 README's config reference documents exactly the keys the config accepts,
-the package defines nothing that only the tests use, and its one
-floating-point policy is the only one applied."""
+the package defines nothing that only the tests use, its one
+floating-point policy is the only one applied, and one site writes the
+embedding gradient."""
 import ast
 import dataclasses
 import re
@@ -128,3 +129,19 @@ def test_every_errstate_in_the_package_applies_the_one_float_policy():
                     decorated.add(f"{path.stem}.{node.name}")
     assert decorated == {"models.loss_and_grad", "models.predict_tags", "models.predict_relations",
                          "optim.proximal_augment", "optim.apply_step"}
+
+
+def test_the_embedding_gradient_is_written_at_one_site():
+    # models.support declares the entries a gradient can be nonzero in from
+    # where the embed gradient is written, so there must be one such write:
+    # the np.add.at in models.loss_and_grad, into the embed segment
+    sites = []
+    for path in sorted((ROOT / "src" / "fedtext").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        # each node's innermost enclosing function: ast.walk visits outer ones first
+        owner = {child: func.name for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+                 for child in ast.walk(func)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("add.at"):
+                sites.append((f"{path.stem}.{owner.get(node)}", ast.unparse(node.args[0])))
+    assert sites == [("models.loss_and_grad", "gs['embed']")]

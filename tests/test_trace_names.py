@@ -110,6 +110,30 @@ def test_a_fedprox_local_step_allocates_only_its_gradient():
     assert tracer.vectors_allocated == 1 + steps
 
 
+def test_a_fedprox_step_on_a_partial_support_allocates_a_support_sized_gradient():
+    # a by_source client reaches its own source's tokens only; each step's
+    # gradient holds the support's count of values, not the whole vector's
+    profile = corpus.make_profile(["GENE"], lexicon_size=12, sentences=30, sources=2,
+                                  heterogeneity=1.0, cue_rate=1.0)
+    sources = corpus.generate_synthetic(profile, 4)
+    task = tasks.build_task([s for _, sents in sources for s in sents], kind="window_tagger", embed_dim=4)
+    data = corpus.partition_by_source([(name, task.prepare(sents)) for name, sents in sources])[0]
+    sup = task.support(data)
+    cfg = FederationConfig(clients=2, rounds=1, batch_size=8, local_epochs=2,
+                           mu=0.1, optimizer="adam")
+    server = task.init_params(0)
+    assert sup.count < server.size
+    client = ClientState(0, data, OptimizerState("adam", sup),
+                         Schedule(base_lr=0.01, warmup_steps=0, total_steps=100))
+    with load_layertrace().Tracer() as tracer:
+        local_update(task, client, server, cfg, client_rng(0, 0, 0))
+    steps = 2 * math.ceil(len(data) / 8)
+    assert tracer.calls["optim.proximal_augment"] == steps
+    # the client's copy of the server weights, then one support-sized gradient per step
+    assert tracer.vectors_allocated == 1 + steps
+    assert tracer.bytes_allocated == server.values.nbytes + steps * sup.count * 8
+
+
 def test_scoring_responses_parses_each_one_and_scores_once():
     # each response goes through parse_highlights and the corpus through one
     # score_ner, so the trace shows the parser's share of scoring
