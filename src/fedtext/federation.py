@@ -5,18 +5,22 @@ mini-batch updates on its own shard (optionally with the proximal penalty
 anchored at the round-start weights), and the server takes the data-weighted
 average of the results.  The average is a running sum: ``aggregate`` asks for
 one client's weights at a time and folds them in before the next client
-trains, so a round holds one client's weights, not K.  Each client's
-optimizer covers its support, fixed when the client is built: the
-embedding rows of its shard's tokens and every other entry.  Each batch
-gradient comes over that support only, and the optimizer steps it as it
-comes.  Between rounds a client keeps only its Adam moments over that
-support; the optimizer's scratch rows are one buffer for the whole run, as
-long as the largest support.  Client work depends only on the server weights,
-its shard and its ``client_rng`` stream, keyed by (seed, client, round), so
-the order clients run in cannot change the result.  ``rounds`` yields each
-round's record and server weights as the round ends, and ``collect`` picks
-the best round's weights from that stream.  Centralized training is the loop
-with one client, so it is a K=1 federated run bit for bit.
+trains, so a round holds one client's weights, not K.  Each client trains
+in its own compact parameter space, fixed when the client is built
+(``models.Shard``): its support, the embedding rows of its shard's tokens
+and every other entry, and its shard, checked, renumbered to those rows and
+padded once.  A round gathers the client's entries of the server weights
+once, steps that compact vector batch by batch, each batch sliced out of
+the padded shard, and scatters it once into a copy of the server weights
+for ``aggregate``.  Between rounds a client keeps only its Adam moments
+over its support; the optimizer's scratch rows are one buffer for the whole
+run, as long as the largest support.  Client work depends only on the
+server weights, its shard and its ``client_rng`` stream, keyed by (seed,
+client, round), so the order clients run in cannot change the result.
+``rounds`` yields each round's record and server weights as the round ends,
+and ``collect`` picks the best round's weights from that stream.
+Centralized training is the loop with one client, so it is a K=1 federated
+run bit for bit.
 """
 from __future__ import annotations
 
@@ -27,6 +31,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from . import models
 from .config import ConfigError, FederationConfig
 from .optim import OptimizerState, Schedule, apply_step, lr_at, new_scratch, proximal_augment
 from .params import ParamVector
@@ -41,13 +46,13 @@ def client_rng(seed: int, client_id: int, round_idx: int) -> np.random.Generator
 @dataclass
 class ClientState:
     id: int
-    data: list
-    opt: OptimizerState
+    shard: models.Shard
+    opt: OptimizerState  # over the shard's support
     schedule: Schedule
 
     @property
     def n(self) -> int:
-        return len(self.data)
+        return len(self.shard.items)
 
 
 def weights_sha256(w: ParamVector) -> str:
@@ -97,36 +102,40 @@ def client_schedule(cfg: FederationConfig, client_id: int, n_items: int) -> Sche
 
 
 def local_update(
-    task: Task,
     client: ClientState,
     global_weights: ParamVector,
     cfg: FederationConfig,
     rng: np.random.Generator,
 ) -> tuple[ParamVector, list[float]]:
     """Train the client for one round, shuffling with ``rng``; returns its
-    new weights and per-epoch mean losses.  The optimizer state carries over
-    to the next round.
+    new weights, a copy of ``global_weights`` with the client's trained
+    entries written in, and its per-epoch mean losses.  The optimizer state
+    carries over to the next round.
 
     The proximal anchor is the round-start server weights; the recorded loss
     includes the penalty, so at mu = 0 it is the plain training loss.
     """
-    weights = global_weights.copy()
-    opt = client.opt
+    shard, opt = client.shard, client.opt
+    compact = shard.support.gather(global_weights.values, np.empty(shard.support.count))
+    weights = ParamVector(compact, models.param_layout(shard.spec))
+    anchor = weights.copy()
     epoch_losses = []
     for _ in range(cfg.local_epochs):
         order = rng.permutation(client.n)
         batch_losses = []
         for lo in range(0, client.n, cfg.batch_size):
-            batch = [client.data[i] for i in order[lo : lo + cfg.batch_size]]
-            lg = task.loss_and_grad(weights, batch, opt.support)
-            penalty = proximal_augment(opt, weights, lg.grad, global_weights, cfg.mu)
+            batch = shard.items.take(order[lo : lo + cfg.batch_size])
+            lg = models.loss_and_grad(shard.spec, weights, batch)
+            penalty = proximal_augment(opt, weights, lg.grad, anchor, cfg.mu)
             loss = lg.loss + penalty
             if not math.isfinite(loss):  # Python floats overflow to inf without raising
                 raise ValueError("non-finite loss")
             apply_step(opt, weights, lg.grad, lr_at(client.schedule, opt.step_count))
             batch_losses.append(loss)
         epoch_losses.append(float(np.mean(batch_losses)))
-    return weights, epoch_losses
+    out = global_weights.copy()
+    shard.support.scatter(weights.values, out.values)
+    return out, epoch_losses
 
 
 def rounds(
@@ -153,16 +162,16 @@ def rounds(
         raise ValueError("dev set is empty")
 
     server = task.init_params(seed)
-    supports = [task.support(part) for part in partitions]
-    scratch = new_scratch(cfg.optimizer, max(s.count for s in supports))  # clients train one at a time
+    shards = [task.shard(part) for part in partitions]
+    scratch = new_scratch(cfg.optimizer, max(s.support.count for s in shards))  # clients train one at a time
     clients = [
         ClientState(
             id=i,
-            data=list(part),
-            opt=OptimizerState(cfg.optimizer, support, scratch),
+            shard=shard,
+            opt=OptimizerState(cfg.optimizer, shard.support.count, scratch),
             schedule=client_schedule(cfg, i, len(part)),
         )
-        for i, (part, support) in enumerate(zip(partitions, supports))
+        for i, (part, shard) in enumerate(zip(partitions, shards))
     ]
 
     def trained(t: int, server: ParamVector, losses: list[float]) -> Iterator[ParamVector]:
@@ -170,7 +179,7 @@ def rounds(
         appends the client's mean loss to ``losses``."""
         for c in clients:
             try:
-                w, per_epoch = local_update(task, c, server, cfg, client_rng(seed, c.id, t))
+                w, per_epoch = local_update(c, server, cfg, client_rng(seed, c.id, t))
             except (ValueError, FloatingPointError) as exc:  # e.g. an update that overflowed
                 raise ValueError(f"round {t + 1}, client {c.id}: {exc}") from exc
             losses.append(float(np.mean(per_epoch)))

@@ -26,14 +26,21 @@ pads a chunk of sentences the same way and decodes the RNN's emissions with
 one batched Viterbi; when no row is padded, as for a single sentence, the
 backward direction reverses whole rows and the decode needs no mask.
 
-A batch is checked in the pass that pads it: ``_joined`` checks each kind of
-id (non-empty, 1-D, in range) as it joins them once for ``_pad``, and a
-tagger's token and label masks must agree.  The three public passes run
-under ``params.FLOAT_POLICY``: weights that overflow a pass, or a saturated
-softmax's log(0), raise FloatingPointError there.
+Items are checked where they are padded: ``pad`` checks each kind of id
+(non-empty, 1-D, in range) as it joins them once for ``_pad``, a tagger's
+token and label masks must agree, and a relation's spans must lie in its
+sentence.  ``loss_and_grad`` pads the items it is given, or takes a
+``Padded`` batch as it is.  Training takes its batches from a ``Shard``:
+one client's items padded once, in the client's compact parameter space,
+the entries of the whole vector its items can move (see ``shard``), so a
+step slices its rows out of the shard and runs on the client's compact
+weights.  The three public passes run under ``params.FLOAT_POLICY``:
+weights that overflow a pass, or a saturated softmax's log(0), raise
+FloatingPointError there.
 """
 from __future__ import annotations
 
+import dataclasses
 import functools
 from dataclasses import dataclass
 from typing import Sequence
@@ -87,6 +94,9 @@ class RelationExample:
     label_id: int
 
 
+Batch = Sequence[TagExample] | Sequence[RelationExample]
+
+
 @dataclass
 class LossGrad:
     loss: float
@@ -130,14 +140,12 @@ def segment_shapes(spec: ModelSpec) -> dict[str, tuple[int, ...]]:
 
 
 @functools.cache
-def _layout(spec: ModelSpec, embed_rows: int) -> tuple[Layout, tuple[tuple[str, slice, tuple[int, ...]], ...]]:
-    """The spec's segments laid end to end, ``embed`` with ``embed_rows`` rows: the
-    layout, its tiling checked here once, and each segment's slice and shape."""
+def _layout(spec: ModelSpec) -> tuple[Layout, tuple[tuple[str, slice, tuple[int, ...]], ...]]:
+    """The spec's segments laid end to end: the layout, its tiling checked
+    here once, and each segment's slice and shape."""
     layout: Layout = {}
     parts, offset = [], 0
     for name, shape in segment_shapes(spec).items():
-        if name == "embed":
-            shape = (embed_rows, spec.embed_dim)
         length = int(np.prod(shape))
         layout[name] = (offset, length)
         parts.append((name, slice(offset, offset + length), shape))
@@ -148,7 +156,7 @@ def _layout(spec: ModelSpec, embed_rows: int) -> tuple[Layout, tuple[tuple[str, 
 
 def param_layout(spec: ModelSpec) -> Layout:
     """The layout of the spec's whole parameter vector, built once per spec."""
-    return _layout(spec, spec.vocab_size)[0]
+    return _layout(spec)[0]
 
 
 def param_count(spec: ModelSpec) -> int:
@@ -177,7 +185,7 @@ def _segments(spec: ModelSpec, w: ParamVector) -> Segments:
     """Writable, shaped views of every segment of weights or a gradient laid
     out by ``spec``; slicing ``values`` directly keeps this cheap enough to
     run on every single-sentence prediction."""
-    _, parts = _layout(spec, w.layout["embed"][1] // spec.embed_dim)
+    _, parts = _layout(spec)
     return {name: w.values[part].reshape(shape) for name, part, shape in parts}
 
 
@@ -218,6 +226,60 @@ def _pad(arrays: Sequence[np.ndarray], flat: np.ndarray) -> tuple[np.ndarray, np
     return padded, mask
 
 
+@dataclass(frozen=True, eq=False)
+class Padded:
+    """B items padded to the longest of them, T tokens: (B, T) token ids,
+    zero where padded, the (B, T) mask that is True on each item's tokens (a
+    prefix of its row) and the B lengths; then a tagger's (B, T) label ids,
+    zero where padded, or a relation's B gold label ids and (B, 2, 2) spans."""
+
+    ids: np.ndarray
+    mask: np.ndarray
+    lengths: np.ndarray
+    labels: np.ndarray
+    spans: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return self.lengths.size
+
+    def take(self, rows: np.ndarray) -> "Padded":
+        """Items ``rows``, in that order, trimmed to the longest of them: the
+        arrays ``pad`` gives for those items."""
+        lengths = self.lengths[rows]
+        cut = slice(lengths.max())
+        if self.spans is None:
+            return Padded(self.ids[rows, cut], self.mask[rows, cut], lengths, self.labels[rows, cut])
+        return Padded(self.ids[rows, cut], self.mask[rows, cut], lengths, self.labels[rows], self.spans[rows])
+
+
+def pad(spec: ModelSpec, items: Batch) -> Padded:
+    """Check ``items`` for the spec's model and pad them."""
+    item_type = RelationExample if spec.kind == "relation_classifier" else TagExample
+    if not all(isinstance(item, item_type) for item in items):
+        raise ValueError(f"{spec.kind} expects {item_type.__name__} items")
+    tokens = [item.token_ids for item in items]
+    ids, mask = _pad(tokens, _joined(tokens, spec.vocab_size, "token id"))
+    lengths = mask.sum(axis=1)
+    if item_type is TagExample:
+        label_ids = [item.label_ids for item in items]
+        labels, label_mask = _pad(label_ids, _joined(label_ids, spec.label_count, "label id"))
+        if not np.array_equal(mask, label_mask):
+            raise ValueError("token and label arrays differ in length")
+        return Padded(ids, mask, lengths, labels)
+    for item, T in zip(items, lengths.tolist()):
+        _check_span(item.span1, T, "span1")
+        _check_span(item.span2, T, "span2")
+    spans = np.array([(item.span1, item.span2) for item in items])
+    gold = _joined([np.array([item.label_id for item in items])], spec.label_count, "label id")
+    return Padded(ids, mask, lengths, gold, spans)
+
+
+def _check_span(span: tuple[int, int], T: int, which: str) -> None:
+    s, e = span
+    if not (0 <= s <= e < T):
+        raise ValueError(f"{which} [{s}, {e}] out of range for a {T}-token sentence")
+
+
 def _rows(A: np.ndarray) -> np.ndarray:
     """(..., n) -> (rows, n), for weight gradients summed over all positions."""
     return A.reshape(-1, A.shape[-1])
@@ -245,9 +307,8 @@ def _window_logits(
     return F @ seg["out_w"] + seg["out_b"], F
 
 
-def _window_loss_grad(
-    spec: ModelSpec, seg: Segments, ids: np.ndarray, mask: np.ndarray, labels: np.ndarray, gs: Segments
-) -> LossParts:
+def _window_loss_grad(spec: ModelSpec, seg: Segments, batch: Padded, gs: Segments) -> LossParts:
+    ids, mask, labels = batch.ids, batch.mask, batch.labels
     B, T = ids.shape
     d, r = spec.embed_dim, spec.window_radius
     logits, F = _window_logits(spec, seg, seg["embed"][ids] * mask[:, :, None])
@@ -334,9 +395,8 @@ def _rnn_emissions(
     return emissions, {"X_rev": X_rev, "fw": fw, "bw_rev": bw_rev, "H": H}
 
 
-def _rnn_crf_loss_grad(
-    spec: ModelSpec, seg: Segments, ids: np.ndarray, mask: np.ndarray, labels: np.ndarray, gs: Segments
-) -> LossParts:
+def _rnn_crf_loss_grad(spec: ModelSpec, seg: Segments, batch: Padded, gs: Segments) -> LossParts:
+    ids, mask, labels = batch.ids, batch.mask, batch.labels
     h = spec.hidden_dim
     flip = crf.reversal(mask)
     X = seg["embed"][ids.T]
@@ -357,25 +417,11 @@ def _rnn_crf_loss_grad(
 # ---------------------------------------------------------------------------
 # relation classifier
 
-def _check_span(span: tuple[int, int], T: int, which: str) -> None:
-    s, e = span
-    if not (0 <= s <= e < T):
-        raise ValueError(f"{which} [{s}, {e}] out of range for a {T}-token sentence")
-
-
-def _relation_forward(
-    spec: ModelSpec, seg: Segments, batch: Sequence[RelationExample]
-) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """(B, L) logits for a batch of relation instances."""
-    tokens = [item.token_ids for item in batch]
-    ids, mask = _pad(tokens, _joined(tokens, spec.vocab_size, "token id"))
-    for item in batch:
-        T = item.token_ids.size
-        _check_span(item.span1, T, "span1")
-        _check_span(item.span2, T, "span2")
-    spans = np.array([(item.span1, item.span2) for item in batch])  # (B, 2, 2)
+def _relation_forward(seg: Segments, batch: Padded) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """(B, L) logits for a padded batch of relation instances."""
+    ids, mask, spans = batch.ids, batch.mask, batch.spans
     span_lens = spans[:, :, 1] - spans[:, :, 0] + 1
-    n = mask.sum(axis=1)[:, None]
+    n = batch.lengths[:, None]
 
     pooled = (seg["embed"][ids] * mask[:, :, None]).sum(axis=1)
     pooled = (
@@ -387,13 +433,10 @@ def _relation_forward(
     return logits, cache
 
 
-def _relation_loss_grad(
-    spec: ModelSpec, seg: Segments, batch: Sequence[RelationExample], gs: Segments
-) -> LossParts:
-    logits, c = _relation_forward(spec, seg, batch)
-    gold_ids = _joined([np.array([item.label_id for item in batch])], spec.label_count, "label id")
+def _relation_loss_grad(spec: ModelSpec, seg: Segments, batch: Padded, gs: Segments) -> LossParts:
+    logits, c = _relation_forward(seg, batch)
     probs = _softmax_rows(logits)
-    gold = (np.arange(len(batch)), gold_ids)
+    gold = (np.arange(len(batch)), batch.labels)
     loss = float(-np.log(probs[gold]).sum())
 
     d_logits = probs
@@ -413,54 +456,56 @@ def _relation_loss_grad(
 # ---------------------------------------------------------------------------
 # public interface
 
-Batch = Sequence[TagExample] | Sequence[RelationExample]
+@dataclass(frozen=True, eq=False)
+class Shard:
+    """One client's items in its own compact parameter space, built once by
+    ``shard``: ``support``, the entries of the whole vector that training on
+    them can move; ``spec``, the model over just those entries, whose
+    vocabulary is the support's rows; and ``items``, the items padded once,
+    their token ids renumbered to those rows."""
+
+    spec: ModelSpec
+    support: Support
+    items: Padded
 
 
-def support(spec: ModelSpec, batch: Batch) -> Support:
-    """The entries a gradient over items of ``batch`` can be nonzero in.
-    ``loss_and_grad`` writes the ``embed`` gradient with one ``np.add.at``
-    at the batch's token ids and no other row, and may write any entry of
-    the other segments: so the support is the ``embed`` rows of the batch's
-    token ids, sorted, and every entry after ``embed``, the first segment."""
-    tokens = [item.token_ids for item in batch]
+def shard(spec: ModelSpec, items: Batch) -> Shard:
+    """``items``, checked and padded once, in the compact space of their
+    support.  ``loss_and_grad`` writes the ``embed`` gradient with one
+    ``np.add.at`` at a batch's token ids and no other row, and may write any
+    entry of the other segments: so the support is the ``embed`` rows of the
+    items' token ids, sorted, and every entry after ``embed``, the first
+    segment.  Off it, every gradient is +0.0, so a client that trains only
+    its support's entries, gathered once from the server weights, and
+    scatters them back takes the steps of the whole vector exactly."""
+    padded = pad(spec, items)
     seen = np.zeros(spec.vocab_size, dtype=bool)
-    seen[_joined(tokens, spec.vocab_size, "token id")] = True  # np.unique would import numpy.ma
+    seen[padded.ids[padded.mask]] = True  # np.unique would import numpy.ma
+    rows = np.flatnonzero(seen)
+    renumbered = (np.cumsum(seen) - 1)[padded.ids]  # each token id's row among ``rows``
+    renumbered[~padded.mask] = 0
     _, length = param_layout(spec)["embed"]  # at offset 0
-    return Support(param_count(spec), head=length, width=spec.embed_dim, rows=np.flatnonzero(seen))
+    support = Support(param_count(spec), head=length, width=spec.embed_dim, rows=rows)
+    compact = dataclasses.replace(spec, vocab_size=rows.size)
+    return Shard(compact, support, dataclasses.replace(padded, ids=renumbered))
+
+
+_LOSS_GRAD = {"window_tagger": _window_loss_grad, "rnn_crf_tagger": _rnn_crf_loss_grad,
+              "relation_classifier": _relation_loss_grad}
 
 
 @np.errstate(**FLOAT_POLICY)
-def loss_and_grad(spec: ModelSpec, w: ParamVector, batch: Batch, support: Support | None = None) -> LossGrad:
+def loss_and_grad(spec: ModelSpec, w: ParamVector, batch: Batch | Padded) -> LossGrad:
     """Mean per-item NLL over the batch and the matching exact gradient,
-    from one padded, masked pass over the whole batch, which also checks it.
-    The gradient holds the entries of ``support`` (every entry by default)
-    in ``Support.gather`` order, its ``embed`` segment the support's rows;
-    a batch token outside them is a ValueError."""
+    from one padded, masked pass over the whole batch.  ``batch`` is items,
+    which ``pad`` checks and pads here, or a ``Padded`` batch, run as it is:
+    one taken from a ``Shard`` runs on the shard's spec and compact weights."""
     _check_weights(spec, w)
-    item_type = RelationExample if spec.kind == "relation_classifier" else TagExample
-    if not all(isinstance(item, item_type) for item in batch):
-        raise ValueError(f"{spec.kind} expects {item_type.__name__} items")
-    rows = None if support is None or support.count == w.size else support.rows
-    layout, _ = _layout(spec, spec.vocab_size if rows is None else rows.size)
-    grad = ParamVector(np.zeros(w.size if rows is None else support.count), layout)
+    if not isinstance(batch, Padded):
+        batch = pad(spec, batch)
+    grad = ParamVector(np.zeros(w.size), w.layout)
     seg, gs = _segments(spec, w), _segments(spec, grad)
-    if spec.kind == "relation_classifier":
-        total, tokens, d_embed = _relation_loss_grad(spec, seg, batch, gs)
-    else:
-        tokens = [item.token_ids for item in batch]
-        ids, mask = _pad(tokens, _joined(tokens, spec.vocab_size, "token id"))
-        label_ids = [item.label_ids for item in batch]
-        labels, label_mask = _pad(label_ids, _joined(label_ids, spec.label_count, "label id"))
-        if not np.array_equal(mask, label_mask):
-            raise ValueError("token and label arrays differ in length")
-        tagger = _window_loss_grad if spec.kind == "window_tagger" else _rnn_crf_loss_grad
-        total, tokens, d_embed = tagger(spec, seg, ids, mask, labels, gs)
-    if rows is not None:  # token id -> its row of the compact embed segment
-        at = np.searchsorted(rows, tokens)
-        outside = np.take(rows, at, mode="clip") != tokens
-        if outside.any():
-            raise ValueError(f"token id {tokens[outside][0]} is outside the gradient's support")
-        tokens = at
+    total, tokens, d_embed = _LOSS_GRAD[spec.kind](spec, seg, batch, gs)
     np.add.at(gs["embed"], tokens, d_embed)  # the one write to an embed gradient
     grad.values /= len(batch)
     return LossGrad(loss=total / len(batch), grad=grad)
@@ -500,7 +545,5 @@ def predict_relations(spec: ModelSpec, w: ParamVector, items: Sequence[RelationE
     _check_weights(spec, w)
     if spec.kind != "relation_classifier":
         raise ValueError(f"{spec.kind} does not classify relations")
-    if not all(isinstance(item, RelationExample) for item in items):
-        raise ValueError(f"{spec.kind} expects RelationExample items")
-    logits, _ = _relation_forward(spec, _segments(spec, w), items)
+    logits, _ = _relation_forward(_segments(spec, w), pad(spec, items))
     return logits.argmax(axis=1)

@@ -2,24 +2,20 @@
 FedProx proximal term.
 
 Each client owns one ``OptimizerState`` for the whole run: its step count
-and, under Adam, its moments, both over the client's support, the entries
-its gradients can be nonzero in (``models.support``), in which
-``models.loss_and_grad`` computes them.  A step gathers the weights' support
-entries, runs the textbook updates on them, and writes the weights back.
-This is exact: off the support the gradient and the moments are +0.0 and
-the weights equal the proximal anchor, so a dense step would leave each of
-them, -0.0 included, as it was.  A state built from a vector size alone
-covers every entry.
+and, under Adam, its moments, both as long as the vector the client trains.
+That is the client's compact vector (``models.Shard``), its shard's entries
+of the whole one, so the steps here are the textbook dense updates over
+whatever vector they are given.
 
-``proximal_augment`` adds the proximal gradient to such a gradient in place;
+``proximal_augment`` adds the proximal gradient to a gradient in place;
 ``apply_step`` updates the weights, the step count and the moments in place.
 Both work in the state's ``scratch`` rows, so a step allocates nothing of
-the parameter vector's size.  Nothing in the scratch outlives a call, so it
-belongs to the run rather than to a client: clients train one at a time,
-and the round loop hands every client's state the same ``new_scratch``
-buffer.  The floating-point operations run in the order of the textbook
-updates, so results are bit-equal to computing each formula with fresh
-arrays.  Both run under the package's ``FLOAT_POLICY``.
+the vector's size.  Nothing in the scratch outlives a call, so it belongs to
+the run rather than to a client: clients train one at a time, and the round
+loop hands every client's state the same ``new_scratch`` buffer.  The
+floating-point operations run in the order of the textbook updates, so
+results are bit-equal to computing each formula with fresh arrays.  Both run
+under the package's ``FLOAT_POLICY``.
 """
 from __future__ import annotations
 
@@ -27,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .params import FLOAT_POLICY, ParamVector, Support
+from .params import FLOAT_POLICY, ParamVector
 
 OPTIMIZER_KINDS = ("sgd", "adam")
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
@@ -65,36 +61,43 @@ def lr_at(sched: Schedule, step: int) -> float:
     return 0.0
 
 
+SCRATCH_ROWS = {"sgd": 1, "adam": 2}
+
+
 def new_scratch(kind: str, size: int) -> np.ndarray:
-    """Work rows for steps of optimizer ``kind`` over supports of at most ``size``
-    entries: the gathered weights, then two work rows under adam, one under sgd."""
-    return np.empty((3 if kind == "adam" else 2, size))
+    """Work rows for steps of optimizer ``kind`` over vectors of at most ``size`` values."""
+    return np.empty((SCRATCH_ROWS[kind], size))
 
 
 class OptimizerState:
-    """One client's optimizer: the step count and Adam's moments ``m``/``v``
-    (None under sgd) over the entries of ``support``, a ``params.Support``
-    or a vector size, which stands for every entry; plus the ``scratch``
-    rows its steps work in.  Every state of one run can be given the same
-    ``new_scratch(kind, n)`` buffer, n being the largest support.  Without
-    one, the state makes its own."""
+    """One client's optimizer over vectors of ``size`` values: the step
+    count and Adam's moments ``m``/``v`` (None under sgd), plus the
+    ``scratch`` rows its steps work in.  Every state of one run can be given
+    the same ``new_scratch(kind, n)`` buffer, n being the largest size; one
+    with fewer rows or values is refused.  Without one, the state makes its
+    own."""
 
-    def __init__(self, kind: str, support: Support | int, scratch: np.ndarray | None = None) -> None:
+    def __init__(self, kind: str, size: int, scratch: np.ndarray | None = None) -> None:
         if kind not in OPTIMIZER_KINDS:
             raise ValueError(f"unknown optimizer kind {kind!r}")
+        if scratch is None:
+            scratch = new_scratch(kind, size)
+        elif scratch.ndim != 2 or scratch.shape[0] < SCRATCH_ROWS[kind] or scratch.shape[1] < size:
+            raise ValueError(f"scratch of shape {scratch.shape} is smaller than {kind}'s "
+                             f"{SCRATCH_ROWS[kind]} rows of {size} values")
         self.kind = kind
-        self.support = support if isinstance(support, Support) else Support(support)
+        self.size = size
         self.step_count = 0
-        n = self.support.count
         adam = kind == "adam"
-        self.m = np.zeros(n) if adam else None
-        self.v = np.zeros(n) if adam else None
-        self.scratch = (new_scratch(kind, n) if scratch is None else scratch)[:, :n]
+        self.m = np.zeros(size) if adam else None
+        self.v = np.zeros(size) if adam else None
+        self.scratch = scratch[:, :size]
 
 
-def _check_size(state: OptimizerState, grad: ParamVector) -> None:
-    if grad.size != state.support.count:
-        raise ValueError(f"gradient has {grad.size} values, but the optimizer's support has {state.support.count}")
+def _check_sizes(state: OptimizerState, *vectors: tuple[str, ParamVector]) -> None:
+    for what, vec in vectors:
+        if vec.size != state.size:
+            raise ValueError(f"{what} has {vec.size} values, but the optimizer's state has {state.size}")
 
 
 @np.errstate(**FLOAT_POLICY)
@@ -102,18 +105,14 @@ def proximal_augment(
     state: OptimizerState, w: ParamVector, grad: ParamVector, anchor: ParamVector, mu: float
 ) -> float:
     """Add the gradient mu * (w - anchor) of the penalty (mu / 2) * ||w - anchor||^2
-    to ``grad``, over the state's support, in place; returns the penalty,
-    0.0 without touching ``grad`` at mu = 0.  Off the support, w equals the
-    anchor, so neither the penalty nor its gradient has anything there."""
+    to ``grad`` in place; returns the penalty, 0.0 without touching ``grad``
+    at mu = 0."""
     if mu < 0:
         raise ValueError("mu must be >= 0")
-    _check_size(state, grad)
+    _check_sizes(state, ("gradient", grad), ("weight vector", w), ("anchor", anchor))
     if mu == 0.0:
         return 0.0
-    wc, diff, *_ = state.scratch
-    state.support.gather(w.values, wc)
-    state.support.gather(anchor.values, diff)
-    np.subtract(wc, diff, out=diff)
+    diff = np.subtract(w.values, anchor.values, out=state.scratch[0])
     penalty = 0.5 * mu * float(diff @ diff)
     diff *= mu
     grad.values += diff
@@ -122,23 +121,20 @@ def proximal_augment(
 
 @np.errstate(**FLOAT_POLICY)
 def apply_step(state: OptimizerState, w: ParamVector, grad: ParamVector, lr: float) -> None:
-    """One update of ``w`` and ``state`` in place by ``grad``, over the
-    state's support.  A negative rate, a gradient of another size, a
-    non-finite one or one whose square overflows Adam's second moment raises
-    before anything is written, the latter two naming the segment.  An
-    update that overflows raises FloatingPointError before the weights are
-    written back, and the round loop discards that client's weights, naming
-    its round and client."""
-    _check_size(state, grad)
+    """One update of ``w`` and ``state`` in place by ``grad``.  A negative
+    rate, a vector of another size than the state's, a non-finite gradient
+    or one whose square overflows Adam's second moment raises before
+    anything is written, the latter two naming the segment.  An update that
+    overflows raises FloatingPointError, and the round loop discards that
+    client's weights, naming its round and client."""
+    _check_sizes(state, ("gradient", grad), ("weight vector", w))
     grad.check_finite("gradient")
     if lr < 0:
         raise ValueError("learning rate must be >= 0")
-    g, (wc, *s) = grad.values, state.scratch
-    state.support.gather(w.values, wc)
+    g, s = grad.values, state.scratch
     if state.kind == "sgd":
         state.step_count += 1
-        wc -= np.multiply(lr, g, out=s[0])
-        state.support.scatter(wc, w.values)
+        w.values -= np.multiply(lr, g, out=s[0])
         return
     try:
         sq = np.square(g, out=s[1])
@@ -159,5 +155,4 @@ def apply_step(state: OptimizerState, w: ParamVector, grad: ParamVector, lr: flo
     np.sqrt(denom, out=denom)
     denom += EPS
     step /= denom
-    wc -= step
-    state.support.scatter(wc, w.values)
+    w.values -= step

@@ -7,9 +7,10 @@ optimizer updates are plain vector arithmetic.  Every layout the package uses
 comes from ``models``, which checks its tiling once when it builds it; a
 vector only checks that its size matches where its layout ends.
 
-A ``Support`` names the entries of a vector that a client's optimizer steps
-can move, and moves them between the full vector and a compact one.  A
-gradient over a support is such a compact vector, with a layout of its own.
+A ``Support`` names the entries of a vector that a client's training can
+move, and moves them between the full vector and a compact one: a client
+trains a compact vector of its own, gathered from the server weights when a
+round starts and scattered into a copy of them when it ends.
 """
 from __future__ import annotations
 
@@ -86,14 +87,22 @@ class ParamVector:
 class Support:
     """Entries of a vector of ``size`` values: the unique ``rows`` of its
     leading ``(head // width, width)`` block, and every entry from ``head``
-    on; ``Support(size)`` is every entry.  ``gather`` copies them, rows
-    first, into a compact vector of ``count`` values, and ``scatter`` copies
-    one back."""
+    on.  ``gather`` copies them, rows first, into a compact vector of
+    ``count`` values, and ``scatter`` copies one back.  ``head`` must be a
+    multiple of ``width`` and at most ``size``, and ``rows`` sorted, unique
+    and within the block."""
 
     size: int
-    head: int = 0
-    width: int = 1
-    rows: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
+    head: int
+    width: int
+    rows: np.ndarray
+
+    def __post_init__(self) -> None:
+        if self.width < 1 or self.head % self.width or not 0 <= self.head <= self.size:
+            raise ValueError(f"head {self.head} must be a multiple of width {self.width} in [0, {self.size}]")
+        rows, block = self.rows, self.head // self.width
+        if rows.ndim != 1 or rows.size and (rows[0] < 0 or rows[-1] >= block or (rows[1:] <= rows[:-1]).any()):
+            raise ValueError(f"rows must be sorted, unique and in [0, {block})")
 
     @property
     def count(self) -> int:
@@ -107,7 +116,7 @@ class Support:
 
     def gather(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
         block, rows, tail, out_tail = self._split(values, out)
-        np.take(block, self.rows, axis=0, out=rows, mode="clip")  # "raise" would buffer ``out``
+        np.take(block, self.rows, axis=0, out=rows, mode="clip")  # rows are in range; "raise" would buffer ``out``
         out_tail[...] = tail
         return out
 

@@ -19,7 +19,7 @@ from . import corpus, evaluation, llm_bridge, models
 from .corpus import RelationInstance, TaggedSentence, Vocab
 from .evaluation import EvalReport, decode_bio
 from .models import ModelSpec, RelationExample, TagExample
-from .params import ParamVector, Support
+from .params import ParamVector
 
 # Items Task.evaluate predicts per padded pass: enough to spread each pass's
 # fixed cost thin, few enough that a chunk of 512-token sentences takes tens
@@ -99,12 +99,12 @@ class Task:
     def init_params(self, seed: int) -> ParamVector:
         return models.init_params(self.spec, seed)
 
-    def loss_and_grad(self, w: ParamVector, items: Sequence, support: Support | None = None) -> models.LossGrad:
-        return models.loss_and_grad(self.spec, w, [it.enc for it in items], support)
+    def loss_and_grad(self, w: ParamVector, items: Sequence) -> models.LossGrad:
+        return models.loss_and_grad(self.spec, w, [it.enc for it in items])
 
-    def support(self, items: Sequence) -> Support:
-        """The entries of the weights a gradient over ``items`` can move."""
-        return models.support(self.spec, [it.enc for it in items])
+    def shard(self, items: Sequence) -> models.Shard:
+        """``items`` as a client trains on them, in its compact parameter space."""
+        return models.shard(self.spec, [it.enc for it in items])
 
     def predict(self, w: ParamVector, items: Sequence) -> list:
         """Each item's prediction in the form the kind scores (a span list

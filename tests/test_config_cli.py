@@ -588,13 +588,13 @@ def test_a_source_too_small_to_split_after_dedup_is_a_config_error(tmp_path, cap
 def test_divergence_exits_2_naming_round_client_and_segment(tmp_path, capsys, monkeypatch):
     # every gradient after the first round's dev pass carries a NaN, so the
     # first client of round two diverges
-    from fedtext import tasks
+    from fedtext import models, tasks
 
     armed = []
-    loss_and_grad, dev_scores = tasks.Task.loss_and_grad, tasks.Task.dev_scores
+    loss_and_grad, dev_scores = models.loss_and_grad, tasks.Task.dev_scores
 
-    def poisoned(self, w, items, support=None):
-        lg = loss_and_grad(self, w, items, support)
+    def poisoned(spec, w, batch):
+        lg = loss_and_grad(spec, w, batch)
         if armed:
             segment(lg.grad, "out_b")[0] = float("nan")
         return lg
@@ -603,7 +603,7 @@ def test_divergence_exits_2_naming_round_client_and_segment(tmp_path, capsys, mo
         armed.append(True)
         return dev_scores(self, w, items)
 
-    monkeypatch.setattr(tasks.Task, "loss_and_grad", poisoned)
+    monkeypatch.setattr(models, "loss_and_grad", poisoned)
     monkeypatch.setattr(tasks.Task, "dev_scores", arming)
     cfg_path = write_config(tmp_path, out=str(tmp_path / "out"))
     assert main(["run", "-c", str(cfg_path)]) == 2

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fedtext import corpus, federation, tasks
+from fedtext import corpus, federation, models, tasks
 from fedtext.config import ConfigError, FederationConfig
 from fedtext.federation import (
     ClientState,
@@ -18,7 +18,7 @@ from fedtext.federation import (
     weights_sha256,
 )
 from fedtext.optim import OptimizerState, Schedule, lr_at
-from fedtext.params import ParamVector
+from fedtext.params import ParamVector, Support
 import oracles
 from oracles import segment
 
@@ -147,8 +147,9 @@ def test_execution_order_does_not_change_the_result(ner_setup):
         total = cfg.rounds * cfg.local_epochs * math.ceil(len(part) / cfg.batch_size)
         sched = Schedule(base_lr=cfg.base_lr, warmup_steps=int(round(cfg.warmup_frac * total)),
                          total_steps=total)
-        clients.append(ClientState(i, list(part), OptimizerState(cfg.optimizer, server.size), sched))
-    updates = {c.id: local_update(task, c, server, cfg, client_rng(0, c.id, 0))[0]
+        shard = task.shard(part)
+        clients.append(ClientState(i, shard, OptimizerState(cfg.optimizer, shard.support.count), sched))
+    updates = {c.id: local_update(c, server, cfg, client_rng(0, c.id, 0))[0]
                for c in reversed(clients)}
     by_hand = aggregate([c.n for c in clients], [updates[c.id] for c in clients])
     assert weights_sha256(by_hand) == logged
@@ -325,17 +326,19 @@ def by_source_setup():
     return task, parts, dev
 
 
-def test_a_partial_support_round_loop_matches_a_dense_hand_rolled_reference(by_source_setup):
-    # two clients, adam FedProx, several steps per round: every round's
+@pytest.mark.parametrize("mu", [0.0, 0.1])
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+def test_a_partial_support_round_loop_matches_a_dense_hand_rolled_reference(by_source_setup, optimizer, mu):
+    # two clients, FedAvg or FedProx, several steps per round: every round's
     # weights equal dense functional updates of the whole vector, bit for bit
     task, parts, dev = by_source_setup
-    mu, lr0, batch = 0.1, 0.02, 8
+    lr0, batch = 0.02, 8
     cfg = fed_cfg(clients=2, rounds=3, local_epochs=2, batch_size=batch, mu=mu,
-                  optimizer="adam", base_lr=lr0)
+                  optimizer=optimizer, base_lr=lr0)
     records = [record for record, _ in train_rounds(task, cfg, parts, dev)]
 
     server = task.init_params(0)
-    assert all(task.support(part).count < server.size for part in parts)
+    assert all(task.shard(part).support.count < server.size for part in parts)
     moments = [(np.zeros(server.size), np.zeros(server.size), 0) for _ in parts]
     total = sum(map(len, parts))
     for t in range(3):
@@ -350,7 +353,7 @@ def test_a_partial_support_round_loop_matches_a_dense_hand_rolled_reference(by_s
                     items = [part[i] for i in order[lo : lo + batch]]
                     g = task.loss_and_grad(ParamVector(w, server.layout), items).grad.values
                     m, v, step, w, _ = oracles.optimizer_step(
-                        "adam", m, v, step, w, g, lr_at(sched, step), mu, server.values)
+                        optimizer, m, v, step, w, g, lr_at(sched, step), mu, server.values)
             moments[k] = (m, v, step)
             out += (len(part) / total) * w
         server = ParamVector(out, server.layout)
@@ -370,8 +373,27 @@ def test_a_clients_moments_cover_its_support_not_the_whole_vector(by_source_setu
     next(rounds(task, fed_cfg(rounds=1, optimizer="adam"), parts, dev))
     size = task.init_params(0).size
     for state, part in zip(states, parts, strict=True):
-        count = task.support(part).count
+        count = task.shard(part).support.count
         assert state.m.size == state.v.size == count < size
+
+
+def test_a_client_gathers_and_scatters_its_weights_once_per_round(by_source_setup, monkeypatch):
+    # the server weights reach a client's compact vector once when its round
+    # starts and go back once when it ends, however many steps it takes
+    task, parts, dev = by_source_setup
+    calls = []
+
+    def counted(name, original):
+        return lambda *args: calls.append(name) or original(*args)
+
+    for name in ("gather", "scatter"):
+        monkeypatch.setattr(Support, name, counted(name, getattr(Support, name)))
+    monkeypatch.setattr(models, "loss_and_grad", counted("step", models.loss_and_grad))
+    cfg = fed_cfg(clients=2, rounds=3, local_epochs=2, batch_size=4, mu=0.1, optimizer="adam")
+    train_rounds(task, cfg, parts, dev)
+    steps = [2 * math.ceil(len(part) / 4) for part in parts]
+    assert min(steps) > 1
+    assert calls == [call for _ in range(3) for n in steps for call in ["gather", *["step"] * n, "scatter"]]
 
 
 def test_divergence_names_the_round_and_the_client(ner_setup, monkeypatch):
@@ -381,16 +403,16 @@ def test_divergence_names_the_round_and_the_client(ner_setup, monkeypatch):
     steps = [math.ceil(len(p) / cfg.batch_size) for p in parts]
     # the first step of client 1 in round 2 comes after round 1 and client 0's round 2
     bad_call = 2 * steps[0] + steps[1] + 1
-    calls, original = [], tasks.Task.loss_and_grad
+    calls, original = [], models.loss_and_grad
 
-    def loss_and_grad(self, w, items, support=None):
-        lg = original(self, w, items, support)
+    def loss_and_grad(spec, w, batch):
+        lg = original(spec, w, batch)
         calls.append(1)
         if len(calls) == bad_call:
             segment(lg.grad, "embed")[0] = np.nan
         return lg
 
-    monkeypatch.setattr(tasks.Task, "loss_and_grad", loss_and_grad)
+    monkeypatch.setattr(models, "loss_and_grad", loss_and_grad)
     with pytest.raises(ValueError) as info:
         train_rounds(task, cfg, parts, dev)
     assert str(info.value) == "round 2, client 1: non-finite gradient in segment 'embed'"
@@ -409,14 +431,15 @@ def test_a_diverging_step_leaves_the_client_as_it_was(ner_setup, monkeypatch, op
     task, train = ner_setup["task"], ner_setup["train"]
     cfg = fed_cfg(clients=1, rounds=1, optimizer=optimizer, mu=0.5)
     server = task.init_params(0)
-    client = ClientState(0, list(train), OptimizerState(optimizer, server.size),
+    shard = task.shard(train)
+    client = ClientState(0, shard, OptimizerState(optimizer, shard.support.count),
                          Schedule(base_lr=0.05, warmup_steps=0, total_steps=100))
-    seen, original = [], tasks.Task.loss_and_grad
+    seen, original = [], models.loss_and_grad
 
-    def loss_and_grad(self, w, items, support=None):
-        # w is the client's weight vector; the third step's gradient is NaN,
-        # or its loss is infinite while the gradient stays finite
-        lg = original(self, w, items, support)
+    def loss_and_grad(spec, w, batch):
+        # w is the client's compact weight vector; the third step's gradient
+        # is NaN, or its loss is infinite while the gradient stays finite
+        lg = original(spec, w, batch)
         if client.opt.step_count == 2:
             seen.append((w, w.values.copy(), moments(client.opt)))
             if poisoned == "gradient":
@@ -425,10 +448,10 @@ def test_a_diverging_step_leaves_the_client_as_it_was(ner_setup, monkeypatch, op
                 lg.loss = math.inf
         return lg
 
-    monkeypatch.setattr(tasks.Task, "loss_and_grad", loss_and_grad)
+    monkeypatch.setattr(models, "loss_and_grad", loss_and_grad)
     error = "non-finite gradient in segment 'embed'" if poisoned == "gradient" else "non-finite loss"
     with pytest.raises(ValueError, match=f"^{error}$"):
-        local_update(task, client, server, cfg, client_rng(0, 0, 0))
+        local_update(client, server, cfg, client_rng(0, 0, 0))
     [(w, values, before)] = seen
     assert np.array_equal(w.values, values)
     assert client.opt.step_count == 2

@@ -13,14 +13,15 @@ from fedtext.models import (
     TagExample,
     init_params,
     loss_and_grad,
+    pad,
     param_count,
     param_layout,
     predict_relations,
     predict_tags,
     segment_shapes,
-    support,
+    shard,
 )
-from fedtext.params import Support, validate_layout
+from fedtext.params import ParamVector, validate_layout
 import oracles
 from oracles import segment
 
@@ -514,19 +515,22 @@ def test_short_training_reduces_loss():
         assert loss < first.loss
 
 
-@pytest.mark.parametrize("spec, make_item", [
+KINDS = pytest.mark.parametrize("spec, make_item", [
     (WINDOW, random_tag_item), (RNN, random_tag_item), (REL, random_rel_item),
 ], ids=["window_tagger", "rnn_crf_tagger", "relation_classifier"])
+
+
+@KINDS
 def test_a_gradient_is_positive_zero_outside_the_declared_support(spec, make_item):
-    # a client's optimizer steps only the entries of its support, which is
-    # exact only if every other entry of every batch gradient is +0.0: then
-    # a dense step leaves it as it is, -0.0 weights included
+    # a client trains only the entries of its support, which is exact only
+    # if every other entry of every batch gradient is +0.0: then a dense
+    # step leaves it as it is, -0.0 weights included
     spec = dataclasses.replace(spec, vocab_size=40)  # so a batch reaches few embed rows
     rng = np.random.default_rng(7)
     for _ in range(20):
         batch = mixed_batch(make_item)(spec, rng)
         w = init_params(spec, int(rng.integers(1_000_000)))
-        sup = support(spec, batch)
+        sup = shard(spec, batch).support
         inside = np.zeros(w.size)
         sup.scatter(np.ones(sup.count), inside)
         assert inside.sum() == sup.count < w.size
@@ -538,13 +542,40 @@ def test_a_gradient_is_positive_zero_outside_the_declared_support(spec, make_ite
         assert inside[param_layout(spec)["embed"][1]:].all()
 
 
-@pytest.mark.parametrize("spec, make_item", [
-    (WINDOW, random_tag_item), (RNN, random_tag_item), (REL, random_rel_item),
-], ids=["window_tagger", "rnn_crf_tagger", "relation_classifier"])
-def test_a_gradient_over_a_support_is_the_full_gradient_gathered_over_it(spec, make_item):
-    # the support of a client's shard, of which the batch is part: the
-    # compact gradient holds the same floats as the full one's support
-    # entries, segment by segment, with the support's rows in embed
+def _renumbered(items, rows):
+    """``items`` with each token id replaced by its index in ``rows``."""
+    at = {int(t): i for i, t in enumerate(rows)}
+    return [dataclasses.replace(item, token_ids=np.array([at[int(t)] for t in item.token_ids]))
+            for item in items]
+
+
+@KINDS
+def test_a_batch_from_a_padded_shard_equals_padding_its_items(spec, make_item):
+    # rows in shuffled order, trimmed to the longest of them: the arrays
+    # pad gives for those items afresh, token ids renumbered to the shard's rows
+    spec = dataclasses.replace(spec, vocab_size=40)
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        items = mixed_batch(make_item)(spec, rng) + mixed_batch(make_item)(spec, rng)
+        client = shard(spec, items)
+        assert client.spec == dataclasses.replace(spec, vocab_size=client.support.rows.size)
+        assert len(client.items) == len(items)
+        for size in (1, 3, len(items)):
+            rows = rng.permutation(len(items))[:size]
+            got = client.items.take(rows)
+            expect = pad(client.spec, _renumbered([items[i] for i in rows], client.support.rows))
+            for field in ("ids", "mask", "lengths", "labels", "spans"):
+                a, b = getattr(got, field), getattr(expect, field)
+                assert (a is None) == (b is None) == (field == "spans" and spec.kind != REL.kind)
+                if a is not None:
+                    assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), field
+
+
+@KINDS
+def test_a_compact_gradient_equals_the_full_one_gathered(spec, make_item):
+    # the shard of a client, of which the batch is part: its spec's gradient
+    # at the compact weights, on the batch's renumbered token ids, holds the
+    # same floats as the full gradient's support entries, segment by segment
     spec = dataclasses.replace(spec, vocab_size=40)
     rng = np.random.default_rng(19)
     for _ in range(20):
@@ -552,27 +583,14 @@ def test_a_gradient_over_a_support_is_the_full_gradient_gathered_over_it(spec, m
         batch, rest = make(spec, rng), make(spec, rng)
         w = init_params(spec, int(rng.integers(1_000_000)))
         w.values[:] = rng.normal(size=w.size)
-        sup = support(spec, batch + rest)
+        client = shard(spec, batch + rest)
+        sup = client.support
+        compact_w = ParamVector(sup.gather(w.values, np.empty(sup.count)), param_layout(client.spec))
         full = loss_and_grad(spec, w, batch)
-        compact = loss_and_grad(spec, w, batch, sup)
-        assert compact.loss == full.loss
-        assert compact.grad.size == sup.count < w.size
-        assert compact.grad.values.tobytes() == sup.gather(full.grad.values, np.empty(sup.count)).tobytes()
-        assert list(compact.grad.layout) == list(full.grad.layout)
-        assert compact.grad.layout["embed"] == (0, sup.rows.size * spec.embed_dim)
-        # a support of every entry gives the whole vector
-        every = loss_and_grad(spec, w, batch, Support(w.size)).grad
-        assert every.layout is param_layout(spec)
-        assert every.values.tobytes() == full.grad.values.tobytes()
-
-
-def test_a_batch_token_outside_the_gradients_support_is_refused():
-    spec = dataclasses.replace(WINDOW, vocab_size=20)
-    w = init_params(spec, 0)
-    inside = TagExample(np.array([3, 5, 19]), np.array([0, 1, 2]))
-    sup = support(spec, [inside])
-    for tokens in ([3, 7, 5], [0, 3], [19, 5, 5, 4]):
-        item = TagExample(np.array(tokens), np.zeros(len(tokens), dtype=np.intp))
-        outside = next(t for t in tokens if t not in (3, 5, 19))
-        with pytest.raises(ValueError, match=f"^token id {outside} is outside the gradient's support$"):
-            loss_and_grad(spec, w, [inside, item], sup)
+        for compact in (loss_and_grad(client.spec, compact_w, client.items.take(np.arange(len(batch)))),
+                        loss_and_grad(client.spec, compact_w, _renumbered(batch, sup.rows))):
+            assert compact.loss == full.loss
+            assert compact.grad.size == sup.count < w.size
+            assert compact.grad.values.tobytes() == sup.gather(full.grad.values, np.empty(sup.count)).tobytes()
+            assert list(compact.grad.layout) == list(full.grad.layout)
+            assert compact.grad.layout["embed"] == (0, sup.rows.size * spec.embed_dim)

@@ -8,6 +8,7 @@ from fedtext.optim import (
     Schedule,
     apply_step,
     lr_at,
+    new_scratch,
     proximal_augment,
 )
 from fedtext.params import ParamVector, Support
@@ -89,69 +90,89 @@ def test_in_place_step_matches_the_functional_reference(kind):
 @pytest.mark.parametrize("kind", ["sgd", "adam"])
 def test_a_step_on_a_partial_support_equals_the_dense_step(kind, mu):
     # gradients that are +0.0 off the support, as every model's are, and
-    # weights that start at the anchor: stepping only the support's entries
+    # weights that start at the anchor: stepping only the support's entries,
+    # gathered once as a client's round does and scattered back at its end,
     # gives the dense reference's weights and moments bit for bit, and leaves
     # every other weight, -0.0 included, as it was
     rng = np.random.default_rng(11)
     V, d, tail = 9, 4, 5
-    layout = {"embed": (0, V * d), "out": (V * d, tail)}
     sup = Support(V * d + tail, head=V * d, width=d, rows=np.array([0, 2, 3, 7]))
-    compact = {"embed": (0, 4 * d), "out": (4 * d, tail)}  # a gradient over the support
+    compact = {"embed": (0, 4 * d), "out": (4 * d, tail)}  # the support's layout
     inside = np.zeros(sup.size)
     sup.scatter(np.ones(sup.count), inside)
     off = inside == 0.0
-    w = ParamVector(rng.normal(size=sup.size), layout)
-    w.values[off & (rng.random(sup.size) < 0.5)] = -0.0
-    anchor, before = w.copy(), w.values.tobytes()
-    state = OptimizerState(kind, sup)
+    full = rng.normal(size=sup.size)
+    full[off & (rng.random(sup.size) < 0.5)] = -0.0
+    before = full.tobytes()
+    w = ParamVector(sup.gather(full, np.empty(sup.count)), compact)
+    anchor = w.copy()
+    state = OptimizerState(kind, sup.count)
     m, v = (np.zeros(sup.size), np.zeros(sup.size)) if kind == "adam" else (None, None)
-    ref_w, t = w.values.copy(), 0
+    ref_w, t = full.copy(), 0
     for step in range(40):
         g = np.where(off, 0.0, rng.normal(size=sup.size) * 10.0 ** rng.integers(-3, 3))
         lr = 0.01 * (1 + step % 7)
-        m, v, t, ref_w, ref_penalty = oracles.optimizer_step(kind, m, v, t, ref_w, g, lr, mu, anchor.values)
+        m, v, t, ref_w, ref_penalty = oracles.optimizer_step(kind, m, v, t, ref_w, g, lr, mu, full)
         grad = ParamVector(sup.gather(g, np.empty(sup.count)), compact)
         penalty = proximal_augment(state, w, grad, anchor, mu)
         apply_step(state, w, grad, lr)
         assert penalty == pytest.approx(ref_penalty, rel=1e-12)  # a shorter dot may round otherwise
-        assert w.values.tobytes() == ref_w.tobytes()
         assert state.step_count == t
         if kind == "adam":
-            assert state.m.size == state.v.size == sup.count
             assert sup.gather(m, np.empty(sup.count)).tobytes() == state.m.tobytes()
             assert sup.gather(v, np.empty(sup.count)).tobytes() == state.v.tobytes()
-    assert w.values[off].tobytes() == np.frombuffer(before)[off].tobytes()
+            assert not m[off].any() and not v[off].any()
+        out = np.frombuffer(before).copy()
+        sup.scatter(w.values, out)
+        assert out.tobytes() == ref_w.tobytes()
+    assert out[off].tobytes() == np.frombuffer(before)[off].tobytes()
     assert not np.array_equal(w.values, anchor.values)
 
 
 def test_an_overflowing_square_is_named_by_the_segment_of_its_support_entry():
-    layout = {"embed": (0, 8), "out": (8, 2)}
     sup = Support(10, head=8, width=2, rows=np.array([1, 3]))
-    compact = {"embed": (0, 4), "out": (4, 2)}  # a gradient over the support
+    compact = {"embed": (0, 4), "out": (4, 2)}  # the support's layout
     for index, name in ((7, "embed"), (9, "out")):
         g = np.zeros(10)
         g[[2, index]] = 1e153, 1e155  # only the second one's square overflows
-        w = ParamVector(np.zeros(10), layout)
+        w = ParamVector(np.zeros(sup.count), compact)
         grad = ParamVector(sup.gather(g, np.empty(sup.count)), compact)
         with pytest.raises(FloatingPointError, match=f"in square of the gradient in segment '{name}'$"):
-            apply_step(OptimizerState("adam", sup), w, grad, 0.1)
+            apply_step(OptimizerState("adam", sup.count), w, grad, 0.1)
 
 
 @pytest.mark.parametrize("kind", ["sgd", "adam"])
 def test_a_gradient_of_another_size_than_the_support_is_refused(kind):
-    # a gradient over a support has exactly its count of values; the whole
-    # vector's gradient is refused before anything is written
-    layout = {"embed": (0, 8), "out": (8, 2)}
-    sup = Support(10, head=8, width=2, rows=np.array([1, 3]))
-    state = OptimizerState(kind, sup)
-    w = ParamVector(np.arange(10.0), layout)
-    message = "^gradient has 10 values, but the optimizer's support has 6$"
+    # a client's state, weights and gradients are its support's count of
+    # values long; the whole vector's gradient or weights are refused before
+    # anything is written
+    layout, compact = {"embed": (0, 8), "out": (8, 2)}, {"embed": (0, 4), "out": (4, 2)}
+    state = OptimizerState(kind, 6)
+    w = ParamVector(np.arange(6.0), compact)
+    whole = ParamVector(np.ones(10), layout)
+    message = "^gradient has 10 values, but the optimizer's state has 6$"
     for mu in (0.0, 0.5):
         with pytest.raises(ValueError, match=message):
-            proximal_augment(state, w, ParamVector(np.ones(10), layout), w.copy(), mu)
+            proximal_augment(state, w, whole, w.copy(), mu)
+        with pytest.raises(ValueError, match="^anchor has 10 values, but the optimizer's state has 6$"):
+            proximal_augment(state, w, w.copy(), whole, mu)
     with pytest.raises(ValueError, match=message):
-        apply_step(state, w, ParamVector(np.ones(10), layout), 0.1)
-    assert w.values.tolist() == list(range(10)) and state.step_count == 0
+        apply_step(state, w, whole, 0.1)
+    with pytest.raises(ValueError, match="^weight vector has 10 values, but the optimizer's state has 6$"):
+        apply_step(state, whole, w.copy(), 0.1)
+    assert w.values.tolist() == list(range(6)) and state.step_count == 0
+
+
+@pytest.mark.parametrize("kind", ["sgd", "adam"])
+def test_a_shared_scratch_smaller_than_the_state_is_refused(kind):
+    # the round loop hands every client's state one buffer; one too narrow
+    # or with too few rows is named when the state is built, not at a step
+    rows = 2 if kind == "adam" else 1
+    OptimizerState(kind, 50, new_scratch(kind, 100))
+    for scratch in (np.empty((3, 50)), np.empty((rows - 1, 100)), np.empty(100)):
+        with pytest.raises(ValueError, match=fr"^scratch of shape \({scratch.shape[0]},.*\) is smaller "
+                                             fr"than {kind}'s {rows} rows of 100 values$"):
+            OptimizerState(kind, 100, scratch)
 
 
 @pytest.mark.parametrize("kind", ["sgd", "adam"])

@@ -66,6 +66,18 @@ def test_support_gathers_scatters_and_maps_back_its_entries():
     out = np.zeros(11)
     sup.scatter(-compact, out)
     assert out.tolist() == [0, 0, -2, -3, 0, 0, -6, -7, -8, -9, -10]
-    every = Support(5)  # a size alone: every entry
-    assert every.count == 5
-    assert every.gather(values[:5], np.empty(5)).tolist() == values[:5].tolist()
+
+
+@pytest.mark.parametrize("head, width, rows, message", [
+    (6, 2, [5], r"rows must be sorted, unique and in \[0, 3\)"),  # past the block, was gathered clipped
+    (6, 2, [-1], r"rows must be sorted, unique and in \[0, 3\)"),
+    (8, 2, [1, 1], r"rows must be sorted, unique and in \[0, 4\)"),  # was counted twice
+    (8, 2, [3, 1], r"rows must be sorted, unique and in \[0, 4\)"),
+    (8, 2, [[1]], r"rows must be sorted, unique and in \[0, 4\)"),
+    (7, 2, [1], r"head 7 must be a multiple of width 2 in \[0, 10\]"),
+    (12, 2, [1], r"head 12 must be a multiple of width 2 in \[0, 10\]"),
+    (4, 0, [], r"head 4 must be a multiple of width 0 in \[0, 10\]"),
+])
+def test_a_support_refuses_rows_or_a_head_that_do_not_name_its_entries(head, width, rows, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Support(10, head=head, width=width, rows=np.array(rows, dtype=np.intp))

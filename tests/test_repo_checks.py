@@ -132,7 +132,7 @@ def test_every_errstate_in_the_package_applies_the_one_float_policy():
 
 
 def test_the_embedding_gradient_is_written_at_one_site():
-    # models.support declares the entries a gradient can be nonzero in from
+    # models.shard declares the entries a gradient can be nonzero in from
     # where the embed gradient is written, so there must be one such write:
     # the np.add.at in models.loss_and_grad, into the embed segment
     sites = []

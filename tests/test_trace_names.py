@@ -98,16 +98,19 @@ def test_a_fedprox_local_step_allocates_only_its_gradient():
     cfg = FederationConfig(clients=1, rounds=1, batch_size=8, local_epochs=2,
                            mu=0.1, optimizer="adam")
     server = task.init_params(0)
-    client = ClientState(0, data, OptimizerState("adam", server.size),
+    shard = task.shard(data)
+    client = ClientState(0, shard, OptimizerState("adam", shard.support.count),
                          Schedule(base_lr=0.01, warmup_steps=0, total_steps=100))
     with load_layertrace().Tracer() as tracer:
-        local_update(task, client, server, cfg, client_rng(0, 0, 0))
+        local_update(client, server, cfg, client_rng(0, 0, 0))
     steps = 2 * math.ceil(len(data) / 8)
+    assert tracer.calls["models.loss_and_grad"] == steps
     assert tracer.calls["optim.apply_step"] == steps
     assert tracer.calls["optim.proximal_augment"] == steps
     assert tracer.calls["optim.lr_at"] == steps
-    # the client's copy of the server weights, then one gradient per step
-    assert tracer.vectors_allocated == 1 + steps
+    # the client's compact weights and their anchor copy, one gradient per
+    # step, and the copy of the server weights its entries go back into
+    assert tracer.vectors_allocated == 2 + steps + 1
 
 
 def test_a_fedprox_step_on_a_partial_support_allocates_a_support_sized_gradient():
@@ -118,20 +121,22 @@ def test_a_fedprox_step_on_a_partial_support_allocates_a_support_sized_gradient(
     sources = corpus.generate_synthetic(profile, 4)
     task = tasks.build_task([s for _, sents in sources for s in sents], kind="window_tagger", embed_dim=4)
     data = corpus.partition_by_source([(name, task.prepare(sents)) for name, sents in sources])[0]
-    sup = task.support(data)
+    shard = task.shard(data)
+    sup = shard.support
     cfg = FederationConfig(clients=2, rounds=1, batch_size=8, local_epochs=2,
                            mu=0.1, optimizer="adam")
     server = task.init_params(0)
     assert sup.count < server.size
-    client = ClientState(0, data, OptimizerState("adam", sup),
+    client = ClientState(0, shard, OptimizerState("adam", sup.count),
                          Schedule(base_lr=0.01, warmup_steps=0, total_steps=100))
     with load_layertrace().Tracer() as tracer:
-        local_update(task, client, server, cfg, client_rng(0, 0, 0))
+        local_update(client, server, cfg, client_rng(0, 0, 0))
     steps = 2 * math.ceil(len(data) / 8)
     assert tracer.calls["optim.proximal_augment"] == steps
-    # the client's copy of the server weights, then one support-sized gradient per step
-    assert tracer.vectors_allocated == 1 + steps
-    assert tracer.bytes_allocated == server.values.nbytes + steps * sup.count * 8
+    # the compact weights, their anchor and one gradient per step are
+    # support-sized; only the copy of the server weights they go back into is not
+    assert tracer.vectors_allocated == 2 + steps + 1
+    assert tracer.bytes_allocated == (2 + steps) * sup.count * 8 + server.values.nbytes
 
 
 def test_scoring_responses_parses_each_one_and_scores_once():
