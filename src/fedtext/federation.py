@@ -7,18 +7,19 @@ average of the results.  The average is a running sum: ``aggregate`` asks for
 one client's weights at a time and folds them in before the next client
 trains, so a round holds one client's weights, not K.  Each client trains
 in its own compact parameter space, fixed when the client is built
-(``models.Shard``): its support, the embedding rows of its shard's tokens
-and every other entry, and its shard, checked, renumbered to those rows and
-padded once.  A round gathers the client's entries of the server weights
-once, steps that compact vector batch by batch, each batch sliced out of
-the padded shard, and scatters it once into a copy of the server weights
-for ``aggregate``.  Between rounds a client keeps only its Adam moments
-over its support; the optimizer's scratch rows are one buffer for the whole
-run, as long as the largest support.  Client work depends only on the
-server weights, its shard and its ``client_rng`` stream, keyed by (seed,
-client, round), so the order clients run in cannot change the result.
-``rounds`` yields each round's record and server weights as the round ends,
-and ``collect`` picks the best round's weights from that stream.
+(``models.Shard``): its ``entries``, the indices of the embedding rows of
+its shard's tokens and of every entry after them, and its shard, checked,
+renumbered to those rows and stored flat.  A round gathers those entries of
+the server weights once (``np.take``), steps that compact vector batch by
+batch, each batch padded from the flat shard, and puts it once into a copy
+of the server weights (``np.put``) for ``aggregate``.  Between rounds a
+client keeps only its Adam moments over its entries; the optimizer's
+scratch rows are one buffer for the whole run, as long as the largest
+client's entries.  Client work depends only on the server weights, its
+shard and its ``client_rng`` stream, keyed by (seed, client, round), so the
+order clients run in cannot change the result.  ``rounds`` yields each
+round's record and server weights as the round ends, and ``collect`` picks
+the best round's weights from that stream.
 Centralized training is the loop with one client, so it is a K=1 federated
 run bit for bit.
 """
@@ -47,12 +48,12 @@ def client_rng(seed: int, client_id: int, round_idx: int) -> np.random.Generator
 class ClientState:
     id: int
     shard: models.Shard
-    opt: OptimizerState  # over the shard's support
+    opt: OptimizerState  # over the shard's entries
     schedule: Schedule
 
     @property
     def n(self) -> int:
-        return len(self.shard.items)
+        return len(self.shard)
 
 
 def weights_sha256(w: ParamVector) -> str:
@@ -116,15 +117,14 @@ def local_update(
     includes the penalty, so at mu = 0 it is the plain training loss.
     """
     shard, opt = client.shard, client.opt
-    compact = shard.support.gather(global_weights.values, np.empty(shard.support.count))
-    weights = ParamVector(compact, models.param_layout(shard.spec))
+    weights = ParamVector(np.take(global_weights.values, shard.entries), models.param_layout(shard.spec))
     anchor = weights.copy()
     epoch_losses = []
     for _ in range(cfg.local_epochs):
         order = rng.permutation(client.n)
         batch_losses = []
         for lo in range(0, client.n, cfg.batch_size):
-            batch = shard.items.take(order[lo : lo + cfg.batch_size])
+            batch = shard.batch(order[lo : lo + cfg.batch_size])
             lg = models.loss_and_grad(shard.spec, weights, batch)
             penalty = proximal_augment(opt, weights, lg.grad, anchor, cfg.mu)
             loss = lg.loss + penalty
@@ -134,7 +134,7 @@ def local_update(
             batch_losses.append(loss)
         epoch_losses.append(float(np.mean(batch_losses)))
     out = global_weights.copy()
-    shard.support.scatter(weights.values, out.values)
+    np.put(out.values, shard.entries, weights.values)
     return out, epoch_losses
 
 
@@ -163,12 +163,12 @@ def rounds(
 
     server = task.init_params(seed)
     shards = [task.shard(part) for part in partitions]
-    scratch = new_scratch(cfg.optimizer, max(s.support.count for s in shards))  # clients train one at a time
+    scratch = new_scratch(cfg.optimizer, max(s.entries.size for s in shards))  # clients train one at a time
     clients = [
         ClientState(
             id=i,
             shard=shard,
-            opt=OptimizerState(cfg.optimizer, shard.support.count, scratch),
+            opt=OptimizerState(cfg.optimizer, shard.entries.size, scratch),
             schedule=client_schedule(cfg, i, len(part)),
         )
         for i, (part, shard) in enumerate(zip(partitions, shards))

@@ -26,17 +26,19 @@ pads a chunk of sentences the same way and decodes the RNN's emissions with
 one batched Viterbi; when no row is padded, as for a single sentence, the
 backward direction reverses whole rows and the decode needs no mask.
 
-Items are checked where they are padded: ``pad`` checks each kind of id
-(non-empty, 1-D, in range) as it joins them once for ``_pad``, a tagger's
-token and label masks must agree, and a relation's spans must lie in its
-sentence.  ``loss_and_grad`` pads the items it is given, or takes a
-``Padded`` batch as it is.  Training takes its batches from a ``Shard``:
-one client's items padded once, in the client's compact parameter space,
-the entries of the whole vector its items can move (see ``shard``), so a
-step slices its rows out of the shard and runs on the client's compact
-weights.  The three public passes run under ``params.FLOAT_POLICY``:
-weights that overflow a pass, or a saturated softmax's log(0), raise
-FloatingPointError there.
+Items are checked once, where they are joined end to end: each kind of id
+must be non-empty, 1-D and in range, a tagger's token and label arrays must
+agree in length, and a relation's spans must lie in its sentence.  One
+function, ``_pad``, builds every (B, T) batch from such flat arrays and the
+items' offsets into them, padded to that batch's own longest item: ``pad``'s,
+a ``Shard``'s and ``predict_tags``'.  ``loss_and_grad`` pads the items it is
+given, or takes a ``Padded`` batch as it is.  Training takes its batches
+from a ``Shard``: one client's items stored flat once, so in memory in
+proportion to their tokens, in the client's compact parameter space, the
+entries of the whole vector its items can move (see ``shard``); a step pads
+its rows of the shard and runs on the client's compact weights.  The three
+public passes run under ``params.FLOAT_POLICY``: weights that overflow a
+pass, or a saturated softmax's log(0), raise FloatingPointError there.
 """
 from __future__ import annotations
 
@@ -48,7 +50,7 @@ from typing import Sequence
 import numpy as np
 
 from . import crf
-from .params import FLOAT_POLICY, Layout, ParamVector, Support, validate_layout
+from .params import FLOAT_POLICY, Layout, ParamVector, validate_layout
 
 MODEL_KINDS = ("window_tagger", "rnn_crf_tagger", "relation_classifier")
 
@@ -215,15 +217,22 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _pad(arrays: Sequence[np.ndarray], flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The 1-D int ``arrays``, given joined end to end as ``flat``, as a
-    zero-padded (B, T) array and its (B, T) prefix mask, T being the longest
-    length."""
-    lengths = np.array([a.size for a in arrays])
-    mask = np.arange(lengths.max()) < lengths[:, None]
-    padded = np.zeros(mask.shape, dtype=np.intp)
-    padded[mask] = flat
-    return padded, mask
+def _pad(lengths: np.ndarray, starts: np.ndarray, *flats: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Items whose values are ``flat[starts[b] : starts[b] + lengths[b]]``
+    of each 1-D int array ``flat`` of ``flats``, padded to the longest item,
+    T values: the (B, T) mask that is True on each item's values (a prefix
+    of its row), then each of ``flats`` as a (B, T) array, zero where padded."""
+    steps = np.arange(lengths.max())
+    mask = steps < lengths[:, None]
+    # past an item's end this reads the next item's values (or, clipped, the
+    # last value), which the mask then zeroes
+    at = starts[:, None] + steps
+    padded = [mask]
+    for flat in flats:
+        values = flat.take(at, mode="clip")
+        values *= mask
+        padded.append(values)
+    return tuple(padded)
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,36 +251,41 @@ class Padded:
     def __len__(self) -> int:
         return self.lengths.size
 
-    def take(self, rows: np.ndarray) -> "Padded":
-        """Items ``rows``, in that order, trimmed to the longest of them: the
-        arrays ``pad`` gives for those items."""
-        lengths = self.lengths[rows]
-        cut = slice(lengths.max())
-        if self.spans is None:
-            return Padded(self.ids[rows, cut], self.mask[rows, cut], lengths, self.labels[rows, cut])
-        return Padded(self.ids[rows, cut], self.mask[rows, cut], lengths, self.labels[rows], self.spans[rows])
 
-
-def pad(spec: ModelSpec, items: Batch) -> Padded:
-    """Check ``items`` for the spec's model and pad them."""
+def _flatten(spec: ModelSpec, items: Batch) -> tuple[np.ndarray, ...]:
+    """Check ``items`` for the spec's model and join them: their token ids
+    end to end, each item's length and offset into them, then a tagger's
+    label ids end to end and None, or a relation's gold label ids and
+    (n, 2, 2) spans."""
     item_type = RelationExample if spec.kind == "relation_classifier" else TagExample
     if not all(isinstance(item, item_type) for item in items):
         raise ValueError(f"{spec.kind} expects {item_type.__name__} items")
     tokens = [item.token_ids for item in items]
-    ids, mask = _pad(tokens, _joined(tokens, spec.vocab_size, "token id"))
-    lengths = mask.sum(axis=1)
+    ids = _joined(tokens, spec.vocab_size, "token id")
+    lengths = np.array([a.size for a in tokens])
+    offsets = np.cumsum(lengths) - lengths
     if item_type is TagExample:
         label_ids = [item.label_ids for item in items]
-        labels, label_mask = _pad(label_ids, _joined(label_ids, spec.label_count, "label id"))
-        if not np.array_equal(mask, label_mask):
+        labels = _joined(label_ids, spec.label_count, "label id")
+        if any(a.size != n for a, n in zip(label_ids, lengths.tolist())):
             raise ValueError("token and label arrays differ in length")
-        return Padded(ids, mask, lengths, labels)
+        return ids, lengths, offsets, labels, None
     for item, T in zip(items, lengths.tolist()):
         _check_span(item.span1, T, "span1")
         _check_span(item.span2, T, "span2")
     spans = np.array([(item.span1, item.span2) for item in items])
     gold = _joined([np.array([item.label_id for item in items])], spec.label_count, "label id")
-    return Padded(ids, mask, lengths, gold, spans)
+    return ids, lengths, offsets, gold, spans
+
+
+def pad(spec: ModelSpec, items: Batch) -> Padded:
+    """Check ``items`` for the spec's model and pad them."""
+    ids, lengths, offsets, labels, spans = _flatten(spec, items)
+    if spans is None:
+        mask, ids, labels = _pad(lengths, offsets, ids, labels)
+        return Padded(ids, mask, lengths, labels)
+    mask, ids = _pad(lengths, offsets, ids)
+    return Padded(ids, mask, lengths, labels, spans)
 
 
 def _check_span(span: tuple[int, int], T: int, which: str) -> None:
@@ -459,35 +473,54 @@ def _relation_loss_grad(spec: ModelSpec, seg: Segments, batch: Padded, gs: Segme
 @dataclass(frozen=True, eq=False)
 class Shard:
     """One client's items in its own compact parameter space, built once by
-    ``shard``: ``support``, the entries of the whole vector that training on
-    them can move; ``spec``, the model over just those entries, whose
-    vocabulary is the support's rows; and ``items``, the items padded once,
-    their token ids renumbered to those rows."""
+    ``shard``: ``spec``, the model over just the entries of the whole vector
+    that training on them can move, and ``entries``, those entries' sorted
+    indices in the whole vector; then the items stored flat: ``ids``, their
+    token ids end to end, renumbered to the ``embed`` rows the entries hold,
+    each item's ``lengths`` and ``offsets`` into ``ids``, and a tagger's
+    label ids end to end, or a relation's gold label ids and (n, 2, 2) spans."""
 
     spec: ModelSpec
-    support: Support
-    items: Padded
+    entries: np.ndarray
+    ids: np.ndarray
+    lengths: np.ndarray
+    offsets: np.ndarray
+    labels: np.ndarray
+    spans: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return self.lengths.size
+
+    def batch(self, rows: np.ndarray) -> Padded:
+        """Items ``rows``, in that order, padded to the longest of them: the
+        arrays ``pad`` gives for those items."""
+        lengths, starts = self.lengths[rows], self.offsets[rows]
+        if self.spans is None:
+            mask, ids, labels = _pad(lengths, starts, self.ids, self.labels)
+            return Padded(ids, mask, lengths, labels)
+        mask, ids = _pad(lengths, starts, self.ids)
+        return Padded(ids, mask, lengths, self.labels[rows], self.spans[rows])
 
 
 def shard(spec: ModelSpec, items: Batch) -> Shard:
-    """``items``, checked and padded once, in the compact space of their
-    support.  ``loss_and_grad`` writes the ``embed`` gradient with one
-    ``np.add.at`` at a batch's token ids and no other row, and may write any
-    entry of the other segments: so the support is the ``embed`` rows of the
-    items' token ids, sorted, and every entry after ``embed``, the first
-    segment.  Off it, every gradient is +0.0, so a client that trains only
-    its support's entries, gathered once from the server weights, and
+    """``items``, checked and stored flat once, in the compact space of the
+    entries they can move.  ``loss_and_grad`` writes the ``embed`` gradient
+    with one ``np.add.at`` at a batch's token ids and no other row, and may
+    write any entry of the other segments: so the entries are the ``embed``
+    rows of the items' token ids, sorted, and every entry after ``embed``,
+    the first segment.  Off them, every gradient is +0.0, so a client that
+    trains only those entries, gathered once from the server weights, and
     scatters them back takes the steps of the whole vector exactly."""
-    padded = pad(spec, items)
+    ids, lengths, offsets, labels, spans = _flatten(spec, items)
     seen = np.zeros(spec.vocab_size, dtype=bool)
-    seen[padded.ids[padded.mask]] = True  # np.unique would import numpy.ma
+    seen[ids] = True  # np.unique would import numpy.ma
     rows = np.flatnonzero(seen)
-    renumbered = (np.cumsum(seen) - 1)[padded.ids]  # each token id's row among ``rows``
-    renumbered[~padded.mask] = 0
+    d = spec.embed_dim
     _, length = param_layout(spec)["embed"]  # at offset 0
-    support = Support(param_count(spec), head=length, width=spec.embed_dim, rows=rows)
+    entries = np.concatenate([(rows[:, None] * d + np.arange(d)).ravel(), np.arange(length, param_count(spec))])
+    renumbered = (np.cumsum(seen) - 1)[ids]  # each token id's row among ``rows``
     compact = dataclasses.replace(spec, vocab_size=rows.size)
-    return Shard(compact, support, dataclasses.replace(padded, ids=renumbered))
+    return Shard(compact, entries, renumbered, lengths, offsets, labels, spans)
 
 
 _LOSS_GRAD = {"window_tagger": _window_loss_grad, "rnn_crf_tagger": _rnn_crf_loss_grad,
@@ -521,7 +554,11 @@ def predict_tags(spec: ModelSpec, w: ParamVector, sentences: Sequence[np.ndarray
     flat = _joined(sentences, spec.vocab_size, "token id")
     lengths = [ids.size for ids in sentences]
     padded = min(lengths) < max(lengths)
-    ids, mask = _pad(sentences, flat) if padded else (flat.reshape(len(lengths), -1), None)
+    if padded:
+        n = np.array(lengths)
+        mask, ids = _pad(n, np.cumsum(n) - n, flat)
+    else:
+        ids, mask = flat.reshape(len(lengths), -1), None
     seg = _segments(spec, w)
     if spec.kind == "window_tagger":
         X = seg["embed"][ids]

@@ -7,10 +7,10 @@ optimizer updates are plain vector arithmetic.  Every layout the package uses
 comes from ``models``, which checks its tiling once when it builds it; a
 vector only checks that its size matches where its layout ends.
 
-A ``Support`` names the entries of a vector that a client's training can
-move, and moves them between the full vector and a compact one: a client
-trains a compact vector of its own, gathered from the server weights when a
-round starts and scattered into a copy of them when it ends.
+A client trains a compact vector of its own: the entries of the whole
+vector that its training can move, named by an index array
+(``models.Shard.entries``), gathered from the server weights with
+``np.take`` when a round starts and put into a copy of them when it ends.
 """
 from __future__ import annotations
 
@@ -81,46 +81,3 @@ class ParamVector:
         if not finite.all():
             bad = int(np.flatnonzero(~finite)[0])
             raise ValueError(f"non-finite {what} in segment {self.segment_of(bad)!r}")
-
-
-@dataclass(frozen=True, eq=False)
-class Support:
-    """Entries of a vector of ``size`` values: the unique ``rows`` of its
-    leading ``(head // width, width)`` block, and every entry from ``head``
-    on.  ``gather`` copies them, rows first, into a compact vector of
-    ``count`` values, and ``scatter`` copies one back.  ``head`` must be a
-    multiple of ``width`` and at most ``size``, and ``rows`` sorted, unique
-    and within the block."""
-
-    size: int
-    head: int
-    width: int
-    rows: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.width < 1 or self.head % self.width or not 0 <= self.head <= self.size:
-            raise ValueError(f"head {self.head} must be a multiple of width {self.width} in [0, {self.size}]")
-        rows, block = self.rows, self.head // self.width
-        if rows.ndim != 1 or rows.size and (rows[0] < 0 or rows[-1] >= block or (rows[1:] <= rows[:-1]).any()):
-            raise ValueError(f"rows must be sorted, unique and in [0, {block})")
-
-    @property
-    def count(self) -> int:
-        return self.rows.size * self.width + self.size - self.head
-
-    def _split(self, values: np.ndarray, compact: np.ndarray):
-        """(block rows, compact rows, tail, compact tail) views."""
-        k = self.rows.size * self.width
-        return (values[: self.head].reshape(-1, self.width), compact[:k].reshape(-1, self.width),
-                values[self.head :], compact[k:])
-
-    def gather(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
-        block, rows, tail, out_tail = self._split(values, out)
-        np.take(block, self.rows, axis=0, out=rows, mode="clip")  # rows are in range; "raise" would buffer ``out``
-        out_tail[...] = tail
-        return out
-
-    def scatter(self, compact: np.ndarray, values: np.ndarray) -> None:
-        block, rows, tail, compact_tail = self._split(values, compact)
-        block[self.rows] = rows
-        tail[...] = compact_tail

@@ -99,9 +99,6 @@ class Task:
     def init_params(self, seed: int) -> ParamVector:
         return models.init_params(self.spec, seed)
 
-    def loss_and_grad(self, w: ParamVector, items: Sequence) -> models.LossGrad:
-        return models.loss_and_grad(self.spec, w, [it.enc for it in items])
-
     def shard(self, items: Sequence) -> models.Shard:
         """``items`` as a client trains on them, in its compact parameter space."""
         return models.shard(self.spec, [it.enc for it in items])

@@ -150,7 +150,7 @@ def test_fedprox_reverts_to_fedavg():
         for k, part in enumerate(parts):
             w, order = server, client_rng(1, k, t).permutation(len(part))
             for lo in range(0, len(part), 8):
-                lg = task.loss_and_grad(w, [part[i] for i in order[lo : lo + 8]])
+                lg = loss_and_grad(task.spec, w, [part[i].enc for i in order[lo : lo + 8]])
                 w = ParamVector(w.values - lr_at(scheds[k], taken[k]) * lg.grad.values, w.layout)
                 taken[k] += 1
             local.append(w)

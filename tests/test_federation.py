@@ -18,7 +18,7 @@ from fedtext.federation import (
     weights_sha256,
 )
 from fedtext.optim import OptimizerState, Schedule, lr_at
-from fedtext.params import ParamVector, Support
+from fedtext.params import ParamVector
 import oracles
 from oracles import segment
 
@@ -148,7 +148,7 @@ def test_execution_order_does_not_change_the_result(ner_setup):
         sched = Schedule(base_lr=cfg.base_lr, warmup_steps=int(round(cfg.warmup_frac * total)),
                          total_steps=total)
         shard = task.shard(part)
-        clients.append(ClientState(i, shard, OptimizerState(cfg.optimizer, shard.support.count), sched))
+        clients.append(ClientState(i, shard, OptimizerState(cfg.optimizer, shard.entries.size), sched))
     updates = {c.id: local_update(c, server, cfg, client_rng(0, c.id, 0))[0]
                for c in reversed(clients)}
     by_hand = aggregate([c.n for c in clients], [updates[c.id] for c in clients])
@@ -220,7 +220,7 @@ def test_one_round_big_batch_takes_one_sgd_step(ner_setup):
     # exactly one step: final = init - lr * grad(init) on the full batch
     init = task.init_params(0)
     order = client_rng(0, 0, 0).permutation(len(train))
-    lg = task.loss_and_grad(init, [train[i] for i in order])
+    lg = models.loss_and_grad(task.spec, init, [train[i].enc for i in order])
     expect = init.values - 0.05 * lg.grad.values
     assert np.array_equal(final.values, expect)
 
@@ -259,7 +259,7 @@ def test_fedprox_matches_a_hand_rolled_reference(ner_setup):
         for _ in range(2):
             order = rng.permutation(len(train))
             for lo in range(0, len(train), batch):
-                lg = task.loss_and_grad(w, [train[i] for i in order[lo : lo + batch]])
+                lg = models.loss_and_grad(task.spec, w, [train[i].enc for i in order[lo : lo + batch]])
                 grad = lg.grad.values + mu * (w.values - anchor)
                 w = ParamVector(w.values - lr_at(sched, step) * grad, w.layout)
                 step += 1
@@ -296,8 +296,8 @@ def test_round_loop_matches_a_hand_rolled_reference(ner_setup):
     hand = []
     for t in range(2):
         order = client_rng(0, 0, t).permutation(len(train))
-        batch = [train[i] for i in order]
-        lg = task.loss_and_grad(w, batch)
+        batch = [train[i].enc for i in order]
+        lg = models.loss_and_grad(task.spec, w, batch)
         lr = lr_at(sched, state.step_count)
         apply_step(state, w, lg.grad, lr)
         assert weights_sha256(w) == records[t]["weights_sha256"]
@@ -306,9 +306,9 @@ def test_round_loop_matches_a_hand_rolled_reference(ner_setup):
     # a fresh optimizer at round two would take a different step
     fresh_state = OptimizerState("adam", hand[0].size)
     order = client_rng(0, 0, 1).permutation(len(train))
-    batch = [train[i] for i in order]
+    batch = [train[i].enc for i in order]
     w_fresh = hand[0].copy()
-    lg = task.loss_and_grad(w_fresh, batch)
+    lg = models.loss_and_grad(task.spec, w_fresh, batch)
     apply_step(fresh_state, w_fresh, lg.grad, lr_at(sched, 0))
     assert not np.array_equal(hand[1].values, w_fresh.values)
 
@@ -336,7 +336,7 @@ def check_partial_support_rounds_against_a_dense_reference(setup, optimizer, mu)
     records = [record for record, _ in train_rounds(task, cfg, parts, dev)]
 
     server = task.init_params(0)
-    assert all(task.shard(part).support.count < server.size for part in parts)
+    assert all(task.shard(part).entries.size < server.size for part in parts)
     moments = [(np.zeros(server.size), np.zeros(server.size), 0) for _ in parts]
     total = sum(map(len, parts))
     for t in range(3):
@@ -348,8 +348,8 @@ def check_partial_support_rounds_against_a_dense_reference(setup, optimizer, mu)
             for _ in range(2):
                 order = rng.permutation(len(part))
                 for lo in range(0, len(part), batch):
-                    items = [part[i] for i in order[lo : lo + batch]]
-                    g = task.loss_and_grad(ParamVector(w, server.layout), items).grad.values
+                    items = [part[i].enc for i in order[lo : lo + batch]]
+                    g = models.loss_and_grad(task.spec, ParamVector(w, server.layout), items).grad.values
                     m, v, step, w, _ = oracles.optimizer_step(
                         optimizer, m, v, step, w, g, lr_at(sched, step), mu, server.values)
             moments[k] = (m, v, step)
@@ -380,21 +380,27 @@ def test_a_clients_moments_cover_its_support_not_the_whole_vector(by_source_setu
     next(rounds(task, fed_cfg(rounds=1, optimizer="adam"), parts, dev))
     size = task.init_params(0).size
     for state, part in zip(states, parts, strict=True):
-        count = task.shard(part).support.count
+        count = task.shard(part).entries.size
         assert state.m.size == state.v.size == count < size
 
 
 def test_a_client_gathers_and_scatters_its_weights_once_per_round(by_source_setup, monkeypatch):
     # the server weights reach a client's compact vector once when its round
-    # starts and go back once when it ends, however many steps it takes
+    # starts (np.take) and go back once when it ends (np.put), however many
+    # steps it takes
     task, parts, dev = by_source_setup
     calls = []
 
     def counted(name, original):
         return lambda *args: calls.append(name) or original(*args)
 
-    for name in ("gather", "scatter"):
-        monkeypatch.setattr(Support, name, counted(name, getattr(Support, name)))
+    class CountedNumpy:
+        take, put = staticmethod(counted("gather", np.take)), staticmethod(counted("scatter", np.put))
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    monkeypatch.setattr(federation, "np", CountedNumpy())
     monkeypatch.setattr(models, "loss_and_grad", counted("step", models.loss_and_grad))
     cfg = fed_cfg(clients=2, rounds=3, local_epochs=2, batch_size=4, mu=0.1, optimizer="adam")
     train_rounds(task, cfg, parts, dev)
@@ -439,7 +445,7 @@ def test_a_diverging_step_leaves_the_client_as_it_was(ner_setup, monkeypatch, op
     cfg = fed_cfg(clients=1, rounds=1, optimizer=optimizer, mu=0.5)
     server = task.init_params(0)
     shard = task.shard(train)
-    client = ClientState(0, shard, OptimizerState(optimizer, shard.support.count),
+    client = ClientState(0, shard, OptimizerState(optimizer, shard.entries.size),
                          Schedule(base_lr=0.05, warmup_steps=0, total_steps=100))
     seen, original = [], models.loss_and_grad
 

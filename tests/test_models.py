@@ -485,7 +485,8 @@ def test_one_loop_rnn_equals_the_two_loop_oracle_bit_for_bit(hidden_dim, lengths
     w.values[:] = rng.normal(size=w.size)
     seg = models._segments(spec, w)
     sentences = [rng.integers(0, spec.vocab_size, size=n) for n in lengths]
-    ids, mask = models._pad(sentences, models._joined(sentences, spec.vocab_size, "token id"))
+    n = np.array(lengths)
+    mask, ids = models._pad(n, np.cumsum(n) - n, np.concatenate(sentences))
     X = seg["embed"][ids.T]
     runs = [(X, crf.reversal(mask), mask.T)]
     if len(set(lengths)) == 1:
@@ -522,7 +523,7 @@ KINDS = pytest.mark.parametrize("spec, make_item", [
 
 @KINDS
 def test_a_gradient_is_positive_zero_outside_the_declared_support(spec, make_item):
-    # a client trains only the entries of its support, which is exact only
+    # a client trains only the entries of its shard, which is exact only
     # if every other entry of every batch gradient is +0.0: then a dense
     # step leaves it as it is, -0.0 weights included
     spec = dataclasses.replace(spec, vocab_size=40)  # so a batch reaches few embed rows
@@ -530,16 +531,24 @@ def test_a_gradient_is_positive_zero_outside_the_declared_support(spec, make_ite
     for _ in range(20):
         batch = mixed_batch(make_item)(spec, rng)
         w = init_params(spec, int(rng.integers(1_000_000)))
-        sup = shard(spec, batch).support
+        entries = shard(spec, batch).entries
         inside = np.zeros(w.size)
-        sup.scatter(np.ones(sup.count), inside)
-        assert inside.sum() == sup.count < w.size
+        inside[entries] = 1.0
+        assert inside.sum() == entries.size < w.size
+        assert np.array_equal(entries, np.flatnonzero(inside))  # sorted and unique
         outside = loss_and_grad(spec, w, batch).grad.values[inside == 0.0]
         assert np.all(outside == 0.0) and not np.signbit(outside).any()
-        # the support is every entry after embed and the rows of the batch's tokens
+        # the entries are every one after embed and the rows of the batch's tokens
         tokens = np.unique(np.concatenate([item.token_ids for item in batch]))
-        assert np.array_equal(sup.rows, tokens)
-        assert inside[param_layout(spec)["embed"][1]:].all()
+        head = param_layout(spec)["embed"][1]
+        assert np.array_equal(np.flatnonzero(inside[:head].reshape(-1, spec.embed_dim).all(axis=1)), tokens)
+        assert inside[head:].all()
+
+
+def _rows(client):
+    """The ``embed`` rows of the whole vector whose entries ``client`` holds."""
+    d = client.spec.embed_dim
+    return client.entries[: client.spec.vocab_size * d : d] // d
 
 
 def _renumbered(items, rows):
@@ -551,19 +560,21 @@ def _renumbered(items, rows):
 
 @KINDS
 def test_a_batch_from_a_padded_shard_equals_padding_its_items(spec, make_item):
-    # rows in shuffled order, trimmed to the longest of them: the arrays
-    # pad gives for those items afresh, token ids renumbered to the shard's rows
+    # rows in shuffled order, padded from the flat shard to the longest of
+    # them: the arrays pad gives for those items afresh, token ids
+    # renumbered to the shard's rows
     spec = dataclasses.replace(spec, vocab_size=40)
     rng = np.random.default_rng(23)
     for _ in range(20):
         items = mixed_batch(make_item)(spec, rng) + mixed_batch(make_item)(spec, rng)
         client = shard(spec, items)
-        assert client.spec == dataclasses.replace(spec, vocab_size=client.support.rows.size)
-        assert len(client.items) == len(items)
+        rows = _rows(client)
+        assert client.spec == dataclasses.replace(spec, vocab_size=rows.size)
+        assert len(client) == len(items)
         for size in (1, 3, len(items)):
-            rows = rng.permutation(len(items))[:size]
-            got = client.items.take(rows)
-            expect = pad(client.spec, _renumbered([items[i] for i in rows], client.support.rows))
+            picked = rng.permutation(len(items))[:size]
+            got = client.batch(picked)
+            expect = pad(client.spec, _renumbered([items[i] for i in picked], rows))
             for field in ("ids", "mask", "lengths", "labels", "spans"):
                 a, b = getattr(got, field), getattr(expect, field)
                 assert (a is None) == (b is None) == (field == "spans" and spec.kind != REL.kind)
@@ -575,7 +586,7 @@ def test_a_batch_from_a_padded_shard_equals_padding_its_items(spec, make_item):
 def test_a_compact_gradient_equals_the_full_one_gathered(spec, make_item):
     # the shard of a client, of which the batch is part: its spec's gradient
     # at the compact weights, on the batch's renumbered token ids, holds the
-    # same floats as the full gradient's support entries, segment by segment
+    # same floats as the full gradient's entries of the shard, segment by segment
     spec = dataclasses.replace(spec, vocab_size=40)
     rng = np.random.default_rng(19)
     for _ in range(20):
@@ -584,13 +595,32 @@ def test_a_compact_gradient_equals_the_full_one_gathered(spec, make_item):
         w = init_params(spec, int(rng.integers(1_000_000)))
         w.values[:] = rng.normal(size=w.size)
         client = shard(spec, batch + rest)
-        sup = client.support
-        compact_w = ParamVector(sup.gather(w.values, np.empty(sup.count)), param_layout(client.spec))
+        entries = client.entries
+        compact_w = ParamVector(w.values[entries], param_layout(client.spec))
         full = loss_and_grad(spec, w, batch)
-        for compact in (loss_and_grad(client.spec, compact_w, client.items.take(np.arange(len(batch)))),
-                        loss_and_grad(client.spec, compact_w, _renumbered(batch, sup.rows))):
+        for compact in (loss_and_grad(client.spec, compact_w, client.batch(np.arange(len(batch)))),
+                        loss_and_grad(client.spec, compact_w, _renumbered(batch, _rows(client)))):
             assert compact.loss == full.loss
-            assert compact.grad.size == sup.count < w.size
-            assert compact.grad.values.tobytes() == sup.gather(full.grad.values, np.empty(sup.count)).tobytes()
+            assert compact.grad.size == entries.size < w.size
+            assert compact.grad.values.tobytes() == full.grad.values[entries].tobytes()
             assert list(compact.grad.layout) == list(full.grad.layout)
-            assert compact.grad.layout["embed"] == (0, sup.rows.size * spec.embed_dim)
+            assert compact.grad.layout["embed"] == (0, _rows(client).size * spec.embed_dim)
+
+
+def test_a_shard_holds_memory_in_proportion_to_its_tokens_not_its_longest_item():
+    # 799 nine-token sentences and one of 512: stored flat, the shard's
+    # arrays grow with the 7,703 tokens, not with 800 rows of 512
+    spec = dataclasses.replace(WINDOW, vocab_size=50)
+    rng = np.random.default_rng(5)
+    items = [random_tag_item(spec, rng, T=9) for _ in range(799)] + [random_tag_item(spec, rng, T=512)]
+    client = shard(spec, items)
+    tokens = sum(item.token_ids.size for item in items)
+
+    def array_bytes(record):
+        fields = (getattr(record, f.name) for f in dataclasses.fields(record))
+        return sum(v.nbytes if isinstance(v, np.ndarray) else array_bytes(v) if dataclasses.is_dataclass(v) else 0
+                   for v in fields)
+
+    # token ids and label ids per token, a length and an offset per item and
+    # one index per entry of the compact vector, 8 bytes each
+    assert array_bytes(client) <= 8 * (2 * tokens + 2 * len(items) + param_count(client.spec))

@@ -11,7 +11,7 @@ from fedtext.optim import (
     new_scratch,
     proximal_augment,
 )
-from fedtext.params import ParamVector, Support
+from fedtext.params import ParamVector
 
 LAYOUT = {"a": (0, 2), "b": (2, 1)}
 
@@ -96,49 +96,51 @@ def test_a_step_on_a_partial_support_equals_the_dense_step(kind, mu):
     # every other weight, -0.0 included, as it was
     rng = np.random.default_rng(11)
     V, d, tail = 9, 4, 5
-    sup = Support(V * d + tail, head=V * d, width=d, rows=np.array([0, 2, 3, 7]))
+    size, rows = V * d + tail, np.array([0, 2, 3, 7])
+    # the rows' embed entries, then the tail, as models.shard lists them
+    entries = np.concatenate([(rows[:, None] * d + np.arange(d)).ravel(), np.arange(V * d, size)])
     compact = {"embed": (0, 4 * d), "out": (4 * d, tail)}  # the support's layout
-    inside = np.zeros(sup.size)
-    sup.scatter(np.ones(sup.count), inside)
+    inside = np.zeros(size)
+    inside[entries] = 1.0
     off = inside == 0.0
-    full = rng.normal(size=sup.size)
-    full[off & (rng.random(sup.size) < 0.5)] = -0.0
+    full = rng.normal(size=size)
+    full[off & (rng.random(size) < 0.5)] = -0.0
     before = full.tobytes()
-    w = ParamVector(sup.gather(full, np.empty(sup.count)), compact)
+    w = ParamVector(full[entries], compact)
     anchor = w.copy()
-    state = OptimizerState(kind, sup.count)
-    m, v = (np.zeros(sup.size), np.zeros(sup.size)) if kind == "adam" else (None, None)
+    state = OptimizerState(kind, entries.size)
+    m, v = (np.zeros(size), np.zeros(size)) if kind == "adam" else (None, None)
     ref_w, t = full.copy(), 0
     for step in range(40):
-        g = np.where(off, 0.0, rng.normal(size=sup.size) * 10.0 ** rng.integers(-3, 3))
+        g = np.where(off, 0.0, rng.normal(size=size) * 10.0 ** rng.integers(-3, 3))
         lr = 0.01 * (1 + step % 7)
         m, v, t, ref_w, ref_penalty = oracles.optimizer_step(kind, m, v, t, ref_w, g, lr, mu, full)
-        grad = ParamVector(sup.gather(g, np.empty(sup.count)), compact)
+        grad = ParamVector(g[entries], compact)
         penalty = proximal_augment(state, w, grad, anchor, mu)
         apply_step(state, w, grad, lr)
         assert penalty == pytest.approx(ref_penalty, rel=1e-12)  # a shorter dot may round otherwise
         assert state.step_count == t
         if kind == "adam":
-            assert sup.gather(m, np.empty(sup.count)).tobytes() == state.m.tobytes()
-            assert sup.gather(v, np.empty(sup.count)).tobytes() == state.v.tobytes()
+            assert m[entries].tobytes() == state.m.tobytes()
+            assert v[entries].tobytes() == state.v.tobytes()
             assert not m[off].any() and not v[off].any()
         out = np.frombuffer(before).copy()
-        sup.scatter(w.values, out)
+        out[entries] = w.values
         assert out.tobytes() == ref_w.tobytes()
     assert out[off].tobytes() == np.frombuffer(before)[off].tobytes()
     assert not np.array_equal(w.values, anchor.values)
 
 
 def test_an_overflowing_square_is_named_by_the_segment_of_its_support_entry():
-    sup = Support(10, head=8, width=2, rows=np.array([1, 3]))
+    entries = np.array([2, 3, 6, 7, 8, 9])  # rows 1 and 3 of a (4, 2) embed block, then the tail
     compact = {"embed": (0, 4), "out": (4, 2)}  # the support's layout
     for index, name in ((7, "embed"), (9, "out")):
         g = np.zeros(10)
         g[[2, index]] = 1e153, 1e155  # only the second one's square overflows
-        w = ParamVector(np.zeros(sup.count), compact)
-        grad = ParamVector(sup.gather(g, np.empty(sup.count)), compact)
+        w = ParamVector(np.zeros(entries.size), compact)
+        grad = ParamVector(g[entries], compact)
         with pytest.raises(FloatingPointError, match=f"in square of the gradient in segment '{name}'$"):
-            apply_step(OptimizerState("adam", sup.count), w, grad, 0.1)
+            apply_step(OptimizerState("adam", entries.size), w, grad, 0.1)
 
 
 @pytest.mark.parametrize("kind", ["sgd", "adam"])

@@ -99,7 +99,7 @@ def test_a_fedprox_local_step_allocates_only_its_gradient():
                            mu=0.1, optimizer="adam")
     server = task.init_params(0)
     shard = task.shard(data)
-    client = ClientState(0, shard, OptimizerState("adam", shard.support.count),
+    client = ClientState(0, shard, OptimizerState("adam", shard.entries.size),
                          Schedule(base_lr=0.01, warmup_steps=0, total_steps=100))
     with load_layertrace().Tracer() as tracer:
         local_update(client, server, cfg, client_rng(0, 0, 0))
@@ -122,12 +122,12 @@ def test_a_fedprox_step_on_a_partial_support_allocates_a_support_sized_gradient(
     task = tasks.build_task([s for _, sents in sources for s in sents], kind="window_tagger", embed_dim=4)
     data = corpus.partition_by_source([(name, task.prepare(sents)) for name, sents in sources])[0]
     shard = task.shard(data)
-    sup = shard.support
+    count = shard.entries.size
     cfg = FederationConfig(clients=2, rounds=1, batch_size=8, local_epochs=2,
                            mu=0.1, optimizer="adam")
     server = task.init_params(0)
-    assert sup.count < server.size
-    client = ClientState(0, shard, OptimizerState("adam", sup.count),
+    assert count < server.size
+    client = ClientState(0, shard, OptimizerState("adam", count),
                          Schedule(base_lr=0.01, warmup_steps=0, total_steps=100))
     with load_layertrace().Tracer() as tracer:
         local_update(client, server, cfg, client_rng(0, 0, 0))
@@ -136,7 +136,7 @@ def test_a_fedprox_step_on_a_partial_support_allocates_a_support_sized_gradient(
     # the compact weights, their anchor and one gradient per step are
     # support-sized; only the copy of the server weights they go back into is not
     assert tracer.vectors_allocated == 2 + steps + 1
-    assert tracer.bytes_allocated == (2 + steps) * sup.count * 8 + server.values.nbytes
+    assert tracer.bytes_allocated == (2 + steps) * count * 8 + server.values.nbytes
 
 
 def test_scoring_responses_parses_each_one_and_scores_once():
