@@ -13,13 +13,11 @@ renumbered to those rows and stored flat.  A round gathers those entries of
 the server weights once (``np.take``), steps that compact vector batch by
 batch, each batch padded from the flat shard, and puts it once into a copy
 of the server weights (``np.put``) for ``aggregate``.  Between rounds a
-client keeps only its Adam moments over its entries; the optimizer's
-scratch rows are one buffer for the whole run, as long as the largest
-client's entries.  Client work depends only on the server weights, its
-shard and its ``client_rng`` stream, keyed by (seed, client, round), so the
-order clients run in cannot change the result.  ``rounds`` yields each
-round's record and server weights as the round ends, and ``collect`` picks
-the best round's weights from that stream.
+client keeps only its Adam moments over its entries.  Client work depends
+only on the server weights, its shard and its ``client_rng`` stream, keyed
+by (seed, client, round), so the order clients run in cannot change the
+result.  ``rounds`` yields each round's record and server weights as the
+round ends, and ``collect`` picks the best round's weights from that stream.
 Centralized training is the loop with one client, so it is a K=1 federated
 run bit for bit.
 """
@@ -34,7 +32,7 @@ import numpy as np
 
 from . import models
 from .config import ConfigError, FederationConfig
-from .optim import OptimizerState, Schedule, apply_step, lr_at, new_scratch, proximal_augment
+from .optim import OptimizerState, Schedule, apply_step, lr_at, proximal_augment
 from .params import ParamVector
 from .tasks import Task
 
@@ -163,12 +161,11 @@ def rounds(
 
     server = task.init_params(seed)
     shards = [task.shard(part) for part in partitions]
-    scratch = new_scratch(cfg.optimizer, max(s.entries.size for s in shards))  # clients train one at a time
     clients = [
         ClientState(
             id=i,
             shard=shard,
-            opt=OptimizerState(cfg.optimizer, shard.entries.size, scratch),
+            opt=OptimizerState(cfg.optimizer, shard.entries.size),
             schedule=client_schedule(cfg, i, len(part)),
         )
         for i, (part, shard) in enumerate(zip(partitions, shards))

@@ -220,6 +220,9 @@ class ResponseRecord:
 
 
 def read_responses(text: str | bytes) -> list[ResponseRecord]:
+    """One record per non-blank line, each a JSON object with an integer
+    ``id`` and a string ``response``; anything else, or a repeated id, is a
+    ValueError naming the line."""
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     records = []
@@ -229,9 +232,13 @@ def read_responses(text: str | bytes) -> list[ResponseRecord]:
             continue
         try:
             obj = json.loads(line)
-            rec = ResponseRecord(id=int(obj["id"]), response=str(obj["response"]))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            rec = ResponseRecord(id=obj["id"], response=obj["response"])
+        except (KeyError, TypeError, ValueError) as exc:  # ValueError covers bad JSON
             raise ValueError(f"line {lineno}: bad response record ({exc})") from None
+        if type(rec.id) is not int:  # a JSON true or 1.7 is no id
+            raise ValueError(f"line {lineno}: response id must be an integer, not {rec.id!r}")
+        if not isinstance(rec.response, str):
+            raise ValueError(f"line {lineno}: response must be a string, not {rec.response!r}")
         if rec.id in seen:
             raise ValueError(f"line {lineno}: duplicate response id {rec.id}")
         seen.add(rec.id)

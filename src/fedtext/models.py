@@ -475,10 +475,11 @@ class Shard:
     """One client's items in its own compact parameter space, built once by
     ``shard``: ``spec``, the model over just the entries of the whole vector
     that training on them can move, and ``entries``, those entries' sorted
-    indices in the whole vector; then the items stored flat: ``ids``, their
-    token ids end to end, renumbered to the ``embed`` rows the entries hold,
-    each item's ``lengths`` and ``offsets`` into ``ids``, and a tagger's
-    label ids end to end, or a relation's gold label ids and (n, 2, 2) spans."""
+    indices in the whole vector, in the smallest unsigned integer type that
+    holds every index; then the items stored flat: ``ids``, their token ids
+    end to end, renumbered to the ``embed`` rows the entries hold, each
+    item's ``lengths`` and ``offsets`` into ``ids``, and a tagger's label
+    ids end to end, or a relation's gold label ids and (n, 2, 2) spans."""
 
     spec: ModelSpec
     entries: np.ndarray
@@ -517,7 +518,9 @@ def shard(spec: ModelSpec, items: Batch) -> Shard:
     rows = np.flatnonzero(seen)
     d = spec.embed_dim
     _, length = param_layout(spec)["embed"]  # at offset 0
-    entries = np.concatenate([(rows[:, None] * d + np.arange(d)).ravel(), np.arange(length, param_count(spec))])
+    size = param_count(spec)
+    entries = np.concatenate([(rows[:, None] * d + np.arange(d)).ravel(), np.arange(length, size)])
+    entries = entries.astype(np.min_scalar_type(size - 1))  # uint16 up to 65,536 values
     renumbered = (np.cumsum(seen) - 1)[ids]  # each token id's row among ``rows``
     compact = dataclasses.replace(spec, vocab_size=rows.size)
     return Shard(compact, entries, renumbered, lengths, offsets, labels, spans)

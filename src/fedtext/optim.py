@@ -9,13 +9,9 @@ whatever vector they are given.
 
 ``proximal_augment`` adds the proximal gradient to a gradient in place;
 ``apply_step`` updates the weights, the step count and the moments in place.
-Both work in the state's ``scratch`` rows, so a step allocates nothing of
-the vector's size.  Nothing in the scratch outlives a call, so it belongs to
-the run rather than to a client: clients train one at a time, and the round
-loop hands every client's state the same ``new_scratch`` buffer.  The
-floating-point operations run in the order of the textbook updates, so
-results are bit-equal to computing each formula with fresh arrays.  Both run
-under the package's ``FLOAT_POLICY``.
+The intermediate values of a step are numpy temporaries as long as the
+client's compact vector, computed in the order of the textbook updates.
+Both run under the package's ``FLOAT_POLICY``.
 """
 from __future__ import annotations
 
@@ -61,37 +57,19 @@ def lr_at(sched: Schedule, step: int) -> float:
     return 0.0
 
 
-SCRATCH_ROWS = {"sgd": 1, "adam": 2}
-
-
-def new_scratch(kind: str, size: int) -> np.ndarray:
-    """Work rows for steps of optimizer ``kind`` over vectors of at most ``size`` values."""
-    return np.empty((SCRATCH_ROWS[kind], size))
-
-
 class OptimizerState:
     """One client's optimizer over vectors of ``size`` values: the step
-    count and Adam's moments ``m``/``v`` (None under sgd), plus the
-    ``scratch`` rows its steps work in.  Every state of one run can be given
-    the same ``new_scratch(kind, n)`` buffer, n being the largest size; one
-    with fewer rows or values is refused.  Without one, the state makes its
-    own."""
+    count and Adam's moments ``m``/``v`` (None under sgd)."""
 
-    def __init__(self, kind: str, size: int, scratch: np.ndarray | None = None) -> None:
+    def __init__(self, kind: str, size: int) -> None:
         if kind not in OPTIMIZER_KINDS:
             raise ValueError(f"unknown optimizer kind {kind!r}")
-        if scratch is None:
-            scratch = new_scratch(kind, size)
-        elif scratch.ndim != 2 or scratch.shape[0] < SCRATCH_ROWS[kind] or scratch.shape[1] < size:
-            raise ValueError(f"scratch of shape {scratch.shape} is smaller than {kind}'s "
-                             f"{SCRATCH_ROWS[kind]} rows of {size} values")
         self.kind = kind
         self.size = size
         self.step_count = 0
         adam = kind == "adam"
         self.m = np.zeros(size) if adam else None
         self.v = np.zeros(size) if adam else None
-        self.scratch = scratch[:, :size]
 
 
 def _check_sizes(state: OptimizerState, *vectors: tuple[str, ParamVector]) -> None:
@@ -112,7 +90,7 @@ def proximal_augment(
     _check_sizes(state, ("gradient", grad), ("weight vector", w), ("anchor", anchor))
     if mu == 0.0:
         return 0.0
-    diff = np.subtract(w.values, anchor.values, out=state.scratch[0])
+    diff = w.values - anchor.values
     penalty = 0.5 * mu * float(diff @ diff)
     diff *= mu
     grad.values += diff
@@ -131,13 +109,13 @@ def apply_step(state: OptimizerState, w: ParamVector, grad: ParamVector, lr: flo
     grad.check_finite("gradient")
     if lr < 0:
         raise ValueError("learning rate must be >= 0")
-    g, s = grad.values, state.scratch
+    g = grad.values
     if state.kind == "sgd":
         state.step_count += 1
-        w.values -= np.multiply(lr, g, out=s[0])
+        w.values -= lr * g
         return
     try:
-        sq = np.square(g, out=s[1])
+        sq = np.square(g)
     except FloatingPointError:
         bad = int(np.flatnonzero(np.abs(g) > SQRT_MAX)[0])
         raise FloatingPointError(
@@ -146,12 +124,13 @@ def apply_step(state: OptimizerState, w: ParamVector, grad: ParamVector, lr: flo
     state.step_count += 1
     t = state.step_count
     state.m *= BETA1
-    state.m += np.multiply(1.0 - BETA1, g, out=s[0])
+    state.m += (1.0 - BETA1) * g
     state.v *= BETA2
-    state.v += np.multiply(1.0 - BETA2, sq, out=sq)
-    step = np.divide(state.m, 1.0 - BETA1**t, out=s[0])  # m_hat
+    sq *= 1.0 - BETA2
+    state.v += sq
+    step = state.m / (1.0 - BETA1**t)  # m_hat
     step *= lr
-    denom = np.divide(state.v, 1.0 - BETA2**t, out=s[1])  # v_hat
+    denom = state.v / (1.0 - BETA2**t)  # v_hat
     np.sqrt(denom, out=denom)
     denom += EPS
     step /= denom

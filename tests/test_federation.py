@@ -168,9 +168,9 @@ def test_the_round_loop_takes_k_from_its_partitions(ner_setup):
 
 
 def test_each_added_client_costs_at_most_two_and_a_half_parameter_vectors():
-    # under adam a client keeps only its moments m and v between rounds: the
-    # scratch rows are one buffer per run, and the round folds each client's
-    # weights into the aggregate before the next client trains
+    # under adam a client keeps only its moments m and v between rounds, a
+    # step's intermediate values being temporaries, and the round folds each
+    # client's weights into the aggregate before the next client trains
     profile = corpus.make_profile(["GENE", "DIS"], lexicon_size=40, sentences=100)
     sents = corpus.generate_synthetic(profile, 3)[0][1]
     task = tasks.build_task(sents, kind="window_tagger", embed_dim=64)  # P is 96 % embedding

@@ -278,6 +278,22 @@ def test_read_responses_rejects_duplicates_and_garbage():
         read_responses('{"id": 0, "response": "ok"}\n{"response": "no id"}\n')
 
 
+@pytest.mark.parametrize("line, message", [
+    ('{"id": 0, "response": null}', "response must be a string, not None"),
+    ('{"id": 0, "response": ["a", "b"]}', r"response must be a string, not \['a', 'b'\]"),
+    ('{"id": 0, "response": 7}', "response must be a string, not 7"),
+    ('{"id": 1.7, "response": "x"}', "response id must be an integer, not 1.7"),
+    ('{"id": "1", "response": "x"}', "response id must be an integer, not '1'"),
+    ('{"id": true, "response": "x"}', "response id must be an integer, not True"),
+    ('["id", "response"]', "bad response record"),
+], ids=["null-response", "list-response", "number-response", "float-id", "string-id", "bool-id", "list-record"])
+def test_read_responses_checks_types_instead_of_coercing(line, message):
+    # a null response would read as the text "None", which a relation label
+    # "none" maps to instead of the abstain label
+    with pytest.raises(ValueError, match=f"^line 2: {message}"):
+        read_responses('{"id": 5, "response": "ok"}\n' + line + "\n")
+
+
 def test_score_ner_responses_end_to_end():
     items = [
         ner_item(["inactivation", "of", "atp7b", "seen"], ["O", "O", "B-GENE", "O"]),

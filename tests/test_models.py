@@ -624,3 +624,17 @@ def test_a_shard_holds_memory_in_proportion_to_its_tokens_not_its_longest_item()
     # token ids and label ids per token, a length and an offset per item and
     # one index per entry of the compact vector, 8 bytes each
     assert array_bytes(client) <= 8 * (2 * tokens + 2 * len(items) + param_count(client.spec))
+
+
+@pytest.mark.parametrize("vocab_size", [12, 2_000, 30_000])
+def test_a_shards_entries_take_at_most_four_bytes_each(vocab_size):
+    # a client keeps its entries for the whole run next to its Adam moments;
+    # each index fits the smallest unsigned type that holds the vector's
+    # last one, uint8, uint16 and uint32 for these sizes
+    spec = dataclasses.replace(WINDOW, vocab_size=vocab_size)
+    rng = np.random.default_rng(3)
+    client = shard(spec, [random_tag_item(spec, rng, T=40) for _ in range(50)])
+    size = param_count(spec)
+    assert client.entries.dtype == np.min_scalar_type(size - 1)
+    assert client.entries.nbytes <= 4 * client.entries.size
+    assert int(client.entries[-1]) == size - 1

@@ -1,4 +1,6 @@
 """Optimizers, the warmup/decay schedule, and the proximal penalty."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from fedtext.optim import (
     Schedule,
     apply_step,
     lr_at,
-    new_scratch,
     proximal_augment,
 )
 from fedtext.params import ParamVector
@@ -166,15 +167,20 @@ def test_a_gradient_of_another_size_than_the_support_is_refused(kind):
 
 
 @pytest.mark.parametrize("kind", ["sgd", "adam"])
-def test_a_shared_scratch_smaller_than_the_state_is_refused(kind):
-    # the round loop hands every client's state one buffer; one too narrow
-    # or with too few rows is named when the state is built, not at a step
-    rows = 2 if kind == "adam" else 1
-    OptimizerState(kind, 50, new_scratch(kind, 100))
-    for scratch in (np.empty((3, 50)), np.empty((rows - 1, 100)), np.empty(100)):
-        with pytest.raises(ValueError, match=fr"^scratch of shape \({scratch.shape[0]},.*\) is smaller "
-                                             fr"than {kind}'s {rows} rows of 100 values$"):
-            OptimizerState(kind, 100, scratch)
+def test_an_optimizer_state_holds_only_its_moments(kind):
+    # a client keeps its state between rounds, so the state holds Adam's m
+    # and v and no other array of the vector's size; a step's intermediate
+    # values are temporaries that go when the step returns
+    n = 100_000
+    tracemalloc.start()
+    try:
+        state = OptimizerState(kind, n)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    moments = 2 * n * 8 if kind == "adam" else 0
+    assert moments <= held < moments + n * 8 // 10
+    assert state.step_count == 0
 
 
 @pytest.mark.parametrize("kind", ["sgd", "adam"])
